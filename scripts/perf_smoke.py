@@ -1,16 +1,21 @@
 #!/usr/bin/env python
 """CI perf-smoke stage: fast path stays exact, benchmarks stay runnable.
 
-Three checks, all cheap enough for every CI run:
+Four checks, all cheap enough for every CI run:
 
 1. **Fast-path parity** — the cache-free inference kernels
    (``forward_inference``) must be bitwise-identical to the cached
    training forward for LSTM and GRU at deployment-like shapes, and
    batched search must reproduce serial trial records exactly.
-2. **Quick benchmarks** — run the latency benches with
+2. **Stream batch parity** — the streaming server's chunk-batched
+   forecasts must stay inside the declared tolerance class against the
+   same model served one ``predict_next`` per interval: identical serve
+   accounting, forecasts within rtol 1e-12, decisions within one VM on
+   at most 1% of intervals.
+3. **Quick benchmarks** — run the latency benches with
    ``REPRO_BENCH_QUICK=1`` so a broken benchmark (import error, shape
    drift, harness change) fails CI instead of the next perf PR.
-3. **Artifact schema** — ``BENCH_inference.json`` / ``BENCH_training.json``
+4. **Artifact schema** — ``BENCH_inference.json`` / ``BENCH_training.json``
    must parse and carry the gauges perf PRs diff against.
 
 Exit status: 0 when everything holds, 1 otherwise.
@@ -47,6 +52,11 @@ REQUIRED_GAUGES = {
 }
 
 
+def _toy_objective(c: dict) -> float:
+    # Module level, not a lambda: worker processes receive it by pickling.
+    return (c["a"] - 3) ** 2 + (c["b"] - 0.4) ** 2
+
+
 def check_fastpath_parity() -> None:
     from repro.bayesopt import IntParam, FloatParam, RandomSearch, SearchSpace
     from repro.nn.gru import GRULayer
@@ -72,17 +82,92 @@ def check_fastpath_parity() -> None:
     logger.info("fast-path parity: OK")
 
     space = SearchSpace([IntParam("a", 1, 10), FloatParam("b", 0.0, 1.0)])
-    objective = lambda c: (c["a"] - 3) ** 2 + (c["b"] - 0.4) ** 2  # noqa: E731
     serial = RandomSearch(space, seed=3)
-    serial.run(objective, 6)
+    serial.run(_toy_objective, 6)
     space2 = SearchSpace([IntParam("a", 1, 10), FloatParam("b", 0.0, 1.0)])
     parallel = RandomSearch(space2, seed=3)
-    parallel.run(objective, 6, n_workers=2)
+    parallel.run(_toy_objective, 6, n_workers=2)
     if [(r.config, r.value) for r in serial.history] != [
         (r.config, r.value) for r in parallel.history
     ]:
         raise AssertionError("parallel random search diverged from serial")
     logger.info("parallel search determinism: OK")
+
+
+def check_stream_batch_parity() -> None:
+    from repro.autoscale.controller import HybridController
+    from repro.baselines.base import Predictor
+    from repro.bayesopt import IntParam, SearchSpace
+    from repro.core import FrameworkSettings, LoadDynamics
+    from repro.obs.metrics import reset_metrics
+    from repro.serving import (
+        GuardedPredictor,
+        StreamConfig,
+        StreamingServer,
+        chunk_stream,
+        default_fallbacks,
+    )
+
+    class SequentialOnly(Predictor):
+        def __init__(self, inner):
+            self.inner = inner
+            self.name = inner.name
+            self.min_history = inner.min_history
+
+        def predict_next(self, history):
+            return self.inner.predict_next(history)
+
+    class Recording(GuardedPredictor):
+        def predict_next(self, history, raw=None):
+            value = super().predict_next(history, raw=raw)
+            self.forecasts.append(value)
+            return value
+
+    rng = np.random.default_rng(0)
+    t = np.arange(800, dtype=np.float64)
+    trace = np.clip(
+        100 + 30 * np.sin(2 * np.pi * t / 48) + rng.normal(0, 5, t.size),
+        0, None,
+    )
+    space = SearchSpace([
+        IntParam("history_len", 12, 12),
+        IntParam("cell_size", 8, 8),
+        IntParam("num_layers", 2, 2),
+        IntParam("batch_size", 32, 32),
+    ])
+    model, _ = LoadDynamics(
+        space=space, settings=FrameworkSettings.tiny(max_iters=2, epochs=3),
+    ).fit(trace[:400])
+
+    def serve(primary, controller: bool):
+        reset_metrics()
+        guard = Recording(primary, fallbacks=default_fallbacks(48))
+        guard.forecasts = []
+        cfg = StreamConfig(chunk_size=16, size_jitter=5, seed=3)
+        server = StreamingServer(
+            guard, trace[:400], config=cfg,
+            controller=HybridController() if controller else None,
+        )
+        report = server.run(chunk_stream(trace[400:], config=cfg))
+        return report, np.array(guard.forecasts)
+
+    for controller in (False, True):
+        rep_b, fc_b = serve(model, controller)
+        rep_s, fc_s = serve(SequentialOnly(model), controller)
+        for field in ("served_by", "breaker_transitions",
+                      "serving_counters", "stream"):
+            if getattr(rep_b, field) != getattr(rep_s, field):
+                raise AssertionError(
+                    f"batched stream {field} differs from per-interval"
+                )
+        np.testing.assert_allclose(fc_b, fc_s, rtol=1e-12, atol=0.0)
+        off = np.abs(rep_b.schedule - rep_s.schedule)
+        if off.max() > 1.0 or np.count_nonzero(off) > 0.01 * off.size:
+            raise AssertionError(
+                f"batched stream decisions off by up to {off.max():.0f} VMs "
+                f"on {np.count_nonzero(off)} of {off.size} intervals"
+            )
+    logger.info("stream batch parity: OK")
 
 
 def run_quick_benchmarks(artifact_dir: Path) -> None:
@@ -129,6 +214,7 @@ def main() -> int:
     import tempfile
 
     check_fastpath_parity()
+    check_stream_batch_parity()
     with tempfile.TemporaryDirectory() as tmp:
         run_quick_benchmarks(Path(tmp))
         check_artifacts(Path(tmp))

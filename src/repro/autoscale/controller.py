@@ -662,26 +662,47 @@ class HybridPolicy:
         return out
 
 
-def _guarded_forecast(predictor: Predictor, history: np.ndarray, refit: bool) -> float:
-    """One walk-forward forecast that degrades instead of raising.
+def _guarded_refit(predictor: Predictor, history: np.ndarray) -> None:
+    """Refit that keeps the stale model when the fit fails.
 
-    A failing fit keeps the stale model; a failing/non-finite predict
-    returns NaN, which the controller treats as "forecast unavailable"
-    and routes to the reactive tier.  Simulated process crashes
+    Simulated process crashes
     (:class:`~repro.resilience.faults.SimulatedCrash`) still propagate.
     """
     from repro.resilience import faults as _faults
 
-    if refit:
-        try:
-            predictor.fit(history)
-        except _faults.SimulatedCrash:
-            raise
-        except Exception as exc:
-            _metrics.counter("autoscale.controller.fit_error").inc()
-            logger.warning("proactive fit failed (stale model serves): %s", exc)
     try:
-        return float(predictor.predict_next(history))
+        predictor.fit(history)
+    except _faults.SimulatedCrash:
+        raise
+    except Exception as exc:
+        _metrics.counter("autoscale.controller.fit_error").inc()
+        logger.warning("proactive fit failed (stale model serves): %s", exc)
+
+
+def _guarded_forecast(
+    predictor: Predictor,
+    history: np.ndarray,
+    refit: bool,
+    raw: float | None = None,
+) -> float:
+    """One walk-forward forecast that degrades instead of raising.
+
+    A failing fit keeps the stale model (:func:`_guarded_refit`); a
+    failing/non-finite predict returns NaN, which the controller treats
+    as "forecast unavailable" and routes to the reactive tier.
+    Simulated process crashes
+    (:class:`~repro.resilience.faults.SimulatedCrash`) still propagate.
+    ``raw`` hands a :class:`~repro.serving.guard.GuardedPredictor` its
+    primary's precomputed forecast (see its ``predict_next``).
+    """
+    from repro.resilience import faults as _faults
+
+    if refit:
+        _guarded_refit(predictor, history)
+    try:
+        if raw is None:
+            return float(predictor.predict_next(history))
+        return float(predictor.predict_next(history, raw=raw))
     except _faults.SimulatedCrash:
         raise
     except Exception as exc:

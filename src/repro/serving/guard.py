@@ -189,7 +189,9 @@ class GuardedPredictor(Predictor):
             return bound
         return value
 
-    def _try_primary(self, h: np.ndarray, bound: float) -> float | None:
+    def _try_primary(
+        self, h: np.ndarray, bound: float, raw: float | None
+    ) -> float | None:
         if self.primary is None:
             return None
         if not self.breaker.allow():
@@ -198,7 +200,8 @@ class GuardedPredictor(Predictor):
         inj = _faults.active()
         try:
             fired = inj.maybe_fire("serve.predict") if inj is not None else {}
-            raw = self.primary.predict_next(h)
+            if raw is None:
+                raw = self.primary.predict_next(h)
             if "nan" in fired:
                 raw = float("nan")
             if "drift" in fired:
@@ -285,18 +288,27 @@ class GuardedPredictor(Predictor):
                 logger.warning("fallback %s fit failed", fb.name)
         return self
 
-    def predict_next(self, history: np.ndarray) -> float:
+    def predict_next(
+        self, history: np.ndarray, raw: float | None = None
+    ) -> float:
         """Always returns a finite value in ``[0, guard_factor x rolling max]``.
 
         A 2-D ``(steps, D)`` history feeds the primary whole; the
         rolling-max bound and the (univariate) fallback chain see the
         target channel.
+
+        ``raw`` is the primary's forecast for this history when the
+        caller already has it (the streaming server computes a chunk's
+        forecasts in one batched ``predict_series`` pass).  It replaces
+        only the primary call: the ``serve.predict`` fault site,
+        validation, breaker and fallback chain run exactly as without
+        it, and an open breaker sheds the interval unused.
         """
         h, tgt = self._split_history(history)
         bound = self._bound(tgt)
         self._c_total.inc()
 
-        value = self._try_primary(h, bound)
+        value = self._try_primary(h, bound, raw)
         if value is not None:
             self._served("primary")
             return value

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autoscale.controller import HybridController
+from repro.baselines.base import Predictor
 from repro.obs.metrics import reset_metrics
 from repro.obs.monitor.drift import CusumDetector, PageHinkleyDetector
 from repro.obs.monitor.monitor import ForecastMonitor
@@ -634,3 +635,260 @@ class TestCheckpointResume:
             trace, 1800,
         )
         assert batch.stream is None
+
+
+# ----------------------------------------------------------------------
+# chunk-batched forecasting: tolerance class against per-interval serving
+# ----------------------------------------------------------------------
+#: Declared tolerance of a batched forecast against ``predict_next``: a
+#: ``(B, n)`` forward pass rounds its GEMMs differently from a one-row
+#: GEMV, by about one ulp, so bitwise equality is not the contract.
+FORECAST_RTOL = 1e-12
+#: Share of intervals whose decision may differ by (at most) one VM.
+DECISION_FLIPS = 0.01
+
+
+class _SequentialOnly(Predictor):
+    """The same model behind ``predict_next`` alone — the stream serves
+    it per interval, which makes it the reference for the batched path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.min_history = inner.min_history
+
+    def fit(self, history):
+        self.inner.fit(history)
+        return self
+
+    def predict_next(self, history):
+        return self.inner.predict_next(history)
+
+
+class _RecordingGuard(GuardedPredictor):
+    """A guard that keeps every value it served, in order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.forecasts: list[float] = []
+
+    def predict_next(self, history, raw=None):
+        value = super().predict_next(history, raw=raw)
+        self.forecasts.append(value)
+        return value
+
+
+@pytest.fixture(scope="module")
+def lstm_primary():
+    """A fitted two-layer LSTM predictor over a 12-step window."""
+    from repro.bayesopt import IntParam, SearchSpace
+    from repro.core import FrameworkSettings, LoadDynamics
+
+    space = SearchSpace([
+        IntParam("history_len", 12, 12),
+        IntParam("cell_size", 8, 8),
+        IntParam("num_layers", 2, 2),
+        IntParam("batch_size", 32, 32),
+    ])
+    predictor, _ = LoadDynamics(
+        space=space, settings=FrameworkSettings.tiny(max_iters=2, epochs=3),
+    ).fit(_diurnal(600, seed=5))
+    return predictor
+
+
+def _model_run(
+    primary,
+    trace: np.ndarray,
+    start: int,
+    *,
+    chunk_size: int = 16,
+    size_jitter: int = 0,
+    controller: bool = False,
+    faults: str | None = None,
+    breaker: CircuitBreaker | None = None,
+    refit_every: int | None = None,
+    ckpt: str | None = None,
+    resume: bool = False,
+):
+    """Stream ``trace[start:]`` through a guarded ``primary``.
+
+    Returns the report, the served forecasts, and the fault log.
+    """
+    reset_metrics()
+    guard = _RecordingGuard(
+        primary, fallbacks=default_fallbacks(48), breaker=breaker
+    )
+    cfg = StreamConfig(
+        chunk_size=chunk_size, size_jitter=size_jitter, seed=3,
+        checkpoint_dir=ckpt, resume=resume, checkpoint_every=2,
+    )
+    server = StreamingServer(
+        guard, trace[:start], config=cfg,
+        monitor=ForecastMonitor(),
+        controller=HybridController() if controller else None,
+        refit_every=refit_every,
+    )
+    with _faults.injected(faults or "") as inj:
+        report = server.run(chunk_stream(trace[start:], config=cfg))
+    return report, np.array(guard.forecasts), list(inj.fired_log)
+
+
+def _assert_tolerance_class(batched, sequential) -> None:
+    """Identical accounting, forecasts within rtol, decisions within 1 VM."""
+    rep_b, fc_b, log_b = batched
+    rep_s, fc_s, log_s = sequential
+    assert log_b == log_s
+    assert rep_b.served_by == rep_s.served_by
+    assert rep_b.breaker_transitions == rep_s.breaker_transitions
+    assert rep_b.serving_counters == rep_s.serving_counters
+    assert rep_b.stream == rep_s.stream
+    np.testing.assert_allclose(fc_b, fc_s, rtol=FORECAST_RTOL, atol=0.0)
+    off = np.abs(rep_b.schedule - rep_s.schedule)
+    assert off.max() <= 1.0
+    assert np.count_nonzero(off) <= DECISION_FLIPS * off.size
+
+
+class TestBatchedForecasting:
+    @pytest.mark.parametrize("controller", [False, True])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64])
+    def test_batched_matches_sequential_within_tolerance(
+        self, lstm_primary, chunk_size, controller
+    ):
+        trace = _diurnal(700, seed=11)
+        trace[450:452] = np.nan  # repaired per chunk on the way
+        kwargs = dict(
+            chunk_size=chunk_size, size_jitter=min(3, chunk_size - 1),
+            controller=controller,
+        )
+        batched = _model_run(lstm_primary, trace, 300, **kwargs)
+        sequential = _model_run(
+            _SequentialOnly(lstm_primary), trace, 300, **kwargs
+        )
+        _assert_tolerance_class(batched, sequential)
+        rep = batched[0]
+        assert rep.served_by == {"primary": rep.stream["served_intervals"]}
+
+    def test_stream_makes_no_per_interval_primary_calls(
+        self, lstm_primary, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            lstm_primary, "predict_next",
+            lambda history: calls.append(1) or 0.0,
+        )
+        rep, _, _ = _model_run(lstm_primary, _diurnal(500), 300, chunk_size=64)
+        assert rep.stream["served_intervals"] == 200
+        assert calls == []
+
+    @pytest.mark.parametrize("controller", [False, True])
+    def test_refit_boundaries_split_blocks(self, lstm_primary, controller):
+        from repro.core import LoadDynamicsPredictor
+
+        class Refitting(LoadDynamicsPredictor):
+            """Each refit moves every later forecast, so a batch that
+            spanned a refit would serve stale forecasts."""
+
+            shift = 0.0
+
+            def fit(self, history):
+                self.shift = 0.1 * float(history[-1])
+                return self
+
+            def predict_next(self, history):
+                return super().predict_next(history) + self.shift
+
+            def predict_series(self, series, start, end=None):
+                return super().predict_series(series, start, end) + self.shift
+
+        def fresh():
+            return Refitting(
+                lstm_primary.model, lstm_primary.scaler,
+                lstm_primary.hyperparameters,
+            )
+
+        trace = _diurnal(600, seed=2)
+        kwargs = dict(
+            chunk_size=16, size_jitter=5, refit_every=10,
+            controller=controller,
+        )
+        _assert_tolerance_class(
+            _model_run(fresh(), trace, 300, **kwargs),
+            _model_run(_SequentialOnly(fresh()), trace, 300, **kwargs),
+        )
+
+    @pytest.mark.parametrize("controller", [False, True])
+    def test_faults_and_breaker_match_sequential(self, lstm_primary, controller):
+        """nan/boom/drift land on the same intervals; the breaker opens and
+        half-opens inside one chunk ([16, 32)) exactly as per interval."""
+        faults = (
+            "nan@serve.predict:5,boom@serve.predict:9,"
+            "nan@serve.predict:20,boom@serve.predict:21,"
+            "drift@serve.predict:40=1.5"
+        )
+
+        def run(primary):
+            return _model_run(
+                primary, _diurnal(500, seed=4), 300, chunk_size=16,
+                controller=controller, faults=faults,
+                breaker=CircuitBreaker(
+                    window=4, min_calls=2, cooldown=3, probes=2
+                ),
+            )
+
+        batched = run(lstm_primary)
+        _assert_tolerance_class(batched, run(_SequentialOnly(lstm_primary)))
+        rep, _, log = batched
+        assert [(count, kind) for _, count, kind in log] == [
+            (5, "nan"), (9, "boom"), (20, "nan"), (21, "boom"), (40, "drift"),
+        ]
+        assert [t[:2] for t in rep.breaker_transitions] == [
+            (CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED),
+        ]
+        # Four faulted intervals and two shed ones went to the fallbacks.
+        assert rep.served_by["primary"] == rep.stream["served_intervals"] - 6
+
+    def test_failing_batch_serves_the_block_per_interval(self, lstm_primary):
+        from repro.core import LoadDynamicsPredictor
+
+        class BrokenBatch(LoadDynamicsPredictor):
+            def predict_series(self, series, start, end=None):
+                raise RuntimeError("batched forward unavailable")
+
+        broken = BrokenBatch(
+            lstm_primary.model, lstm_primary.scaler,
+            lstm_primary.hyperparameters,
+        )
+        trace = _diurnal(500, seed=6)
+        rep, fc, _ = _model_run(broken, trace, 300, chunk_size=7, size_jitter=3)
+        ref, fc_ref, _ = _model_run(
+            _SequentialOnly(lstm_primary), trace, 300,
+            chunk_size=7, size_jitter=3,
+        )
+        assert rep.served_by == {"primary": 200}
+        assert rep.serving_counters == ref.serving_counters
+        # Per-interval serving is the sequential path itself: bit for bit.
+        assert fc.tobytes() == fc_ref.tobytes()
+        assert rep.schedule.tobytes() == ref.schedule.tobytes()
+
+    def test_kill_midstream_resume_bit_for_bit_with_lstm(
+        self, lstm_primary, tmp_path
+    ):
+        trace = _diurnal(700, seed=9)
+        trace[500:502] = np.nan
+        kwargs = dict(
+            chunk_size=16, size_jitter=5, refit_every=10, controller=True
+        )
+        ref, _, _ = _model_run(
+            lstm_primary, trace, 300, ckpt=str(tmp_path / "ref"), **kwargs
+        )
+        with pytest.raises(_faults.SimulatedCrash):
+            _model_run(
+                lstm_primary, trace, 300, ckpt=str(tmp_path / "crash"),
+                faults="kill@stream.chunk:12", **kwargs,
+            )
+        resumed, _, _ = _model_run(
+            lstm_primary, trace, 300, ckpt=str(tmp_path / "crash"),
+            resume=True, **kwargs,
+        )
+        assert _report_fingerprint(resumed) == _report_fingerprint(ref)
+        assert resumed.served_by == {"primary": 400}
