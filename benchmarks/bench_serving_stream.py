@@ -53,6 +53,7 @@ import pytest
 
 from repro import obs
 from repro.autoscale import CloudSimulator
+from repro.autoscale.controller import serve_step
 from repro.core import FrameworkSettings, LoadDynamics, search_space_for
 from repro.obs import metrics as _metrics
 from repro.obs.monitor import ForecastMonitor, SLOTracker
@@ -165,10 +166,11 @@ def test_pipeline_throughput():
 
     Unlike ``test_stream_throughput`` (one bulk sanitize, then a serve
     pass), this drives the pipeline the way an online deployment runs
-    it: per-chunk sanitization interleaved with per-interval guarded
-    prediction and monitor scoring, simulator replay at the end.  The
-    first serving chunk is warmup (guard fit, allocator and cache
-    cold-start) and is excluded from the steady-state rate.
+    it: per-chunk sanitization interleaved with the product serve step
+    (guarded forecast, rescue, timed monitor scoring, decision) per
+    interval, simulator replay at the end.  The first serving chunk is
+    warmup (guard fit, allocator and cache cold-start) and is excluded
+    from the steady-state rate.
     """
     raw = _synthetic_trace(N_STREAM, seed=23)
     start = min(2_000, N_STREAM // 10)
@@ -182,7 +184,7 @@ def test_pipeline_throughput():
     )
 
     clean = np.empty(N_STREAM)
-    preds = np.empty(N_STREAM - start)
+    schedule = np.empty(N_STREAM - start)
     n_repaired = 0
     j = 0
     #: ``(intervals served, seconds)`` per chunk that served any.
@@ -198,15 +200,10 @@ def test_pipeline_throughput():
             history = clean[:i]
             if j == 0:
                 guarded.fit(history)
-            t_pred = perf()
-            p = guarded.predict_next(history)
-            latency = perf() - t_pred
-            if not np.isfinite(p):
-                last = float(history[-1])
-                p = last if np.isfinite(last) else 0.0
-            p = max(p, 0.0)
-            preds[j] = p
-            monitor.observe(p, float(clean[i]), latency_s=latency)
+            schedule[j] = serve_step(
+                guarded, history, history, float(clean[i]),
+                monitor=monitor, timed=True,
+            )
             j += 1
         if c1 > lo:
             serve_chunks.append((c1 - lo, perf() - t0))
@@ -216,7 +213,6 @@ def test_pipeline_throughput():
     assert monitor.drifted, "the planted regime shift must latch a detector"
 
     t_sim = perf()
-    schedule = np.ceil(np.maximum(preds, 0.0))
     result = CloudSimulator(seed=0).run(clean[start:], schedule)
     simulate_s = perf() - t_sim
     assert result.n_intervals == j

@@ -44,15 +44,20 @@ controller only ever adds arithmetic when a non-zero correction exists
 from __future__ import annotations
 
 import math
+import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.baselines.base import Predictor
+from repro.baselines.base import Predictor, persistence_rescue, split_target
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.monitor.monitor import ForecastMonitor
 
 __all__ = [
     "DECIDED_BY",
@@ -60,6 +65,8 @@ __all__ = [
     "Decision",
     "HybridController",
     "HybridPolicy",
+    "serve_step",
+    "serve_walk",
 ]
 
 logger = get_logger("autoscale.controller")
@@ -645,21 +652,10 @@ class HybridPolicy:
 
     def schedule(self, arrivals: np.ndarray, start: int) -> np.ndarray:
         """Decide VM counts for ``arrivals[start:]``, walking forward."""
-        a = np.asarray(arrivals, dtype=np.float64).ravel()
-        n = a.size
-        if not 0 < start <= n:
-            raise ValueError("start must be inside the arrivals series")
-        if self.refit_every < 1:
-            raise ValueError("refit_every must be >= 1")
-        self.controller.reset()
-        out = np.empty(n - start)
-        for j, i in enumerate(range(start, n)):
-            history = a[:i]
-            forecast = _guarded_forecast(
-                self.predictor, history, refit=(j % self.refit_every == 0)
-            )
-            out[j] = self.controller.step(forecast, history).vms
-        return out
+        return serve_walk(
+            self.predictor, arrivals, start,
+            refit_every=self.refit_every, controller=self.controller,
+        )
 
 
 def _guarded_refit(predictor: Predictor, history: np.ndarray) -> None:
@@ -682,14 +678,12 @@ def _guarded_refit(predictor: Predictor, history: np.ndarray) -> None:
 def _guarded_forecast(
     predictor: Predictor,
     history: np.ndarray,
-    refit: bool,
     raw: float | None = None,
 ) -> float:
-    """One walk-forward forecast that degrades instead of raising.
+    """One forecast that degrades instead of raising.
 
-    A failing fit keeps the stale model (:func:`_guarded_refit`); a
-    failing/non-finite predict returns NaN, which the controller treats
-    as "forecast unavailable" and routes to the reactive tier.
+    A failing/non-finite predict returns NaN, which the controller
+    treats as "forecast unavailable" and routes to the reactive tier.
     Simulated process crashes
     (:class:`~repro.resilience.faults.SimulatedCrash`) still propagate.
     ``raw`` hands a :class:`~repro.serving.guard.GuardedPredictor` its
@@ -697,8 +691,6 @@ def _guarded_forecast(
     """
     from repro.resilience import faults as _faults
 
-    if refit:
-        _guarded_refit(predictor, history)
     try:
         if raw is None:
             return float(predictor.predict_next(history))
@@ -709,3 +701,96 @@ def _guarded_forecast(
         _metrics.counter("autoscale.controller.forecast_error").inc()
         logger.warning("proactive forecast failed (reactive tier serves): %s", exc)
         return math.nan
+
+
+def serve_step(
+    predictor: Predictor,
+    history: np.ndarray,
+    target_history: np.ndarray,
+    actual: float,
+    controller: HybridController | None = None,
+    monitor: "ForecastMonitor | None" = None,
+    raw: float | None = None,
+    timed: bool = False,
+) -> float:
+    """One interval of the Section IV-C loop: forecast, rescue or guard,
+    score, decide.  Returns the VM count provisioned ahead of it.
+
+    ``history`` is what the predictor sees (2-D when multivariate) and
+    ``target_history`` its target channel, whose last value is the
+    newest revealed actual; ``actual`` is the value this interval will
+    reveal, which ``monitor`` scores the forecast against.  ``raw`` is a
+    guarded primary's precomputed forecast; ``timed`` hands the monitor
+    the forecast's wall-clock latency (``latency_s=None`` otherwise).
+
+    Without a controller a non-finite forecast gets the
+    :func:`~repro.baselines.base.persistence_rescue`, is clipped at 0,
+    and ``ceil`` of it is provisioned.  With one the forecast is
+    :func:`_guarded_forecast` — NaN routes the decision to the reactive
+    tier — the monitor scores only finite forecasts (decisions are not
+    forecasts), and the controller decides.
+    """
+    t0 = time.perf_counter() if timed else 0.0
+    if controller is not None:
+        p = _guarded_forecast(predictor, history, raw)
+    elif raw is None:
+        p = predictor.predict_next(history)
+    else:
+        p = predictor.predict_next(history, raw=raw)
+    latency = time.perf_counter() - t0 if timed else None
+    if controller is None:
+        p = max(0.0, persistence_rescue(p, target_history))
+        if monitor is not None:
+            monitor.observe(p, actual, latency_s=latency)
+        return float(np.ceil(p))
+    if monitor is not None and math.isfinite(p):
+        monitor.observe(max(p, 0.0), actual, latency_s=latency)
+    return float(controller.step(p, target_history).vms)
+
+
+def serve_walk(
+    predictor: Predictor,
+    arrivals: np.ndarray,
+    start: int,
+    *,
+    refit_every: int = 1,
+    controller: HybridController | None = None,
+    monitor: "ForecastMonitor | None" = None,
+) -> np.ndarray:
+    """The batch driver of :func:`serve_step`: the schedule for
+    ``arrivals[start:]``.
+
+    Interval ``i`` sees the full prefix ``arrivals[:i]`` (no lookahead);
+    every ``refit_every``-th interval refits first — a failing refit
+    raises without a controller and keeps the stale model with one.  A
+    2-D ``(steps, D)`` trace walks the full multivariate history into the
+    predictor while the target channel (``predictor.target_channel``,
+    default 0) feeds the rescue, the monitor and the controller.  With a
+    monitor attached each forecast is timed.  A controller has its
+    breaker wired from the predictor and is reset, so every walk is a
+    fresh control loop.
+    """
+    a, target = split_target(predictor, arrivals)
+    n = int(a.shape[0])
+    if not 0 < start <= n:
+        raise ValueError(f"invalid start {start} for series of length {n}")
+    if refit_every < 1:
+        raise ValueError("refit_every must be >= 1")
+    if controller is not None:
+        if controller.breaker is None:
+            controller.breaker = getattr(predictor, "breaker", None)
+        controller.reset()
+    timed = monitor is not None
+    out = np.empty(n - start)
+    for j, i in enumerate(range(start, n)):
+        history = a[:i]
+        if j % refit_every == 0:
+            if controller is None:
+                predictor.fit(history)
+            else:
+                _guarded_refit(predictor, history)
+        out[j] = serve_step(
+            predictor, history, target[:i], float(target[i]),
+            controller, monitor, timed=timed,
+        )
+    return out

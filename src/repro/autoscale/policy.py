@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import Predictor, walk_forward
+from repro.autoscale.controller import serve_walk
+from repro.baselines.base import Predictor
 
 __all__ = [
     "PredictivePolicy",
@@ -37,18 +38,12 @@ def provisioning_schedule(
     """Predicted VM counts for intervals ``start..end`` of ``arrivals``.
 
     Each prediction uses only arrivals before the target interval
-    (walk-forward); results are rounded up to whole VMs.  The schedule
-    is validated finite before it reaches the simulator — the autoscaler
-    must never act on a non-finite forecast, whatever predictor
+    (walk-forward); results are rounded up to whole VMs.  A non-finite
+    forecast is replaced by the last observed arrival (the persistence
+    rescue), so the autoscaler never acts on one, whatever predictor
     produced it.
     """
-    preds = walk_forward(predictor, arrivals, start, refit_every=refit_every)
-    if not np.all(np.isfinite(preds)):
-        raise ValueError(
-            f"predictor {predictor.name!r} produced non-finite forecasts; "
-            "wrap it in repro.serving.GuardedPredictor for online use"
-        )
-    return np.ceil(np.maximum(preds, 0.0))
+    return serve_walk(predictor, arrivals, start, refit_every=refit_every)
 
 
 class PredictivePolicy:

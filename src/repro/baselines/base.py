@@ -17,9 +17,11 @@ workload configuration.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["Predictor", "walk_forward"]
+__all__ = ["Predictor", "persistence_rescue", "split_target", "walk_forward"]
 
 
 class Predictor:
@@ -49,6 +51,29 @@ class Predictor:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def split_target(predictor: Predictor, series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(series, target)`` as float64: a 2-D ``(steps, D)`` series stays
+    2-D and ``target`` is its ``predictor.target_channel`` column
+    (default 0); anything else is flattened and is its own target."""
+    series = np.asarray(series, dtype=np.float64)
+    if series.ndim == 2:
+        return series, series[:, int(getattr(predictor, "target_channel", 0) or 0)]
+    series = series.ravel()
+    return series, series
+
+
+def persistence_rescue(forecast: float, target_history: np.ndarray) -> float:
+    """``forecast`` when finite, else the last observed target value.
+
+    A non-finite last value (unsanitized trace) must not leak through as
+    the "rescue", so that case answers 0.
+    """
+    if math.isfinite(forecast):
+        return forecast
+    last = float(target_history[-1])
+    return last if math.isfinite(last) else 0.0
+
+
 def walk_forward(
     predictor: Predictor,
     series: np.ndarray,
@@ -66,15 +91,10 @@ def walk_forward(
 
     Returns the predictions aligned with ``series[start:end]``.  A 2-D
     ``(steps, D)`` series walks the full multivariate history into the
-    predictor; the persistence rescue reads the predictor's target
-    channel.
+    predictor; the :func:`persistence_rescue` of a non-finite forecast
+    reads the predictor's target channel.
     """
-    series = np.asarray(series, dtype=np.float64)
-    if series.ndim == 2:
-        target = series[:, int(getattr(predictor, "target_channel", 0) or 0)]
-    else:
-        series = series.ravel()
-        target = series
+    series, target = split_target(predictor, series)
     n = int(series.shape[0])
     end = n if end is None else end
     if not 0 < start <= end <= n:
@@ -87,12 +107,7 @@ def walk_forward(
         history = series[:i]
         if j % refit_every == 0:
             predictor.fit(history)
-        p = predictor.predict_next(history)
-        if not np.isfinite(p):
-            # Persistence rescue; a non-finite last value (unsanitized
-            # trace) must not leak through as the "rescue".
-            last = float(target[i - 1])
-            p = last if np.isfinite(last) else 0.0
+        p = persistence_rescue(predictor.predict_next(history), target[:i])
         if clip_nonnegative:
             p = max(p, 0.0)
         preds[j] = p

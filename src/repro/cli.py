@@ -369,6 +369,57 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _print_serving_report(report, predictor=None) -> None:
+    """The outcome lines ``simulate`` and ``stream`` share.
+
+    Provisioning outcome and served-by counts, then, when the run was
+    monitored, rolling accuracy and health.  ``predictor`` (the
+    ``simulate`` view) adds the serving-counter, breaker, drift,
+    drift-refit and SLO lines.
+    """
+    from repro.serving import GuardedPredictor
+
+    res = report.result
+    print(f"mean turnaround   : {res.mean_turnaround:.1f}s")
+    print(f"under-provisioned : {res.underprovision_rate:.1f}%")
+    print(f"over-provisioned  : {res.overprovision_rate:.1f}%")
+    print(f"VM time paid      : {res.vm_seconds / 3600.0:.1f} VM-hours")
+    if report.served_by:
+        stages = " ".join(f"{k}={v}" for k, v in sorted(report.served_by.items()))
+        print(f"served by         : {stages}")
+    detailed = predictor is not None
+    if detailed:
+        if report.serving_counters:
+            print("serving counters  :")
+            for name, value in sorted(report.serving_counters.items()):
+                print(f"  {name:32s} {value:g}")
+        for frm, to, reason in report.breaker_transitions:
+            print(f"breaker           : {frm} -> {to} ({reason})")
+    if report.health is None:  # not monitored
+        return
+    window = (report.quality or {}).get("window", {})
+    if window.get("mape") is not None:
+        print(f"rolling MAPE      : {window['mape']:.2f}% "
+              f"(bias {window['bias']:+.1f}, window {window['size']})")
+    if detailed:
+        for d in report.drift or []:
+            state = "FIRED" if d["drifted"] else "quiet"
+            at = f" at interval {d['fired_at']}" if d.get("fired_at") else ""
+            print(f"drift [{d['name']:13s}]: {state}{at} "
+                  f"(statistic {d['statistic']:.2f})")
+        inner = predictor.primary if isinstance(predictor, GuardedPredictor) else predictor
+        drift_refits = getattr(inner, "drift_refits", None)
+        if drift_refits is not None:
+            print(f"drift-triggered refits: {drift_refits}")
+        if report.slo is not None:
+            for key, obj in sorted(report.slo.get("objectives", {}).items()):
+                print(f"SLO [{key:9s}]    : {obj['violations']}/{obj['n']} "
+                      f"violations, budget consumed {obj['budget_consumed']:.2f}, "
+                      f"burn rate {obj['burn_rate']:.2f}")
+    reasons = "; ".join(report.health.get("reasons", [])) or "all objectives met"
+    print(f"health            : {report.health.get('status', 'unknown')} ({reasons})")
+
+
 def _cmd_simulate(args) -> int:
     from repro.core import (
         AdaptiveLoadDynamics,
@@ -473,41 +524,7 @@ def _cmd_simulate(args) -> int:
     print(f"workload          : {args.config} "
           f"(serving {res.n_intervals} of {len(series)} intervals)")
     print(f"predictor         : {predictor.name}")
-    print(f"mean turnaround   : {res.mean_turnaround:.1f}s")
-    print(f"under-provisioned : {res.underprovision_rate:.1f}%")
-    print(f"over-provisioned  : {res.overprovision_rate:.1f}%")
-    print(f"VM time paid      : {res.vm_seconds / 3600.0:.1f} VM-hours")
-    if report.served_by:
-        stages = " ".join(f"{k}={v}" for k, v in sorted(report.served_by.items()))
-        print(f"served by         : {stages}")
-    if report.serving_counters:
-        print("serving counters  :")
-        for name, value in sorted(report.serving_counters.items()):
-            print(f"  {name:32s} {value:g}")
-    for frm, to, reason in report.breaker_transitions:
-        print(f"breaker           : {frm} -> {to} ({reason})")
-    if monitor is not None:
-        window = (report.quality or {}).get("window", {})
-        if window.get("mape") is not None:
-            print(f"rolling MAPE      : {window['mape']:.2f}% "
-                  f"(bias {window['bias']:+.1f}, window {window['size']})")
-        for d in report.drift or []:
-            state = "FIRED" if d["drifted"] else "quiet"
-            at = f" at interval {d['fired_at']}" if d.get("fired_at") else ""
-            print(f"drift [{d['name']:13s}]: {state}{at} "
-                  f"(statistic {d['statistic']:.2f})")
-        inner = predictor.primary if isinstance(predictor, GuardedPredictor) else predictor
-        drift_refits = getattr(inner, "drift_refits", None)
-        if drift_refits is not None:
-            print(f"drift-triggered refits: {drift_refits}")
-        if report.slo is not None:
-            for key, obj in sorted(report.slo.get("objectives", {}).items()):
-                print(f"SLO [{key:9s}]    : {obj['violations']}/{obj['n']} "
-                      f"violations, budget consumed {obj['budget_consumed']:.2f}, "
-                      f"burn rate {obj['burn_rate']:.2f}")
-        health = report.health or {}
-        reasons = "; ".join(health.get("reasons", [])) or "all objectives met"
-        print(f"health            : {health.get('status', 'unknown')} ({reasons})")
+    _print_serving_report(report, predictor)
     if args.metrics_out:
         from repro.obs.monitor import write_snapshot
 
@@ -604,21 +621,7 @@ def _cmd_stream(args) -> int:
     for q in strm.get("quarantine", []):
         print(f"quarantined       : chunk {q['chunk']} "
               f"({q['intervals']} intervals): {q['reason']}")
-    print(f"mean turnaround   : {res.mean_turnaround:.1f}s")
-    print(f"under-provisioned : {res.underprovision_rate:.1f}%")
-    print(f"over-provisioned  : {res.overprovision_rate:.1f}%")
-    print(f"VM time paid      : {res.vm_seconds / 3600.0:.1f} VM-hours")
-    if report.served_by:
-        stages = " ".join(f"{k}={v}" for k, v in sorted(report.served_by.items()))
-        print(f"served by         : {stages}")
-    if monitor is not None:
-        window = (report.quality or {}).get("window", {})
-        if window.get("mape") is not None:
-            print(f"rolling MAPE      : {window['mape']:.2f}% "
-                  f"(bias {window['bias']:+.1f}, window {window['size']})")
-        health = report.health or {}
-        reasons = "; ".join(health.get("reasons", [])) or "all objectives met"
-        print(f"health            : {health.get('status', 'unknown')} ({reasons})")
+    _print_serving_report(report)
     if args.report_out:
         import json
 

@@ -4,7 +4,11 @@ The batch loop in :mod:`repro.serving.online` sees the whole trace up
 front; a real metrics feed arrives as *chunks* — a scrape window at a
 time, late when the collector stalls, missing when a scraper restarts,
 and the serving process itself can be killed between any two of them.
-:class:`StreamingServer` is the runtime for that regime:
+:class:`StreamingServer` is the runtime for that regime.  Each normally
+served interval runs the same
+:func:`~repro.autoscale.controller.serve_step` as the batch walk (so a
+clean trace fed as one chunk serves the batch schedule bit for bit);
+this module owns what surrounds it:
 
 * **chunked ingestion** — :func:`chunk_stream` turns a trace into a
   deterministic arrival sequence (configurable chunk size/jitter) and is
@@ -65,8 +69,8 @@ import numpy as np
 from repro.autoscale import CloudSimulator, VMSpec
 from repro.autoscale.controller import (
     HybridController,
-    _guarded_forecast,
     _guarded_refit,
+    serve_step,
 )
 from repro.baselines.base import Predictor
 from repro.obs import events as _events
@@ -75,7 +79,7 @@ from repro.obs.logging import get_logger
 from repro.obs.monitor.monitor import ForecastMonitor
 from repro.resilience import faults as _faults
 from repro.serving.guard import GuardedPredictor
-from repro.serving.online import ServingReport
+from repro.serving.online import ServingReport, serving_counters
 from repro.serving.sanitize import TraceSanitizer
 from repro.traces.loader import TraceValidationError
 
@@ -481,11 +485,13 @@ class StreamingServer:
             return None
 
     def _serve_values(self, values: np.ndarray) -> None:
-        """Normal serving: predict → provision → reveal, per interval.
+        """Normal serving: the shared serve step, per interval.
 
-        Blocks between refit boundaries are forecast in one batched pass
-        (:meth:`_primary_forecasts`); guard, monitor and controller still
-        run interval by interval.
+        This driver owns the refit cadence and the batched forecasts:
+        blocks between refit boundaries are forecast in one pass
+        (:meth:`_primary_forecasts`), then each interval runs
+        :func:`~repro.autoscale.controller.serve_step` over the bounded
+        history, untimed (logical time only).
         """
         predictor = self.predictor
         monitor = self.monitor
@@ -507,27 +513,10 @@ class StreamingServer:
             raws = self._primary_forecasts(block)
             for j, v in enumerate(block.tolist()):
                 history = self._history_view()
-                raw = None if raws is None else raws[j]
-                if controller is not None:
-                    p = _guarded_forecast(
-                        predictor, history, refit=False, raw=raw
-                    )
-                    if monitor is not None and math.isfinite(p):
-                        monitor.observe(max(float(p), 0.0), v, latency_s=None)
-                    decision = float(controller.step(p, history).vms)
-                else:
-                    p = float(
-                        predictor.predict_next(history) if raw is None
-                        else predictor.predict_next(history, raw=raw)
-                    )
-                    if not math.isfinite(p):
-                        # Persistence rescue, identical to walk_forward's.
-                        last = float(history[-1])
-                        p = last if math.isfinite(last) else 0.0
-                    p = max(p, 0.0)
-                    if monitor is not None:
-                        monitor.observe(p, v, latency_s=None)
-                    decision = float(np.ceil(p))
+                decision = serve_step(
+                    predictor, history, history, v, controller, monitor,
+                    None if raws is None else raws[j],
+                )
                 self._served_intervals += 1
                 self._last_decision = decision
                 self._push(decision, v)
@@ -782,12 +771,7 @@ class StreamingServer:
         w = self.config.history_window
         lo = self._hlen - w
         tail = self._hbuf[lo if lo > 0 else 0 : self._hlen]
-        counters = {
-            name: snap["value"]
-            for name, snap in _metrics.get_registry()
-            .snapshot(prefix="serving.").items()
-            if snap.get("kind") == "counter"
-        }
+        counters = serving_counters()
         state = {
             "schema": CHECKPOINT_SCHEMA,
             "identity": self._identity(),
@@ -990,39 +974,10 @@ class StreamingServer:
         result = CloudSimulator(spec=self.spec, seed=self.seed).run(
             actuals, schedule
         )
-        counters = {
-            name: snap["value"]
-            for name, snap in _metrics.get_registry()
-            .snapshot(prefix="serving.").items()
-            if snap.get("kind") == "counter"
-        }
-        transitions: list[tuple[str, str, str]] = []
-        served_by: dict[str, int] = {}
-        breaker_state: str | None = None
-        if isinstance(self.predictor, GuardedPredictor):
-            transitions = list(self.predictor.breaker.transitions)
-            breaker_state = self.predictor.breaker.state
-            served_by = dict(self.predictor.served_by)
-        report = ServingReport(
-            result=result,
-            schedule=schedule,
-            serving_counters=counters,
-            breaker_transitions=transitions,
-            breaker_state=breaker_state,
-            served_by=served_by,
-            controller=(
-                self.controller.snapshot()
-                if self.controller is not None else None
-            ),
-            stream=self.summary(),
+        return ServingReport.collect(
+            result, schedule, self.predictor,
+            self.controller, self.monitor, self.summary(),
         )
-        if self.monitor is not None:
-            sections = self.monitor.report()
-            report.quality = sections["quality"]
-            report.drift = sections["drift"]
-            report.slo = sections["slo"]
-            report.health = sections["health"]
-        return report
 
     def run(self, chunks: Iterable[StreamChunk]) -> ServingReport:
         """Ingest every chunk, then :meth:`finish`.

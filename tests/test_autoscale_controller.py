@@ -295,6 +295,30 @@ class TestHybridPolicy:
         np.testing.assert_array_equal(s1, s2)
         assert len(policy.controller.decisions) == 25
 
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_multivariate_arrivals_serve_the_target_channel(self, width):
+        """An ``(N, D)`` trace is N intervals, decided on the target channel."""
+        from repro.baselines.base import Predictor
+
+        class TargetLastValue(Predictor):
+            name = "target-last"
+            target_channel = 1
+
+            def predict_next(self, history):
+                h = np.asarray(history)
+                return float(h[-1, 1] if h.ndim == 2 else h[-1])
+
+        n, start = 1200, 900
+        rng = np.random.default_rng(11)
+        target = 100.0 + 30.0 * np.sin(np.arange(n) / 20.0) + rng.normal(0, 3, n)
+        # Channels besides the target that must not leak into decisions.
+        noise = rng.uniform(1e4, 1e5, (n, width - 1))
+        both = np.column_stack([noise[:, 0], target, noise[:, 1:]])
+        schedule = HybridPolicy(TargetLastValue()).schedule(both, start)
+        assert schedule.shape == (n - start,)
+        univariate = HybridPolicy(TargetLastValue()).schedule(target, start)
+        assert schedule.tobytes() == univariate.tobytes()
+
     def test_controller_and_config_exclusive(self):
         with pytest.raises(ValueError):
             HybridPolicy(

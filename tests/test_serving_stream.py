@@ -892,3 +892,48 @@ class TestBatchedForecasting:
         )
         assert _report_fingerprint(resumed) == _report_fingerprint(ref)
         assert resumed.served_by == {"primary": 400}
+
+
+# ----------------------------------------------------------------------
+# one serve step: batch walk == one-chunk stream
+# ----------------------------------------------------------------------
+class TestOneServeStep:
+    """Batch serving and a stream fed the whole trace in one chunk drive
+    the same per-interval serve step, so on a clean trace whose bounded
+    history covers everything they serve the identical schedule."""
+
+    @pytest.mark.parametrize("refit_every", [1, 7, 10**9])
+    @pytest.mark.parametrize("controller", [False, True])
+    def test_batch_equals_one_chunk_stream(self, controller, refit_every):
+        from repro.autoscale import HybridPolicy
+        from repro.baselines.naive import SeasonalNaivePredictor
+
+        trace = _diurnal(600, seed=4)
+        n, start = trace.size, 400
+
+        def run(**extra):
+            reset_metrics()
+            return serve_and_simulate(
+                GuardedPredictor(SeasonalNaivePredictor(48)), trace, start,
+                refit_every=refit_every, monitor=ForecastMonitor(),
+                controller=HybridController() if controller else None,
+                **extra,
+            )
+
+        batch = run()
+        streamed = run(
+            stream=StreamConfig(chunk_size=n - start, history_window=n)
+        )
+        assert batch.schedule.tobytes() == streamed.schedule.tobytes()
+        assert batch.served_by == streamed.served_by == {"primary": n - start}
+        assert batch.controller == streamed.controller
+        assert batch.result.vm_seconds == streamed.result.vm_seconds
+        assert batch.quality["cumulative"] == streamed.quality["cumulative"]
+        assert batch.stream is None and streamed.stream["chunks"] == 1
+
+        if controller:
+            policy = HybridPolicy(
+                GuardedPredictor(SeasonalNaivePredictor(48)),
+                refit_every=refit_every,
+            )
+            assert policy.schedule(trace, start).tobytes() == batch.schedule.tobytes()
