@@ -1,5 +1,10 @@
 #!/usr/bin/env python
-"""Record pre-refactor D=1 pipeline behaviour for bitwise equivalence tests.
+"""Record pipeline and simulator behaviour for bitwise equivalence tests.
+
+Usage: ``python scripts/make_pipeline_fixtures.py [pipeline] [cloudsim]``
+(both sections when none is named).
+
+**pipeline** — pre-refactor D=1 behaviour.
 
 The multivariate refactor threads a channel dimension D through
 scaling, windowing, caching, inference, and serving while promising the
@@ -17,6 +22,15 @@ the regression test (``tests/test_equivalence_multivariate.py``)
 compares raw bits, not values-within-tolerance.  Re-running this script
 under any refactor that claims D=1 equivalence must reproduce
 ``tests/data/equivalence_pipeline.json`` byte-for-byte.
+
+**cloudsim** — ``CloudSimulator.run`` outputs (hex-encoded
+``turnaround_seconds``, ``makespan_seconds``, under/over-provisioning,
+and ``vm_seconds`` as a hex float) for a fixed set of cases, together
+with their inputs and the numpy version and bit generator they were
+recorded under.  The simulator is elementwise numpy over PCG64 draws
+(no LAPACK), so ``tests/test_autoscale.py`` compares these bytes
+exactly; a rewrite of the simulator must reproduce
+``tests/data/cloudsim_golden.json`` byte-for-byte.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.autoscale.cloudsim import CloudSimulator, VMSpec  # noqa: E402
 from repro.core import FrameworkSettings, LoadDynamics, search_space_for  # noqa: E402
 from repro.core.data import prepare_data  # noqa: E402
 from repro.nn.network import LSTMRegressor  # noqa: E402
@@ -106,20 +121,97 @@ def record_fit_predictions(series: np.ndarray) -> dict:
     }
 
 
-def main() -> int:
+def cloudsim_cases() -> list[dict]:
+    """Simulator inputs covering every branch of ``CloudSimulator.run``.
+
+    Sizes are chosen around 2**18 jobs, the largest block the simulator
+    draws at once: one run of many small intervals adds up to more than
+    that, and one interval alone is larger than it.
+    """
+    rng = np.random.default_rng(2020)
+    mixed_a = rng.integers(0, 40, 60).astype(np.float64)
+    mixed_p = np.round(mixed_a * rng.uniform(0.5, 1.5, 60), 2)
+    small_a = rng.integers(150, 270, 1500).astype(np.float64)
+    small_a[::17] = 0.0
+    small_p = np.ceil(small_a * rng.uniform(0.8, 1.2, 1500))
+    return [
+        {"name": "empty", "arrivals": [], "provisioned": [], "spec": {},
+         "seed": 0},
+        {"name": "zero_arrivals", "arrivals": [0.0, 0.0, 5.0, 0.0, 3.0],
+         "provisioned": [3.0, 0.0, 5.0, 2.0, 1.0], "spec": {}, "seed": 0},
+        {"name": "fractional", "arrivals": [2.4, 7.01, 0.2, 11.5],
+         "provisioned": [1.2, 7.0, 0.0, 12.9], "spec": {}, "seed": 7},
+        {"name": "all_cold_waves", "arrivals": [37.0], "provisioned": [0.0],
+         "spec": {"max_concurrent_startups": 4}, "seed": 0},
+        {"name": "no_jitter", "arrivals": mixed_a.tolist(),
+         "provisioned": mixed_p.tolist(),
+         "spec": {"job_jitter_frac": 0.0}, "seed": 0},
+        {"name": "half_jitter", "arrivals": mixed_a.tolist(),
+         "provisioned": mixed_p.tolist(),
+         "spec": {"job_jitter_frac": 0.5, "startup_seconds": 90.0,
+                  "max_concurrent_startups": 3}, "seed": 7},
+        {"name": "many_small_cross_block", "arrivals": small_a.tolist(),
+         "provisioned": small_p.tolist(), "spec": {}, "seed": 7},
+        {"name": "large_intervals", "arrivals": [200000.0, 100000.0, 50.0],
+         "provisioned": [199000.0, 100010.0, 0.0],
+         "spec": {"job_jitter_frac": 0.25}, "seed": 0},
+        {"name": "one_over_block", "arrivals": [10.0, 300000.0, 0.0, 4.0],
+         "provisioned": [12.0, 298500.0, 3.0, 0.0],
+         "spec": {"startup_seconds": 0.0, "max_concurrent_startups": 1},
+         "seed": 0},
+    ]
+
+
+def record_cloudsim() -> dict:
+    cases = []
+    for case in cloudsim_cases():
+        sim = CloudSimulator(spec=VMSpec(**case["spec"]), seed=case["seed"])
+        res = sim.run(np.asarray(case["arrivals"], dtype=np.float64),
+                      np.asarray(case["provisioned"], dtype=np.float64))
+        cases.append({
+            **case,
+            "turnaround_seconds": hex64(res.turnaround_seconds),
+            "makespan_seconds": hex64(res.makespan_seconds),
+            "under_provisioned": hex64(res.under_provisioned),
+            "over_provisioned": hex64(res.over_provisioned),
+            "vm_seconds": float(res.vm_seconds).hex(),
+        })
+    return {
+        "numpy": np.__version__,
+        "bit_generator": type(np.random.default_rng().bit_generator).__name__,
+        "cases": cases,
+    }
+
+
+def main(argv: list[str]) -> int:
+    sections = set(argv) or {"pipeline", "cloudsim"}
+    unknown = sections - {"pipeline", "cloudsim"}
+    if unknown:
+        logger.error("unknown section(s): %s", ", ".join(sorted(unknown)))
+        return 2
     data_dir = Path(__file__).resolve().parent.parent / "tests" / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
-    series = fixture_series()
-    fixture = {
-        "prepare_data": record_prepare_data(series),
-        "forward_inference": record_forward_inference(),
-        "fit": record_fit_predictions(series),
-    }
-    out = data_dir / "equivalence_pipeline.json"
-    out.write_text(json.dumps(fixture, indent=2) + "\n")
-    logger.info("pipeline fixture written to %s", out)
+    if "pipeline" in sections:
+        series = fixture_series()
+        fixture = {
+            "prepare_data": record_prepare_data(series),
+            "forward_inference": record_forward_inference(),
+            "fit": record_fit_predictions(series),
+        }
+        out = data_dir / "equivalence_pipeline.json"
+        out.write_text(json.dumps(fixture, indent=2) + "\n")
+        logger.info("pipeline fixture written to %s", out)
+    if "cloudsim" in sections:
+        fixture = record_cloudsim()
+        cases = fixture.pop("cases")
+        # One line per case keeps the long input lists compact.
+        head = json.dumps(fixture)[:-1]
+        body = ",\n".join(json.dumps(c) for c in cases)
+        out = data_dir / "cloudsim_golden.json"
+        out.write_text(f'{head}, "cases": [\n{body}\n]}}\n')
+        logger.info("simulator fixture written to %s", out)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

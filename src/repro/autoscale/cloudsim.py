@@ -14,10 +14,24 @@ Models exactly what the paper's Google Cloud case study measures
 
 The per-interval records are the paper's three Fig. 10 quantities:
 average job turnaround, under-provisioning rate, over-provisioning rate.
+
+Replay contract: for a given ``seed`` and :class:`VMSpec`, the outputs
+are bit-for-bit those of the plain per-interval formula — one
+``Generator.uniform(size=jobs)`` per busy interval, durations
+``job_seconds * (1 + job_jitter_frac * (2u - 1))``, cold-start delays
+added to the cold tail, then ``mean``/``max``/``sum`` of the interval.
+``tests/data/cloudsim_golden.json`` pins those bytes.  To get there
+with less work per job, :meth:`CloudSimulator.run` fills one reusable
+float64 buffer with the draws of a block of consecutive intervals (up
+to 2**18 jobs, or one interval if a single interval is larger), applies
+the duration formula in place in the same operation order, and reduces
+each interval's view of the buffer once.  Memory is bounded by the
+largest interval, not by the length of the replay.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +40,11 @@ from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 
 __all__ = ["VMSpec", "SimulationResult", "CloudSimulator"]
+
+# Jobs drawn and transformed per block of consecutive intervals: 2 MiB
+# of float64, small enough that the in-place passes stay in cache.  A
+# single interval with more jobs than this gets a block of its own.
+_BLOCK_JOBS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -95,6 +114,8 @@ class SimulationResult:
     @property
     def overprovision_rate(self) -> float:
         """Average % of surplus VMs over required (Fig. 10c)."""
+        if self.arrivals.size == 0:
+            return 0.0
         denom = np.maximum(self.arrivals, 1.0)
         return float(100.0 * np.mean(self.over_provisioned / denom))
 
@@ -114,6 +135,12 @@ class CloudSimulator:
         """
         a_raw = np.asarray(arrivals, dtype=np.float64)
         p_raw = np.asarray(provisioned, dtype=np.float64)
+        if a_raw.ndim != 1 or p_raw.ndim != 1:
+            raise ValueError(
+                f"arrivals and provisioned must be 1-D; got shapes "
+                f"{a_raw.shape} and {p_raw.shape}. For an (N, D) trace, "
+                f"simulate its target channel, e.g. trace[:, target_channel]"
+            )
         # NaN/inf would silently wrap through the int64 cast into garbage
         # provisioning; reject loudly — forecasts must be guarded
         # upstream (repro.serving.GuardedPredictor) before reaching here.
@@ -138,48 +165,73 @@ class CloudSimulator:
         over = np.maximum(p - a, 0).astype(np.float64)
         vm_seconds = 0.0
 
+        # Cold jobs wait for a throttled on-demand startup wave: the k-th
+        # cold VM becomes ready after (1 + k // max_concurrent) startup
+        # rounds.  Every interval's cold tail adds a prefix of this.
+        cold_rank = np.arange(int(under.max(initial=0.0)))
+        delays = spec.startup_seconds * (1 + cold_rank // spec.max_concurrent_startups)
+
+        jobs_at = a.tolist()
+        provisioned_at = p.tolist()
+        # Interval i's jobs are draws starts[i]:starts[i + 1] of the run.
+        starts = [0] + np.cumsum(a).tolist()
+        buf = np.empty(min(starts[-1], max(_BLOCK_JOBS, max(jobs_at, default=0))))
+        frac, job_seconds = spec.job_jitter_frac, spec.job_seconds
+
         # Per-step scaling-decision telemetry costs one branch per
         # interval when no event sink is registered.
         trace = _events.enabled()
 
-        for i in range(n):
-            jobs = int(a[i])
-            warm = min(jobs, int(p[i]))
-            cold = jobs - warm
-            if jobs == 0:
-                # Idle interval: surplus VMs still cost for the full interval.
-                vm_seconds += float(p[i]) * spec.job_seconds
+        lo = 0
+        while lo < n:
+            # The block is intervals [lo, hi): as many whole intervals as
+            # the buffer holds.  Consecutive draws concatenate, and the
+            # in-place passes round exactly as the per-interval formula's
+            # temporaries did.
+            base = starts[lo]
+            hi = bisect.bisect_right(starts, base + buf.size, lo + 1) - 1
+            block = buf[: starts[hi] - base]
+            rng.random(out=block)
+            block *= 2.0
+            block -= 1.0
+            block *= frac
+            block += 1.0
+            block *= job_seconds
+            for i in range(lo, hi):
+                jobs = jobs_at[i]
+                if jobs == 0:
+                    # Idle interval: surplus VMs still cost for the full
+                    # interval.
+                    vm_seconds += float(provisioned_at[i]) * job_seconds
+                    if trace:
+                        _events.emit(
+                            "autoscale.step", interval=i, arrivals=0,
+                            provisioned=provisioned_at[i], cold_starts=0,
+                            idle_vms=provisioned_at[i], turnaround_s=0.0,
+                        )
+                    continue
+                warm = min(jobs, provisioned_at[i])
+                cold = jobs - warm
+                completion = block[starts[i] - base : starts[i + 1] - base]
+                if cold > 0:
+                    completion[warm:] += delays[:cold]
+                # One pairwise sum per interval view: total / jobs is
+                # np.mean's result, and the same total is the paid time.
+                total = completion.sum()
+                turnaround[i] = total / jobs
+                makespan[i] = completion.max()
+                # Paid VM time: every used VM for its job (+startup for
+                # cold), plus idle surplus for a nominal job-length lease.
+                vm_seconds += float(total)
+                vm_seconds += float(over[i]) * job_seconds
                 if trace:
                     _events.emit(
-                        "autoscale.step", interval=i, arrivals=0,
-                        provisioned=int(p[i]), cold_starts=0,
-                        idle_vms=int(p[i]), turnaround_s=0.0,
+                        "autoscale.step", interval=i, arrivals=jobs,
+                        provisioned=provisioned_at[i], cold_starts=cold,
+                        idle_vms=int(over[i]), turnaround_s=turnaround[i],
+                        makespan_s=makespan[i],
                     )
-                continue
-            durations = spec.job_seconds * (
-                1.0
-                + spec.job_jitter_frac * (2.0 * rng.uniform(size=jobs) - 1.0)
-            )
-            completion = durations.copy()
-            if cold > 0:
-                # Cold jobs wait for a throttled on-demand startup wave:
-                # the k-th cold VM becomes ready after
-                # (1 + k // max_concurrent) startup rounds.
-                waves = 1 + np.arange(cold) // spec.max_concurrent_startups
-                completion[warm:] += spec.startup_seconds * waves
-            turnaround[i] = float(np.mean(completion))
-            makespan[i] = float(np.max(completion))
-            # Paid VM time: every used VM for its job (+startup for cold),
-            # plus idle surplus for a nominal job-length lease.
-            vm_seconds += float(np.sum(completion))
-            vm_seconds += float(over[i]) * spec.job_seconds
-            if trace:
-                _events.emit(
-                    "autoscale.step", interval=i, arrivals=jobs,
-                    provisioned=int(p[i]), cold_starts=cold,
-                    idle_vms=int(over[i]), turnaround_s=turnaround[i],
-                    makespan_s=makespan[i],
-                )
+            lo = hi
 
         m = _metrics
         m.counter("autoscale.intervals").inc(n)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro import obs
 from repro.autoscale import (
     CloudSimulator,
     OraclePolicy,
@@ -17,7 +23,56 @@ from repro.autoscale import (
     provisioning_schedule,
     summarize,
 )
+from repro.autoscale.cloudsim import _BLOCK_JOBS
 from repro.baselines.naive import MeanPredictor
+
+GOLDEN = Path(__file__).parent / "data" / "cloudsim_golden.json"
+
+
+def hex64(a: np.ndarray) -> str:
+    return np.ascontiguousarray(np.asarray(a, dtype="<f8")).tobytes().hex()
+
+
+def oracle_run(spec: VMSpec, seed: int, arrivals, provisioned):
+    """The plain per-interval replay: one ``uniform`` per busy interval.
+
+    Returns the per-interval arrays, ``vm_seconds`` and the
+    ``autoscale.step`` payloads that ``CloudSimulator.run`` must match
+    bit for bit.
+    """
+    a = np.ceil(np.asarray(arrivals, dtype=np.float64)).astype(np.int64)
+    p = np.ceil(np.asarray(provisioned, dtype=np.float64)).astype(np.int64)
+    rng = np.random.default_rng(seed)
+    turnaround = np.zeros(a.size)
+    makespan = np.zeros(a.size)
+    over = np.maximum(p - a, 0).astype(np.float64)
+    vm_seconds = 0.0
+    steps = []
+    for i in range(a.size):
+        jobs, prov = int(a[i]), int(p[i])
+        if jobs == 0:
+            vm_seconds += float(prov) * spec.job_seconds
+            steps.append({"interval": i, "arrivals": 0, "provisioned": prov,
+                          "cold_starts": 0, "idle_vms": prov,
+                          "turnaround_s": 0.0})
+            continue
+        warm = min(jobs, prov)
+        cold = jobs - warm
+        durations = spec.job_seconds * (
+            1.0 + spec.job_jitter_frac * (2.0 * rng.uniform(size=jobs) - 1.0)
+        )
+        completion = durations.copy()
+        if cold > 0:
+            waves = 1 + np.arange(cold) // spec.max_concurrent_startups
+            completion[warm:] += spec.startup_seconds * waves
+        turnaround[i] = float(np.mean(completion))
+        makespan[i] = float(np.max(completion))
+        vm_seconds += float(np.sum(completion))
+        vm_seconds += float(over[i]) * spec.job_seconds
+        steps.append({"interval": i, "arrivals": jobs, "provisioned": prov,
+                      "cold_starts": cold, "idle_vms": int(over[i]),
+                      "turnaround_s": turnaround[i], "makespan_s": makespan[i]})
+    return turnaround, makespan, vm_seconds, steps
 
 
 @pytest.fixture
@@ -99,6 +154,27 @@ class TestSimulator:
         with pytest.raises(ValueError):
             CloudSimulator(spec=spec).run(np.array([-1.0]), np.array([1.0]))
 
+    def test_two_dimensional_input_rejected(self, spec):
+        """An (N, D) trace is refused up front, naming the shape."""
+        with pytest.raises(ValueError, match=r"\(2, 1\).*target_channel"):
+            CloudSimulator(spec=spec).run(
+                np.array([[3.0], [4.0]]), np.array([[3.0], [2.0]])
+            )
+        with pytest.raises(ValueError, match=r"1-D"):
+            CloudSimulator(spec=spec).run(np.ones(2), np.ones((2, 1)))
+        with pytest.raises(ValueError, match=r"1-D"):
+            CloudSimulator(spec=spec).run(np.float64(3.0), np.float64(2.0))
+
+    def test_empty_result_rates_are_zero_without_warnings(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = CloudSimulator(spec=spec).run(np.array([]), np.array([]))
+            assert res.n_intervals == 0
+            assert res.mean_turnaround == 0.0
+            assert res.underprovision_rate == 0.0
+            assert res.overprovision_rate == 0.0
+            assert res.vm_seconds == 0.0
+
     @given(
         arrivals=arrays(np.float64, 10, elements=st.floats(0, 30)),
         provisioned=arrays(np.float64, 10, elements=st.floats(0, 30)),
@@ -119,6 +195,112 @@ class TestSimulator:
         oracle = sim.run(arrivals, np.ceil(arrivals))
         assert oracle.underprovision_rate == 0.0
         assert oracle.overprovision_rate <= 100.0  # ceil() surplus only
+
+
+class TestBitExactReplay:
+    """``CloudSimulator.run`` reproduces the per-interval formula's bytes.
+
+    The replay is elementwise numpy over PCG64 draws with no LAPACK, so
+    equality is on raw bits (the bit-exact fixture class): against
+    recordings made with the per-interval implementation, and against
+    that implementation kept here as ``oracle_run``.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self) -> dict:
+        return json.loads(GOLDEN.read_text())
+
+    def test_golden_bytes(self, golden):
+        assert golden["bit_generator"] == type(
+            np.random.default_rng().bit_generator
+        ).__name__
+        for case in golden["cases"]:
+            sim = CloudSimulator(spec=VMSpec(**case["spec"]), seed=case["seed"])
+            res = sim.run(np.asarray(case["arrivals"], dtype=np.float64),
+                          np.asarray(case["provisioned"], dtype=np.float64))
+            for key in ("turnaround_seconds", "makespan_seconds",
+                        "under_provisioned", "over_provisioned"):
+                assert hex64(getattr(res, key)) == case[key], (case["name"], key)
+            assert float(res.vm_seconds).hex() == case["vm_seconds"], case["name"]
+
+    def test_golden_cases_cross_the_block(self, golden):
+        """The recorded cases still exercise the block boundaries."""
+        cases = {case["name"]: case for case in golden["cases"]}
+        small = np.ceil(cases["many_small_cross_block"]["arrivals"])
+        assert small.max() < _BLOCK_JOBS < small.sum()
+        assert max(cases["one_over_block"]["arrivals"]) > _BLOCK_JOBS
+
+    @given(
+        intervals=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.just(0),
+                    st.integers(1, 60),
+                    st.sampled_from([_BLOCK_JOBS // 2 + 1, _BLOCK_JOBS - 1,
+                                     _BLOCK_JOBS, _BLOCK_JOBS + 3]),
+                ),
+                st.floats(0.0, 0.9),  # shaved off: fractional arrivals
+                st.floats(0.0, 1.5),  # provisioned / arrivals
+            ),
+            max_size=24,
+        ),
+        startup=st.floats(0.0, 300.0),
+        job_seconds=st.floats(1.0, 500.0),
+        jitter=st.floats(0.0, 0.99),
+        max_startups=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        intervals=[(7, 0.5, 1.0), (_BLOCK_JOBS - 1, 0.0, 0.5), (0, 0.0, 1.2),
+                   (3, 0.0, 0.0), (_BLOCK_JOBS + 3, 0.0, 0.99), (40, 0.2, 1.5)],
+        startup=120.0, job_seconds=180.0, jitter=0.1, max_startups=4, seed=0,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_interval_oracle(self, intervals, startup, job_seconds,
+                                         jitter, max_startups, seed):
+        jobs, shave, ratio = np.array(intervals, dtype=np.float64).reshape(-1, 3).T
+        arrivals = np.maximum(jobs - shave, 0.0)
+        provisioned = arrivals * ratio
+        spec = VMSpec(startup_seconds=startup, job_seconds=job_seconds,
+                      job_jitter_frac=jitter,
+                      max_concurrent_startups=max_startups)
+
+        sink = obs.add_sink(obs.MemorySink())
+        try:
+            res = CloudSimulator(spec=spec, seed=seed).run(arrivals, provisioned)
+        finally:
+            obs.remove_sink(sink)
+        turnaround, makespan, vm_seconds, steps = oracle_run(
+            spec, seed, arrivals, provisioned
+        )
+        assert hex64(res.turnaround_seconds) == hex64(turnaround)
+        assert hex64(res.makespan_seconds) == hex64(makespan)
+        assert float(res.vm_seconds).hex() == float(vm_seconds).hex()
+        emitted = [
+            {k: v for k, v in rec.items() if k not in ("event", "time", "v")}
+            for rec in sink.by_name("autoscale.step")
+        ]
+        assert emitted == steps
+
+    def test_memory_bounded_by_largest_interval(self):
+        """A replay never holds more than a few intervals' worth of jobs.
+
+        200 intervals of ~200k jobs would be ~320 MB drawn at once; the
+        block buffer keeps the traced peak to a small multiple of
+        ``max(largest interval, block) * 8`` bytes.
+        """
+        rng = np.random.default_rng(3)
+        arrivals = np.round(rng.uniform(190_000, 210_000, 200))
+        provisioned = np.round(arrivals * rng.uniform(0.9, 1.1, 200))
+        bound = 3 * max(int(arrivals.max()), _BLOCK_JOBS) * 8
+        sim = CloudSimulator(seed=0)
+        tracemalloc.start()
+        try:
+            sim.run(arrivals, provisioned)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak} bytes > bound {bound} bytes"
 
 
 class TestPolicies:
