@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Record pipeline and simulator behaviour for bitwise equivalence tests.
 
-Usage: ``python scripts/make_pipeline_fixtures.py [pipeline] [cloudsim]``
-(both sections when none is named).
+Usage: ``python scripts/make_pipeline_fixtures.py [pipeline] [cloudsim]
+[training]`` (every section when none is named).
 
 **pipeline** — pre-refactor D=1 behaviour.
 
@@ -31,6 +31,17 @@ recorded under.  The simulator is elementwise numpy over PCG64 draws
 (no LAPACK), so ``tests/test_autoscale.py`` compares these bytes
 exactly; a rewrite of the simulator must reproduce
 ``tests/data/cloudsim_golden.json`` byte-for-byte.
+
+**training** — ``LSTMRegressor.fit`` outcomes: hex-encoded trained
+parameters and the ``train_loss``/``val_loss``/``grad_norm`` histories
+for a grid covering D in {1, 4}, 1-3 layers, H in {3, 8}, every
+optimizer x loss pair, a ragged final batch, and early stopping with
+best-weight restore, together with the numpy version and bit generator
+they were recorded under.  Training is elementwise numpy plus small
+GEMMs whose reduction order the kernel does not choose, so
+``tests/test_training_golden.py`` compares these bytes exactly; a
+rewrite of the LSTM training kernel must reproduce
+``tests/data/training_golden.json`` byte-for-byte.
 """
 
 from __future__ import annotations
@@ -183,9 +194,80 @@ def record_cloudsim() -> dict:
     }
 
 
+def training_cases() -> list[dict]:
+    """``fit`` grid: each optimizer x loss pair once, with input width,
+    depth and hidden size rotating so every (D, layers) pair and both
+    hidden sizes appear.  37 training windows in batches of 8 leave a
+    ragged final batch of 5; the last case adds a learning rate high
+    enough that validation loss turns up and early stopping fires."""
+    cases = []
+    for k, (opt, loss) in enumerate(
+        (o, l) for o in ("adam", "rmsprop", "sgd") for l in ("mse", "mae", "huber")
+    ):
+        cases.append({
+            "name": f"{opt}_{loss}", "optimizer": opt, "loss": loss,
+            "input_size": (1, 4)[k % 2], "num_layers": 1 + k % 3,
+            "hidden_size": (3, 8)[(k // 3) % 2], "seed": k,
+            "data_seed": 100 + k, "n_train": 37, "n_val": 11, "T": 6,
+            "epochs": 6, "batch_size": 8, "lr": 0.01, "patience": 2,
+        })
+    cases.append({
+        **cases[0], "name": "adam_mse_early_stop", "seed": 9, "data_seed": 109,
+        "epochs": 12, "lr": 0.3, "patience": 2,
+    })
+    return cases
+
+
+def training_data(case: dict) -> tuple[np.ndarray, ...]:
+    """Seeded windows and targets (the target is the mean of channel 0
+    over the last three steps)."""
+    rng = np.random.default_rng(case["data_seed"])
+    shape = (case["n_train"] + case["n_val"], case["T"], case["input_size"])
+    x = rng.uniform(0.0, 1.0, size=shape)
+    y = x[:, -3:, 0].mean(axis=1)
+    n = case["n_train"]
+    return x[:n], y[:n], x[n:], y[n:]
+
+
+def record_training() -> dict:
+    cases = []
+    for case in training_cases():
+        x, y, vx, vy = training_data(case)
+        model = LSTMRegressor(hidden_size=case["hidden_size"],
+                              num_layers=case["num_layers"],
+                              input_size=case["input_size"], seed=case["seed"])
+        history = model.fit(x, y, epochs=case["epochs"],
+                            batch_size=case["batch_size"], lr=case["lr"],
+                            optimizer=case["optimizer"], loss=case["loss"],
+                            validation=(vx, vy), patience=case["patience"])
+        cases.append({
+            **case,
+            "params": [hex64(p) for p in model.params],
+            "train_loss": [float(v).hex() for v in history.train_loss],
+            "val_loss": [float(v).hex() for v in history.val_loss],
+            "grad_norm": [float(v).hex() for v in history.grad_norm],
+            "best_epoch": history.best_epoch,
+            "stopped_early": history.stopped_early,
+        })
+    return {
+        "numpy": np.__version__,
+        "bit_generator": type(np.random.default_rng().bit_generator).__name__,
+        "cases": cases,
+    }
+
+
+def write_cases(path: Path, fixture: dict) -> None:
+    """Write ``fixture`` as JSON with one line per entry of its
+    ``cases`` list, which keeps long input and hex lists compact."""
+    cases = fixture.pop("cases")
+    head = json.dumps(fixture)[:-1]
+    body = ",\n".join(json.dumps(c) for c in cases)
+    path.write_text(f'{head}, "cases": [\n{body}\n]}}\n')
+
+
 def main(argv: list[str]) -> int:
-    sections = set(argv) or {"pipeline", "cloudsim"}
-    unknown = sections - {"pipeline", "cloudsim"}
+    sections = set(argv) or {"pipeline", "cloudsim", "training"}
+    unknown = sections - {"pipeline", "cloudsim", "training"}
     if unknown:
         logger.error("unknown section(s): %s", ", ".join(sorted(unknown)))
         return 2
@@ -202,14 +284,13 @@ def main(argv: list[str]) -> int:
         out.write_text(json.dumps(fixture, indent=2) + "\n")
         logger.info("pipeline fixture written to %s", out)
     if "cloudsim" in sections:
-        fixture = record_cloudsim()
-        cases = fixture.pop("cases")
-        # One line per case keeps the long input lists compact.
-        head = json.dumps(fixture)[:-1]
-        body = ",\n".join(json.dumps(c) for c in cases)
         out = data_dir / "cloudsim_golden.json"
-        out.write_text(f'{head}, "cases": [\n{body}\n]}}\n')
+        write_cases(out, record_cloudsim())
         logger.info("simulator fixture written to %s", out)
+    if "training" in sections:
+        out = data_dir / "training_golden.json"
+        write_cases(out, record_training())
+        logger.info("training fixture written to %s", out)
     return 0
 
 

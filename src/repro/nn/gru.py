@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.nn.activations import dsigmoid_from_y, dtanh_from_y, sigmoid
 from repro.nn.initializers import glorot_uniform, orthogonal
-from repro.nn.lstm import _sigmoid_inplace
+from repro.nn.lstm import _check_state, _project_inputs, _sigmoid_inplace
 
 __all__ = ["GRULayer", "GRUCache"]
 
@@ -116,6 +116,7 @@ class GRULayer:
         if T == 0:
             raise ValueError("sequence length must be positive")
         H = self.hidden_size
+        _check_state("h0", h0, B, H)
         h_prev = np.zeros((B, H)) if h0 is None else np.array(h0, dtype=np.float64)
 
         xw = x.reshape(B * T, D) @ self.W
@@ -172,6 +173,7 @@ class GRULayer:
         if T == 0:
             raise ValueError("sequence length must be positive")
         H = self.hidden_size
+        _check_state("h0", h0, B, H)
 
         s = self._scratch
         if s is None or s.B != B or s.T != T:
@@ -181,25 +183,14 @@ class GRULayer:
         s.Uzr[...] = self.U[:, : 2 * H]
         s.Ug[...] = self.U[:, 2 * H :]
 
+        # Time-major (T, B, 3H) projection, staged as in the LSTM twin.
         if D == 1:
-            # Univariate hot case: x @ W with one input feature is an
-            # outer product — one bulk broadcast multiply is
-            # bitwise-equal to the GEMM, computed in (T, B, 3H) layout
-            # so every step slice is contiguous (see the LSTM twin).
             xw = s.xw.reshape(T, B, 3 * H)
-            np.multiply(x.transpose(1, 0, 2), self.W, out=xw)
-            xw += self.b
         else:
-            # Multichannel case: same hoisted GEMM as the cached path,
-            # then a bits-preserving transpose-copy into a (T, B, 3H)
-            # time-major slab so step slices are contiguous (see the
-            # LSTM twin for the parity argument).
-            np.matmul(np.ascontiguousarray(x).reshape(B * T, D), self.W, out=s.xw)
             if s.xw_tm is None:
                 s.xw_tm = np.empty((T, B, 3 * H))
             xw = s.xw_tm
-            np.copyto(xw, s.xw.reshape(B, T, 3 * H).transpose(1, 0, 2))
-            xw += self.b
+        _project_inputs(x, self.W, self.b, xw, s.xw)
 
         if h0 is None:
             s.h_prev.fill(0.0)

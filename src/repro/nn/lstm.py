@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.activations import dsigmoid_from_y, dtanh_from_y, sigmoid
 from repro.nn.initializers import glorot_uniform, lstm_bias, orthogonal
 
 __all__ = ["LSTMLayer", "LSTMCache"]
@@ -80,17 +79,54 @@ def _sigmoid_inplace(z: np.ndarray) -> None:
     np.divide(1.0, z, out=z)
 
 
+def _check_state(name: str, state, B: int, H: int) -> None:
+    """Reject an initial state that is not (B, H): numpy would
+    broadcast a (H,) or (1, H) state through the forward pass and only
+    fail, or silently misbehave, in BPTT."""
+    if state is not None and np.shape(state) != (B, H):
+        raise ValueError(
+            f"{name} shape {np.shape(state)} != expected (batch, hidden) {(B, H)}"
+        )
+
+
+def _project_inputs(
+    x: np.ndarray, W: np.ndarray, b: np.ndarray, xw: np.ndarray,
+    staging: np.ndarray | None = None,
+) -> None:
+    """Write the hoisted input projection ``x @ W + b`` of a (B, T, D)
+    batch into the time-major (T, B, G) buffer ``xw``, so every step
+    slice ``xw[t]`` is contiguous.
+
+    D == 1: ``x @ W`` with one input feature is an outer product — each
+    element is the single correctly rounded product ``x[b,t,0] * W[0,j]``,
+    so one broadcast multiply is bitwise-equal to the GEMM (which BLAS
+    handles poorly at K=1).  D > 1: one (B*T, D) @ (D, G) GEMM into
+    ``staging`` (allocated when None), so every element is the same
+    dot-product reduction, then a transpose-copy, which never changes
+    bits.  Shared by both LSTM forwards and the GRU inference path.
+    """
+    B, T, D = x.shape
+    if D == 1:
+        np.multiply(x.transpose(1, 0, 2), W, out=xw)
+    else:
+        staging = np.matmul(np.ascontiguousarray(x).reshape(B * T, D), W,
+                            out=staging)
+        np.copyto(xw, staging.reshape(B, T, -1).transpose(1, 0, 2))
+    xw += b
+
+
 class LSTMCache:
     """Forward-pass intermediates needed by :meth:`LSTMLayer.backward`.
 
     Stored as (T, B, ·) stacks; allocated once per forward call.
     """
 
-    __slots__ = ("x", "gates", "c", "tanh_c", "h", "h0", "c0")
+    __slots__ = ("x", "sig", "g", "c", "tanh_c", "h", "h0", "c0")
 
-    def __init__(self, x, gates, c, tanh_c, h, h0, c0):
+    def __init__(self, x, sig, g, c, tanh_c, h, h0, c0):
         self.x = x          # (B, T, D) layer input
-        self.gates = gates  # (T, B, 4H) post-activation gate values [i,f,o,g]
+        self.sig = sig      # (T, B, 3H) sigmoid gate values [i, f, o]
+        self.g = g          # (T, B, H) candidate tanh(·)
         self.c = c          # (T, B, H) cell states C_t
         self.tanh_c = tanh_c  # (T, B, H) tanh(C_t)
         self.h = h          # (T, B, H) hidden states h_t
@@ -169,6 +205,13 @@ class LSTMLayer:
         Returns the full hidden-state sequence (B, T, H) plus the cache
         for BPTT.  Initial states default to zeros (the stateless mode
         used for windowed JAR prediction).
+
+        The step kernel is :meth:`forward_inference`'s, writing into
+        the cache stacks instead of reusable scratch: the stacks and two
+        (B, ·) step buffers are allocated once per call, and each step
+        runs one sigmoid over the contiguous [i, f, o] block of
+        ``sig[t]``.  Every element sees the same IEEE operations on the
+        same operands as the per-gate formulation (DESIGN.md §8).
         """
         if x.ndim != 3:
             raise ValueError(f"expected (batch, time, features) input, got {x.shape}")
@@ -178,39 +221,55 @@ class LSTMLayer:
         if T == 0:
             raise ValueError("sequence length must be positive")
         H = self.hidden_size
-        h_prev = np.zeros((B, H)) if h0 is None else np.array(h0, dtype=np.float64)
-        c_prev = np.zeros((B, H)) if c0 is None else np.array(c0, dtype=np.float64)
+        _check_state("h0", h0, B, H)
+        _check_state("c0", c0, B, H)
+        h0 = np.zeros((B, H)) if h0 is None else np.array(h0, dtype=np.float64)
+        c0 = np.zeros((B, H)) if c0 is None else np.array(c0, dtype=np.float64)
 
-        # Hoist the input projection out of the loop: one big GEMM over
-        # all timesteps instead of T small ones.
-        xw = x.reshape(B * T, D) @ self.W  # (B*T, 4H)
-        xw = xw.reshape(B, T, 4 * H) + self.b
-
-        gates = np.empty((T, B, 4 * H))
+        xw = np.empty((T, B, 4 * H))
+        _project_inputs(x, self.W, self.b, xw)
+        sig = np.empty((T, B, 3 * H))
+        gs = np.empty((T, B, H))
         cs = np.empty((T, B, H))
         tanh_cs = np.empty((T, B, H))
         hs = np.empty((T, B, H))
-        h0_saved, c0_saved = h_prev.copy(), c_prev.copy()
+        z = np.empty((B, 4 * H))
+        zsig, zg = z[:, : 3 * H], z[:, 3 * H :]
+        tmp = np.empty((B, H))
 
-        for t in range(T):
-            z = xw[:, t, :] + h_prev @ self.U  # (B, 4H)
-            i = sigmoid(z[:, :H])
-            f = sigmoid(z[:, H : 2 * H])
-            o = sigmoid(z[:, 2 * H : 3 * H])
-            g = np.tanh(z[:, 3 * H :])
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            gates[t, :, :H] = i
-            gates[t, :, H : 2 * H] = f
-            gates[t, :, 2 * H : 3 * H] = o
-            gates[t, :, 3 * H :] = g
-            cs[t] = c
-            tanh_cs[t] = tc
-            hs[t] = h
+        mul, mm, add, clip = np.multiply, np.matmul, np.add, np.clip
+        neg, exp, div, tanh = np.negative, np.exp, np.divide, np.tanh
+        U = self.U
+        h_prev, c_prev = h0, c0
+        # Iterating the (T, B, ·) stacks yields each step's views with
+        # no per-step slicing; i/f/o are the gate columns of ``sig``.
+        steps = zip(xw, sig, sig[..., :H], sig[..., H : 2 * H],
+                    sig[..., 2 * H :], gs, cs, tanh_cs, hs)
+        for xwt, st, i, f, o, g, c, tc, h in steps:
+            # z_t = h_{t-1} U + (x_t W + b): IEEE addition commutes.
+            mm(h_prev, U, z)
+            add(z, xwt, z)
+            # sigmoid(v) = 1 / (1 + exp(-clip(v))) on [i, f, o] at once:
+            # the clip reads the strided slice of z and lands in the
+            # contiguous sig[t].  A transcendental's operand keeps its
+            # contiguity (numpy's SIMD loops need unit stride and need
+            # not round like the scalar loop): exp runs contiguous and
+            # tanh of the candidate reads the strided slice of z.
+            clip(zsig, -60.0, 60.0, st)
+            neg(st, st)
+            exp(st, st)
+            add(st, 1.0, st)
+            div(1.0, st, st)
+            tanh(zg, g)
+            # C_t = f ⊙ C_{t-1} + i ⊙ g;  h_t = o ⊙ tanh(C_t)
+            mul(f, c_prev, c)
+            mul(i, g, tmp)
+            add(c, tmp, c)
+            tanh(c, tc)
+            mul(o, tc, h)
             h_prev, c_prev = h, c
 
-        cache = LSTMCache(x, gates, cs, tanh_cs, hs, h0_saved, c0_saved)
+        cache = LSTMCache(x, sig, gs, cs, tanh_cs, hs, h0, c0)
         return np.ascontiguousarray(hs.transpose(1, 0, 2)), cache
 
     # ------------------------------------------------------------------
@@ -227,7 +286,7 @@ class LSTMLayer:
 
         Bitwise-identical to :meth:`forward`'s hidden sequence, but:
 
-        * no ``gates/c/tanh_c/h`` (T, B, ·) stacks are allocated;
+        * no ``sig/g/c/tanh_c/h`` (T, B, ·) stacks are allocated;
         * per-layer scratch buffers are reused across batches of the
           same (B, T) shape, so a warm predictor allocates nothing;
         * the four gate activations run in place on slices of one
@@ -253,35 +312,23 @@ class LSTMLayer:
         if T == 0:
             raise ValueError("sequence length must be positive")
         H = self.hidden_size
+        _check_state("h0", h0, B, H)
+        _check_state("c0", c0, B, H)
 
         s = self._scratch
         if s is None or s.B != B or s.T != T:
             s = self._scratch = _LSTMScratch(B, T, H)
 
+        # Both projection branches land in (T, B, 4H) time-major layout:
+        # the univariate one straight in ``xw``, the multichannel one
+        # through ``xw`` as GEMM staging into the ``xw_tm`` slab.
         if D == 1:
-            # Univariate hot case: x @ W with one input feature is an
-            # outer product — each element is the single correctly
-            # rounded product x[b,t,0] * W[0,j], so one bulk broadcast
-            # multiply is bitwise-equal to the GEMM (which BLAS handles
-            # poorly at K=1).  Computed in (T, B, 4H) layout so every
-            # ``xw[t]`` step slice is contiguous.
             xw = s.xw.reshape(T, B, 4 * H)
-            np.multiply(x.transpose(1, 0, 2), self.W, out=xw)
-            xw += self.b
         else:
-            # Multichannel case: the same hoisted GEMM as the cached
-            # path — one (B*T, D) @ (D, 4H) product, so every element
-            # is computed by the identical dot-product reduction —
-            # then a transpose-copy into a (T, B, 4H) time-major slab
-            # so the step slices below are contiguous, exactly like
-            # the univariate branch.  Copies never change bits, so
-            # parity with :meth:`forward` holds for every D.
-            np.matmul(np.ascontiguousarray(x).reshape(B * T, D), self.W, out=s.xw)
             if s.xw_tm is None:
                 s.xw_tm = np.empty((T, B, 4 * H))
             xw = s.xw_tm
-            np.copyto(xw, s.xw.reshape(B, T, 4 * H).transpose(1, 0, 2))
-            xw += self.b
+        _project_inputs(x, self.W, self.b, xw, s.xw)
 
         if h0 is None:
             s.h_prev.fill(0.0)
@@ -344,8 +391,17 @@ class LSTMLayer:
 
         Returns ``(dx, grads)`` where ``dx`` is d(loss)/d(input) with the
         input's shape and ``grads`` matches :attr:`params` order.
+
+        The activation derivatives do not depend on the recurrence, so
+        they are computed once over whole stacks before the loop; the
+        loop then writes each step's pre-activation gradients straight
+        into ``dz_all[t]`` and accumulates ``dU`` through one reused
+        GEMM buffer.  Each element keeps the per-gate formulation's
+        operation order (DESIGN.md §8), so gradients are bit-identical.
         """
-        x, gates, cs, tanh_cs = cache.x, cache.gates, cache.c, cache.tanh_c
+        x, sig, gs, cs, tanh_cs, hs = (
+            cache.x, cache.sig, cache.g, cache.c, cache.tanh_c, cache.h
+        )
         B, T, D = x.shape
         H = self.hidden_size
         if d_h_seq.shape != (B, T, H):
@@ -353,38 +409,56 @@ class LSTMLayer:
                 f"d_h_seq shape {d_h_seq.shape} != expected {(B, T, H)}"
             )
 
+        # sigmoid' = y(1 - y) and tanh' = 1 - y^2, from the cached y.
+        dsig = np.subtract(1.0, sig)
+        dsig *= sig
+        dtanh_c = np.multiply(tanh_cs, tanh_cs)
+        np.subtract(1.0, dtanh_c, out=dtanh_c)
+        dtanh_g = np.multiply(gs, gs)
+        np.subtract(1.0, dtanh_g, out=dtanh_g)
+
         dW = np.zeros_like(self.W)
         dU = np.zeros_like(self.U)
         db = np.zeros_like(self.b)
+        dU_t = np.empty_like(self.U)
         dz_all = np.empty((T, B, 4 * H))  # pre-activation grads, for batched GEMMs
-
+        dh = np.empty((B, H))
+        dc = np.empty((B, H))
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))
-        for t in range(T - 1, -1, -1):
-            i = gates[t, :, :H]
-            f = gates[t, :, H : 2 * H]
-            o = gates[t, :, 2 * H : 3 * H]
-            g = gates[t, :, 3 * H :]
-            c_prev = cs[t - 1] if t > 0 else cache.c0
-            tc = tanh_cs[t]
 
-            dh = d_h_seq[:, t, :] + dh_next
-            do = dh * tc
-            dc = dh * o * dtanh_from_y(tc) + dc_next
-            df = dc * c_prev
-            di = dc * g
-            dg = dc * i
-            dc_next = dc * f
+        mul, mm, add = np.multiply, np.matmul, np.add
+        UT = self.U.T
+        # Each step's views, in forward order; the loop walks them back.
+        steps = list(zip(
+            d_h_seq.transpose(1, 0, 2), sig[..., :H], sig[..., H : 2 * H],
+            sig[..., 2 * H :], gs, [cache.c0, *cs[:-1]], tanh_cs,
+            [cache.h0, *hs[:-1]], dsig, dtanh_c, dtanh_g, dz_all,
+        ))
+        for (dht, i, f, o, g, c_prev, tc, h_prev,
+             dsig_t, dtc, dtg, dz) in reversed(steps):
+            dzifo, dzg = dz[:, : 3 * H], dz[:, 3 * H :]
+            dzi, dzf, dzo = dz[:, :H], dz[:, H : 2 * H], dz[:, 2 * H : 3 * H]
+            # Each element keeps the per-gate form's operation order:
+            # float multiplication does not associate, so (dh ⊙ o) ⊙ tanh'
+            # must not become dh ⊙ (o ⊙ tanh').
+            add(dht, dh_next, dh)
+            mul(dh, tc, dzo)                      # do = dh ⊙ tanh(C_t)
+            mul(dh, o, dc)                        # dc = (dh ⊙ o) ⊙ tanh'
+            mul(dc, dtc, dc)                      #      + dc_next
+            add(dc, dc_next, dc)
+            mul(dc, c_prev, dzf)                  # df = dc ⊙ C_{t-1}
+            mul(dc, g, dzi)                       # di = dc ⊙ g
+            mul(dc, i, dzg)                       # dg = dc ⊙ i
+            mul(dc, f, dc_next)                   # dc_next = dc ⊙ f
+            # Back through the activations: [di, df, do] ⊙ sigmoid' in
+            # one pass, dg ⊙ tanh'.
+            mul(dzifo, dsig_t, dzifo)
+            mul(dzg, dtg, dzg)
 
-            dz = dz_all[t]
-            dz[:, :H] = di * dsigmoid_from_y(i)
-            dz[:, H : 2 * H] = df * dsigmoid_from_y(f)
-            dz[:, 2 * H : 3 * H] = do * dsigmoid_from_y(o)
-            dz[:, 3 * H :] = dg * dtanh_from_y(g)
-
-            h_prev = cache.h[t - 1] if t > 0 else cache.h0
-            dU += h_prev.T @ dz
-            dh_next = dz @ self.U.T
+            mm(h_prev.T, dz, dU_t)
+            add(dU, dU_t, dU)
+            mm(dz, UT, dh_next)
 
         # Batched input-side GEMMs (time loop only carries the recurrence).
         dz_flat = dz_all.transpose(1, 0, 2).reshape(B * T, 4 * H)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,16 @@ class TestGRUForward:
             layer.forward(rng.standard_normal((3, 6, 5)))
         with pytest.raises(ValueError):
             layer.forward(rng.standard_normal((3, 0, 2)))
+
+    @pytest.mark.parametrize("bad", [(4,), (1, 4), (3, 4)])
+    def test_initial_state_shape_validated(self, layer, rng, bad):
+        """An h0 that is not (B, H) is rejected by both forward paths,
+        naming both shapes, instead of failing inside the recurrence."""
+        x = rng.standard_normal((2, 5, 2))
+        for forward in (layer.forward, layer.forward_inference):
+            with pytest.raises(ValueError, match=re.escape(f"h0 shape {bad}")
+                               + r".*\(2, 4\)"):
+                forward(x, h0=np.zeros(bad))
 
     def test_fewer_params_than_lstm(self, rng):
         from repro.nn.lstm import LSTMLayer

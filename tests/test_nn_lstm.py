@@ -2,17 +2,128 @@
 
 The gradient checks are the load-bearing tests of the whole nn
 substrate: if backward matches numerical differentiation to ~1e-6, the
-training loop is trustworthy.
+training loop is trustworthy.  The oracle tests pin the fused training
+kernel to the per-gate formulation it replaced, kept below verbatim as
+``reference_forward``/``reference_backward``, on raw bytes.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.nn.activations import dsigmoid_from_y, dtanh_from_y, sigmoid
 from repro.nn.losses import mse_loss
 from repro.nn.lstm import LSTMLayer
 from repro.nn.network import LSTMRegressor
+
+
+class _ReferenceCache:
+    __slots__ = ("x", "gates", "c", "tanh_c", "h", "h0", "c0")
+
+    def __init__(self, x, gates, c, tanh_c, h, h0, c0):
+        self.x = x          # (B, T, D) layer input
+        self.gates = gates  # (T, B, 4H) post-activation gate values [i,f,o,g]
+        self.c = c          # (T, B, H) cell states C_t
+        self.tanh_c = tanh_c  # (T, B, H) tanh(C_t)
+        self.h = h          # (T, B, H) hidden states h_t
+        self.h0 = h0        # (B, H) initial hidden state
+        self.c0 = c0        # (B, H) initial cell state
+
+
+def reference_forward(self, x, h0=None, c0=None):
+    """The per-gate training forward the fused kernel replaced."""
+    B, T, D = x.shape
+    H = self.hidden_size
+    h_prev = np.zeros((B, H)) if h0 is None else np.array(h0, dtype=np.float64)
+    c_prev = np.zeros((B, H)) if c0 is None else np.array(c0, dtype=np.float64)
+
+    # Hoist the input projection out of the loop: one big GEMM over
+    # all timesteps instead of T small ones.
+    xw = x.reshape(B * T, D) @ self.W  # (B*T, 4H)
+    xw = xw.reshape(B, T, 4 * H) + self.b
+
+    gates = np.empty((T, B, 4 * H))
+    cs = np.empty((T, B, H))
+    tanh_cs = np.empty((T, B, H))
+    hs = np.empty((T, B, H))
+    h0_saved, c0_saved = h_prev.copy(), c_prev.copy()
+
+    for t in range(T):
+        z = xw[:, t, :] + h_prev @ self.U  # (B, 4H)
+        i = sigmoid(z[:, :H])
+        f = sigmoid(z[:, H : 2 * H])
+        o = sigmoid(z[:, 2 * H : 3 * H])
+        g = np.tanh(z[:, 3 * H :])
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        gates[t, :, :H] = i
+        gates[t, :, H : 2 * H] = f
+        gates[t, :, 2 * H : 3 * H] = o
+        gates[t, :, 3 * H :] = g
+        cs[t] = c
+        tanh_cs[t] = tc
+        hs[t] = h
+        h_prev, c_prev = h, c
+
+    cache = _ReferenceCache(x, gates, cs, tanh_cs, hs, h0_saved, c0_saved)
+    return np.ascontiguousarray(hs.transpose(1, 0, 2)), cache
+
+
+def reference_backward(self, d_h_seq, cache):
+    """The per-gate BPTT the fused kernel replaced."""
+    x, gates, cs, tanh_cs = cache.x, cache.gates, cache.c, cache.tanh_c
+    B, T, D = x.shape
+    H = self.hidden_size
+
+    dW = np.zeros_like(self.W)
+    dU = np.zeros_like(self.U)
+    db = np.zeros_like(self.b)
+    dz_all = np.empty((T, B, 4 * H))  # pre-activation grads, for batched GEMMs
+
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        i = gates[t, :, :H]
+        f = gates[t, :, H : 2 * H]
+        o = gates[t, :, 2 * H : 3 * H]
+        g = gates[t, :, 3 * H :]
+        c_prev = cs[t - 1] if t > 0 else cache.c0
+        tc = tanh_cs[t]
+
+        dh = d_h_seq[:, t, :] + dh_next
+        do = dh * tc
+        dc = dh * o * dtanh_from_y(tc) + dc_next
+        df = dc * c_prev
+        di = dc * g
+        dg = dc * i
+        dc_next = dc * f
+
+        dz = dz_all[t]
+        dz[:, :H] = di * dsigmoid_from_y(i)
+        dz[:, H : 2 * H] = df * dsigmoid_from_y(f)
+        dz[:, 2 * H : 3 * H] = do * dsigmoid_from_y(o)
+        dz[:, 3 * H :] = dg * dtanh_from_y(g)
+
+        h_prev = cache.h[t - 1] if t > 0 else cache.h0
+        dU += h_prev.T @ dz
+        dh_next = dz @ self.U.T
+
+    # Batched input-side GEMMs (time loop only carries the recurrence).
+    dz_flat = dz_all.transpose(1, 0, 2).reshape(B * T, 4 * H)
+    dW += x.reshape(B * T, D).T @ dz_flat
+    db += dz_flat.sum(axis=0)
+    dx = (dz_flat @ self.W.T).reshape(B, T, D)
+    return dx, [dW, dU, db]
+
+
+def hex64(a: np.ndarray) -> str:
+    return np.ascontiguousarray(np.asarray(a, dtype="<f8")).tobytes().hex()
 
 
 @pytest.fixture
@@ -74,6 +185,49 @@ class TestForward:
         together, _ = layer.forward(x)
         solo, _ = layer.forward(x[1:2])
         np.testing.assert_allclose(together[1:2], solo, atol=1e-12)
+
+
+    @pytest.mark.parametrize("bad", [(4,), (1, 4), (3, 4)])
+    @pytest.mark.parametrize("name", ["h0", "c0"])
+    def test_initial_state_shape_validated(self, layer, rng, name, bad):
+        """A state that is not (B, H) is rejected by both forward paths,
+        naming both shapes, instead of broadcasting into the recurrence."""
+        x = rng.standard_normal((2, 5, 2))
+        for forward in (layer.forward, layer.forward_inference):
+            with pytest.raises(ValueError, match=re.escape(f"{name} shape {bad}")
+                               + r".*\(2, 4\)"):
+                forward(x, **{name: np.zeros(bad)})
+
+
+class TestReferenceOracle:
+    """Hidden sequence and every gradient are byte-equal to the
+    per-gate formulation, over random shapes and initial states."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        B=st.integers(1, 5), T=st.integers(1, 6), D=st.integers(1, 4),
+        H=st.integers(1, 6), with_state=st.booleans(),
+        scale=st.sampled_from([0.5, 3.0, 40.0]), seed=st.integers(0, 2**16),
+    )
+    def test_forward_backward_bytes(self, B, T, D, H, with_state, scale, seed):
+        rng = np.random.default_rng(seed)
+        layer = LSTMLayer(D, H, rng)
+        layer.b += rng.standard_normal(layer.b.shape)
+        x = scale * rng.standard_normal((B, T, D))
+        state = {}
+        if with_state:
+            state = {"h0": rng.uniform(-1, 1, (B, H)),
+                     "c0": rng.standard_normal((B, H))}
+        d_h_seq = rng.standard_normal((B, T, H))
+
+        h, cache = layer.forward(x, **state)
+        h_ref, cache_ref = reference_forward(layer, x, **state)
+        assert hex64(h) == hex64(h_ref)
+        dx, grads = layer.backward(d_h_seq, cache)
+        dx_ref, grads_ref = reference_backward(layer, d_h_seq, cache_ref)
+        assert hex64(dx) == hex64(dx_ref)
+        for name, got, want in zip("W U b".split(), grads, grads_ref, strict=True):
+            assert hex64(got) == hex64(want), name
 
 
 class TestBackward:
