@@ -2,7 +2,7 @@
 """Record pipeline and simulator behaviour for bitwise equivalence tests.
 
 Usage: ``python scripts/make_pipeline_fixtures.py [pipeline] [cloudsim]
-[training]`` (every section when none is named).
+[training] [controller]`` (every section when none is named).
 
 **pipeline** — pre-refactor D=1 behaviour.
 
@@ -42,12 +42,26 @@ GEMMs whose reduction order the kernel does not choose, so
 ``tests/test_training_golden.py`` compares these bytes exactly; a
 rewrite of the LSTM training kernel must reproduce
 ``tests/data/training_golden.json`` byte-for-byte.
+
+**controller** — ``HybridController.step`` decisions (``vms``,
+``decided_by``, ``rails``, ``burst``, and ``target``/``forecast``/
+``correction`` as hex floats) and the final ``state_dict`` for four
+configurations (default, ``passthrough()``, rails with a cooldown, a
+``PageHinkleyDetector``) over seeded traces with NaN outages, spikes,
+burst episodes and signed zeros, plus the sha256 of ``checkpoint.json``
+and both sidecars from a deterministic streamed run with NaN gaps.  The
+controller is scalar Python floats over a sorted error window, so
+``tests/test_controller_golden.py`` compares these bytes exactly; a
+rewrite of the controller must reproduce
+``tests/data/controller_golden.json`` byte-for-byte.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +69,18 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.autoscale.cloudsim import CloudSimulator, VMSpec  # noqa: E402
+from repro.autoscale.controller import (  # noqa: E402
+    ControllerConfig,
+    HybridController,
+)
+from repro.baselines.naive import LastValuePredictor  # noqa: E402
 from repro.core import FrameworkSettings, LoadDynamics, search_space_for  # noqa: E402
 from repro.core.data import prepare_data  # noqa: E402
 from repro.nn.network import LSTMRegressor  # noqa: E402
 from repro.obs.logging import get_logger  # noqa: E402
+from repro.obs.metrics import reset_metrics  # noqa: E402
+from repro.obs.monitor import ForecastMonitor, PageHinkleyDetector  # noqa: E402
+from repro.serving import StreamConfig, StreamingServer, chunk_stream  # noqa: E402
 
 logger = get_logger("scripts.fixtures")
 
@@ -256,6 +278,154 @@ def record_training() -> dict:
     }
 
 
+#: Controller configurations, by name; ``page_hinkley`` also attaches a
+#: default :class:`PageHinkleyDetector`.  ``rails_cooldown`` corrects by
+#: the headroom quantile alone, so each ``correction`` is a quantile's
+#: exact bits.
+CONTROLLER_CONFIGS = {
+    "default": {},
+    "passthrough": {
+        "kp": 0.0, "ki": 0.0, "kd": 0.0, "headroom_quantile": None,
+        "burst_streak": None,
+    },
+    "rails_cooldown": {
+        "kp": 0.0, "ki": 0.0, "headroom_quantile": 0.9, "burst_quantile": 0.6,
+        "min_vms": 2, "max_vms": 400, "max_step_up": 25, "max_step_down": 10,
+        "scale_down_cooldown": 4, "error_window": 16,
+    },
+    "page_hinkley": {"burst_streak": None, "burst_clear": 5},
+}
+CONTROLLER_TRACES = ("outages", "bursts", "signed_zeros")
+CONTROLLER_STEPS = 200
+
+
+def controller_trace(name: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded ``(forecasts, arrivals)`` of ``CONTROLLER_STEPS`` intervals.
+
+    ``outages``: Poisson arrivals, noisy persistence forecasts, NaN
+    outage windows in both and single spikes.  ``bursts``: a diurnal
+    load whose forecast lags through geometric ramp episodes, so the
+    controller underprovisions for long streaks.  ``signed_zeros``: small
+    integer-valued load with ``+0.0``/``-0.0`` in both series, so the
+    error window holds many duplicate and zero errors.
+    """
+    rng = np.random.default_rng(seed)
+    n = CONTROLLER_STEPS
+    if name == "outages":
+        arrivals = rng.poisson(80, n).astype(np.float64)
+        forecasts = np.concatenate(([80.0], arrivals[:-1])) + rng.normal(0, 6, n)
+        for lo in rng.integers(0, n - 10, 4):
+            arrivals[lo : lo + rng.integers(2, 8)] = np.nan
+        for lo in rng.integers(0, n - 10, 3):
+            forecasts[lo : lo + rng.integers(1, 6)] = np.nan
+        spikes = rng.integers(0, n, 5)
+        arrivals[spikes] = rng.uniform(1e3, 1e5, spikes.size)
+    elif name == "bursts":
+        t = np.arange(n)
+        base = 100.0 + 40.0 * np.sin(2 * np.pi * t / 48) + rng.normal(0, 4, n)
+        for lo in (30, 95, 150):
+            ramp = 15 + int(rng.integers(0, 10))
+            base[lo : lo + ramp] *= np.geomspace(1.0, 6.0, ramp)
+        arrivals = np.round(base, 1)
+        forecasts = np.concatenate(([100.0], 0.8 * arrivals[:-1]))
+        arrivals[rng.integers(0, n, 3)] = np.nan
+    elif name == "signed_zeros":
+        arrivals = rng.integers(0, 4, n).astype(np.float64)
+        forecasts = rng.integers(0, 4, n).astype(np.float64)
+        arrivals[rng.random(n) < 0.3] = -0.0
+        forecasts[rng.random(n) < 0.3] = -0.0
+        arrivals[rng.random(n) < 0.05] = np.nan
+    else:
+        raise ValueError(f"unknown controller trace {name!r}")
+    return forecasts, arrivals
+
+
+def make_controller(case: dict) -> HybridController:
+    """Must match ``make_controller`` in tests/test_controller_golden.py."""
+    detector = PageHinkleyDetector() if case["page_hinkley"] else None
+    return HybridController(
+        ControllerConfig(**case["config_kwargs"]), drift_detector=detector,
+    )
+
+
+def controller_cases() -> list[dict]:
+    return [
+        {"name": f"{config}_{trace}", "config": config,
+         "config_kwargs": kwargs, "page_hinkley": config == "page_hinkley",
+         "trace": trace, "seed": 300 + k}
+        for config, kwargs in CONTROLLER_CONFIGS.items()
+        for k, trace in enumerate(CONTROLLER_TRACES)
+    ]
+
+
+def stream_digests() -> dict:
+    """sha256 of every file a deterministic streamed run checkpoints.
+
+    ``LastValuePredictor`` + default ``HybridController`` +
+    ``ForecastMonitor`` over a seeded Poisson feed with NaN gaps (short
+    ones the default sanitizer interpolates, one whole-chunk outage it
+    cannot), checkpointing every other chunk.
+    """
+    rng = np.random.default_rng(17)
+    trace = rng.poisson(60, 700).astype(np.float64)
+    trace[rng.integers(200, 690, 12)] = np.nan
+    trace[500:540] = np.nan
+    case = {"trace": hex64(trace), "start": 200,
+            "stream_config": {"chunk_size": 24, "size_jitter": 6, "seed": 5,
+                              "checkpoint_every": 2}}
+    return {**case, "sha256": stream_run_digests(case)}
+
+
+def stream_run_digests(case: dict) -> dict:
+    """Must match ``stream_run_digests`` in tests/test_controller_golden.py."""
+    trace = np.frombuffer(bytes.fromhex(case["trace"]), dtype="<f8")
+    start = case["start"]
+    reset_metrics()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = StreamConfig(**case["stream_config"], checkpoint_dir=tmp)
+        server = StreamingServer(
+            LastValuePredictor(), trace[:start], config=cfg,
+            monitor=ForecastMonitor(), controller=HybridController(),
+        )
+        server.run(chunk_stream(trace[start:], config=cfg))
+        return {
+            name: hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest()
+            for name in ("checkpoint.json", "schedule.f64", "actuals.f64")
+        }
+
+
+def record_controller() -> dict:
+    cases = []
+    for case in controller_cases():
+        forecasts, arrivals = controller_trace(case["trace"], case["seed"])
+        controller = make_controller(case)
+        decisions = [
+            controller.step(forecasts[i], arrivals[: i + 1])
+            for i in range(forecasts.size)
+        ]
+        state = controller.state_dict()
+        del state["decisions"]  # recorded column by column below
+        cases.append({
+            **case,
+            "forecasts": hex64(forecasts),
+            "arrivals": hex64(arrivals),
+            "vms": [d.vms for d in decisions],
+            "decided_by": [d.decided_by for d in decisions],
+            "rails": [list(d.rails) for d in decisions],
+            "burst": [d.burst for d in decisions],
+            "target": [d.target.hex() for d in decisions],
+            "forecast": [d.forecast.hex() for d in decisions],
+            "correction": [d.correction.hex() for d in decisions],
+            "state_dict": state,
+        })
+    return {
+        "numpy": np.__version__,
+        "bit_generator": type(np.random.default_rng().bit_generator).__name__,
+        "stream": stream_digests(),
+        "cases": cases,
+    }
+
+
 def write_cases(path: Path, fixture: dict) -> None:
     """Write ``fixture`` as JSON with one line per entry of its
     ``cases`` list, which keeps long input and hex lists compact."""
@@ -266,8 +436,9 @@ def write_cases(path: Path, fixture: dict) -> None:
 
 
 def main(argv: list[str]) -> int:
-    sections = set(argv) or {"pipeline", "cloudsim", "training"}
-    unknown = sections - {"pipeline", "cloudsim", "training"}
+    known = {"pipeline", "cloudsim", "training", "controller"}
+    sections = set(argv) or known
+    unknown = sections - known
     if unknown:
         logger.error("unknown section(s): %s", ", ".join(sorted(unknown)))
         return 2
@@ -291,6 +462,10 @@ def main(argv: list[str]) -> int:
         out = data_dir / "training_golden.json"
         write_cases(out, record_training())
         logger.info("training fixture written to %s", out)
+    if "controller" in sections:
+        out = data_dir / "controller_golden.json"
+        write_cases(out, record_controller())
+        logger.info("controller fixture written to %s", out)
     return 0
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI perf-smoke stage: fast path stays exact, benchmarks stay runnable.
 
-Four checks, all cheap enough for every CI run:
+Five checks, all cheap enough for every CI run:
 
 1. **Fast-path parity** — the cache-free inference kernels
    (``forward_inference``) must be bitwise-identical to the cached
@@ -12,10 +12,14 @@ Four checks, all cheap enough for every CI run:
    same model served one ``predict_next`` per interval: identical serve
    accounting, forecasts within rtol 1e-12, decisions within one VM on
    at most 1% of intervals.
-3. **Quick benchmarks** — run the latency benches with
+3. **Controller parity** — the recorded default-config controller walks
+   in ``tests/data/controller_golden.json``, replayed through
+   ``HybridPolicy`` (the ``serve_walk`` path), must give the identical
+   schedule bytes and ``decided_by`` counts.
+4. **Quick benchmarks** — run the latency benches with
    ``REPRO_BENCH_QUICK=1`` so a broken benchmark (import error, shape
    drift, harness change) fails CI instead of the next perf PR.
-4. **Artifact schema** — ``BENCH_inference.json`` / ``BENCH_training.json``
+5. **Artifact schema** — ``BENCH_inference.json`` / ``BENCH_training.json``
    must parse and carry the gauges perf PRs diff against.
 
 Exit status: 0 when everything holds, 1 otherwise.
@@ -170,6 +174,50 @@ def check_stream_batch_parity() -> None:
     logger.info("stream batch parity: OK")
 
 
+def check_controller_parity() -> None:
+    from collections import Counter
+
+    from repro.autoscale import HybridPolicy
+    from repro.baselines.base import Predictor
+
+    class Replay(Predictor):
+        """Forecasts ``forecasts[i]`` after seeing ``i + 1`` arrivals."""
+
+        name = "replay"
+
+        def __init__(self, forecasts):
+            self.forecasts = forecasts
+
+        def predict_next(self, history):
+            return float(self.forecasts[len(history) - 1])
+
+    def unhex(s: str) -> np.ndarray:
+        return np.frombuffer(bytes.fromhex(s), dtype="<f8").astype(np.float64)
+
+    golden = json.loads(
+        (ROOT / "tests" / "data" / "controller_golden.json").read_text()
+    )
+    cases = [c for c in golden["cases"] if c["config"] == "default"]
+    if not cases:
+        raise AssertionError("controller golden has no default-config case")
+    for case in cases:
+        arrivals = unhex(case["arrivals"])
+        policy = HybridPolicy(Replay(unhex(case["forecasts"])))
+        # From start 1, interval j sees arrivals[:j + 1], as the recorded
+        # walk did; the appended value is never revealed to a decision.
+        schedule = policy.schedule(np.append(arrivals, 0.0), 1)
+        want = np.asarray(case["vms"], dtype=np.float64)
+        if schedule.tobytes() != want.tobytes():
+            raise AssertionError(f"{case['name']}: schedule bytes diverged")
+        counts = dict(Counter(case["decided_by"]))
+        if policy.controller.decided_by != counts:
+            raise AssertionError(
+                f"{case['name']}: decided_by {policy.controller.decided_by} "
+                f"!= recorded {counts}"
+            )
+    logger.info("controller parity: OK (%d recorded walks)", len(cases))
+
+
 def run_quick_benchmarks(artifact_dir: Path) -> None:
     env = dict(os.environ)
     env["REPRO_BENCH_QUICK"] = "1"
@@ -215,6 +263,7 @@ def main() -> int:
 
     check_fastpath_parity()
     check_stream_batch_parity()
+    check_controller_parity()
     with tempfile.TemporaryDirectory() as tmp:
         run_quick_benchmarks(Path(tmp))
         check_artifacts(Path(tmp))

@@ -32,7 +32,13 @@ that closed loop over any :class:`~repro.baselines.base.Predictor`
   headroom factor); a dead reactive signal (no finite observation in the
   window) falls back to holding the last decision.  Every decision
   carries a ``decided_by`` provenance tag, and path changes emit
-  ``autoscale.controller.*`` counters and events.
+  ``autoscale.controller.*`` counters and events;
+* **finite targets only** — a tier whose target is not finite (an
+  overflowing corrector, a NaN headroom quantile over ``+inf`` errors,
+  a reactive peak whose headroom overflows) is treated like an
+  unavailable one: the decision falls to the next tier (reactive, then
+  hold), and a non-finite burst target never overrides.  Only finite
+  targets reach the rails, so no input stream makes :meth:`step` raise.
 
 **Zero-overhead guarantee**: with all corrector gains zero, headroom
 disabled, rails disabled, and no burst trigger, the emitted schedule is
@@ -45,8 +51,10 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -74,6 +82,8 @@ logger = get_logger("autoscale.controller")
 #: Decision provenance tags, healthiest first: pure forecast, corrected
 #: forecast, burst override, reactive takeover, hold-last-decision.
 DECIDED_BY = ("proactive", "hybrid", "burst", "reactive", "hold")
+#: Safety rails, in application order.
+RAILS = ("rate_up", "cooldown", "rate_down", "max_vms", "min_vms")
 
 
 @dataclass(frozen=True)
@@ -269,6 +279,10 @@ class HybridController:
             tag: _metrics.counter(f"autoscale.controller.decided_by.{tag}")
             for tag in DECIDED_BY
         }
+        self._c_rail = {
+            rail: _metrics.counter(f"autoscale.controller.rail.{rail}")
+            for rail in RAILS
+        }
         self._c_burst_in = _metrics.counter("autoscale.controller.burst.entered")
         self._c_burst_out = _metrics.counter("autoscale.controller.burst.exited")
 
@@ -277,6 +291,8 @@ class HybridController:
     def _reset_state(self) -> None:
         cfg = self.config
         self._errors: deque[float] = deque(maxlen=cfg.error_window)
+        #: The positive entries of ``_errors``, kept sorted.
+        self._pos: list[float] = []
         self._integral = 0.0
         self._prev_error: float | None = None
         self._derivative = 0.0
@@ -307,7 +323,12 @@ class HybridController:
             return
         if self._last_forecast is not None and math.isfinite(self._last_forecast):
             e = actual - self._last_forecast
-            self._errors.append(e)
+            errors = self._errors
+            if len(errors) == errors.maxlen and errors[0] > 0.0:
+                del self._pos[bisect_left(self._pos, errors[0])]
+            errors.append(e)
+            if e > 0.0:
+                insort(self._pos, e)
             cfg = self.config
             self._integral = min(
                 max(self._integral + e, -cfg.integral_limit), cfg.integral_limit
@@ -368,21 +389,46 @@ class HybridController:
 
     # ------------------------------------------------------------------
     def _positive_error_quantile(self, q: float) -> float:
-        pos = [e for e in self._errors if e > 0.0]
-        if not pos:
+        """``np.quantile(positive errors, q)`` (method ``linear``), bit
+        for bit, over the sorted window: the same virtual index, the
+        same above-bound neighbours and the same two-sided lerp."""
+        pos = self._pos
+        n = len(pos)
+        if not n:
             return 0.0
-        return float(np.quantile(np.asarray(pos, dtype=np.float64), q))
+        if isinstance(q, Integral):
+            # numpy takes an integral q's element without interpolating.
+            return pos[(n - 1) * q]
+        vi = (n - 1) * q
+        if vi >= n - 1:
+            a = b = pos[-1]
+            gamma = vi + 1
+        else:
+            prev = math.floor(vi)
+            a, b = pos[prev], pos[prev + 1]
+            gamma = vi - prev
+        diff = b - a
+        if gamma >= 0.5:
+            return b - diff * (1 - gamma)
+        return a + diff * gamma
 
     def _reactive_target(self, history: np.ndarray) -> float | None:
-        """Generalized reactive rule, or ``None`` when the signal is dead."""
+        """Generalized reactive rule, or ``None`` when the signal is dead
+        or its headroom overflows.
+
+        Ties keep the later value, as numpy's scalar ``max`` loop does
+        (the two differ only in the sign of a ``±0.0`` peak, which
+        numpy's vector loop, used from 9 values on, may pick either way).
+        """
         cfg = self.config
-        tail = history[-cfg.reactive_window :] if history.size else history
-        finite = tail[np.isfinite(tail)]
-        if finite.size == 0:
-            return None
-        peak = float(finite.max())
-        if cfg.reactive_headroom != 1.0:
+        peak = None
+        for v in history[-cfg.reactive_window :].tolist():
+            if math.isfinite(v) and (peak is None or v >= peak):
+                peak = v
+        if peak is not None and cfg.reactive_headroom != 1.0:
             peak *= cfg.reactive_headroom
+            if not math.isfinite(peak):
+                return None
         return peak
 
     # ------------------------------------------------------------------
@@ -409,6 +455,7 @@ class HybridController:
         reactive = self._reactive_target(h)
 
         correction = 0.0
+        target = math.nan
         if proactive_ok:
             if cfg.corrector_enabled and self._prev_error is not None:
                 correction = (
@@ -425,15 +472,15 @@ class HybridController:
                 # Bitwise pass-through: no arithmetic touches the forecast.
                 target = forecast
                 decided_by = "proactive"
-        elif reactive is not None:
-            target = reactive
-            decided_by = "reactive"
-        elif self._last_vms is not None:
-            target = float(self._last_vms)
-            decided_by = "hold"
-        else:
-            target = float(cfg.min_vms)
-            decided_by = "hold"
+        if not math.isfinite(target):
+            # No usable proactive target: reactive, then hold.
+            if reactive is not None:
+                target = reactive
+                decided_by = "reactive"
+            else:
+                last = self._last_vms
+                target = float(last if last is not None else cfg.min_vms)
+                decided_by = "hold"
 
         if self.burst:
             reference = (
@@ -442,7 +489,7 @@ class HybridController:
                 else target
             )
             burst_target = reference + self._positive_error_quantile(cfg.burst_quantile)
-            if burst_target > target:
+            if target < burst_target < math.inf:
                 target = burst_target
                 decided_by = "burst"
 
@@ -502,7 +549,7 @@ class HybridController:
         self._c_by[tag].inc()
         for rail in decision.rails:
             self.rail_hits[rail] = self.rail_hits.get(rail, 0) + 1
-            _metrics.counter(f"autoscale.controller.rail.{rail}").inc()
+            self._c_rail[rail].inc()
         if tag != self._last_tag:
             if self._last_tag is not None and _events.enabled():
                 _events.emit(
@@ -578,6 +625,7 @@ class HybridController:
         self.burst_reason = str(reason) if reason is not None else None
         self.burst_episodes = int(state["burst_episodes"])
         self._errors = deque(errors, maxlen=cfg.error_window)
+        self._pos = sorted(e for e in errors if e > 0.0)
         self._integral = float(state["integral"])
         prev = state["prev_error"]
         self._prev_error = float(prev) if prev is not None else None

@@ -805,7 +805,10 @@ class StreamingServer:
         tmp = d / (_CHECKPOINT_FILE + ".tmp")
         try:
             with open(tmp, "w") as fh:
-                json.dump(state, fh)
+                # One ``dumps`` call takes the C encoder; ``dump`` would
+                # stream through the pure-Python one (same bytes, ~3x
+                # slower on a 150 KB checkpoint).
+                fh.write(json.dumps(state))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)

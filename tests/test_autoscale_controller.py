@@ -8,12 +8,18 @@ the invariants are hypothesis properties over random streams:
 * rate limits and the scale-down cooldown never violated;
 * anti-windup bounds the error integral;
 * burst latches and clears deterministically;
-* zero-gain passthrough reproduces ``PredictivePolicy`` bit-for-bit.
+* zero-gain passthrough reproduces ``PredictivePolicy`` bit-for-bit;
+* no finite or infinite input makes ``step`` raise;
+* the sorted-window headroom quantile and the scalar reactive peak
+  match the ``np.quantile``/``np.isfinite`` code they replaced, byte
+  for byte (the old code is kept below as the oracle).
 """
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -38,6 +44,35 @@ stream_values = st.one_of(
     st.floats(1e4, 1e6),
     st.just(float("nan")),
 )
+
+
+# Every float, including the extremes whose differences overflow.
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _reference_positive_error_quantile(self, q: float) -> float:
+    """The list-comprehension + ``np.quantile`` original, verbatim."""
+    pos = [e for e in self._errors if e > 0.0]
+    if not pos:
+        return 0.0
+    return float(np.quantile(np.asarray(pos, dtype=np.float64), q))
+
+
+def _reference_reactive_target(self, history: np.ndarray) -> float | None:
+    """The ``np.isfinite`` + fancy-indexing original, verbatim."""
+    cfg = self.config
+    tail = history[-cfg.reactive_window :] if history.size else history
+    finite = tail[np.isfinite(tail)]
+    if finite.size == 0:
+        return None
+    peak = float(finite.max())
+    if cfg.reactive_headroom != 1.0:
+        peak *= cfg.reactive_headroom
+    return peak
+
+
+def _bits(x: float | None) -> bytes | None:
+    return None if x is None else struct.pack("<d", x)
 
 
 def _walk(controller, forecasts, arrivals):
@@ -121,6 +156,102 @@ class TestRails:
         d3 = controller.step(100.0, np.array([1.0, 1.0, 1.0]))
         assert d3.vms == 2 and "rate_up" in d3.rails
         assert controller.rail_hits == {"max_vms": 1, "rate_up": 1}
+
+
+class TestExtremeInputs:
+    def test_overflowing_error_falls_to_reactive(self):
+        c = HybridController()
+        c.step(-1e308, np.array([1.0]))
+        d = c.step(5.0, np.array([1.0, 1e308]))  # error overflows to +inf
+        assert d.decided_by == "reactive" and math.isnan(d.correction)
+        assert d.vms == math.ceil(1e308)
+
+    def test_overflowing_reactive_headroom_holds(self):
+        c = HybridController(ControllerConfig(reactive_headroom=10.0))
+        d = c.step(float("nan"), np.array([1e308]))
+        assert d.decided_by == "hold" and d.vms == 0
+
+    @given(
+        forecasts=arrays(np.float64, 40, elements=any_float),
+        arrivals=arrays(np.float64, 40, elements=any_float),
+        min_vms=st.integers(0, 5),
+        span=st.one_of(st.none(), st.integers(0, 50)),
+        headroom=st.sampled_from([1.0, 0.5, 10.0, 1e300]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_step_never_raises_and_holds_rails(
+        self, forecasts, arrivals, min_vms, span, headroom,
+    ):
+        max_vms = None if span is None else min_vms + span
+        cfg = ControllerConfig(min_vms=min_vms, max_vms=max_vms,
+                               reactive_headroom=headroom, error_window=8)
+        controller = HybridController(cfg, drift_detector=PageHinkleyDetector())
+        for d in _walk(controller, forecasts, arrivals):
+            assert math.isfinite(d.target)
+            assert d.vms >= min_vms
+            assert max_vms is None or d.vms <= max_vms
+
+
+# Values whose differences repeat (duplicate errors), change sign, sit
+# on a signed zero, or overflow to +inf (1e308 - -1e308).
+oracle_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.5, -1.0, 1e308, -1e308]),
+    st.floats(-1e6, 1e6),
+)
+
+
+class TestOracle:
+    """The sorted window and scalar loops against the code they replaced."""
+
+    @given(
+        forecasts=st.lists(oracle_values, min_size=1, max_size=40),
+        actuals=st.lists(st.one_of(oracle_values, st.just(math.nan)),
+                         min_size=40, max_size=40),
+        window=st.integers(2, 12),
+        q_random=st.floats(0.0, 1.0),
+        reload_at=st.integers(0, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_quantile_matches_np_quantile(
+        self, forecasts, actuals, window, q_random, reload_at,
+    ):
+        cfg = ControllerConfig(error_window=window, burst_streak=None)
+        controller = HybridController(cfg)
+        qs = (0, 0.0, 0.75, 0.95, 1, 1.0, q_random)
+        for i, f in enumerate(forecasts):
+            if i == reload_at:
+                state = json.loads(json.dumps(controller.state_dict()))
+                controller = HybridController(cfg)
+                controller.load_state_dict(state)
+            controller.step(f, np.asarray(actuals[: i + 1]))
+            for q in qs:
+                got = controller._positive_error_quantile(q)
+                with np.errstate(invalid="ignore"):  # inf - inf is NaN
+                    want = _reference_positive_error_quantile(controller, q)
+                assert _bits(got) == _bits(want), (q, list(controller._errors))
+
+    @given(
+        history=arrays(np.float64, st.integers(0, 20), elements=st.one_of(
+            any_float, st.sampled_from([0.0, -0.0, 1e308, -math.inf]),
+        )),
+        window=st.integers(1, 16),
+        headroom=st.one_of(st.sampled_from([1.0, 0.5, 10.0]),
+                           st.floats(1e-3, 1e3)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reactive_target_matches_numpy(self, history, window, headroom):
+        controller = HybridController(ControllerConfig(
+            reactive_window=window, reactive_headroom=headroom,
+        ))
+        got = controller._reactive_target(history)
+        want = _reference_reactive_target(controller, history)
+        if want is not None and not math.isfinite(want):
+            want = None  # an overflowing headroom is a dead signal now
+        if window <= 8:
+            assert _bits(got) == _bits(want)
+        else:
+            # numpy's vector max may return either sign of a 0.0 tie.
+            assert got == want
 
 
 class TestDegradationTiers:
