@@ -83,6 +83,23 @@ assert ref == res, "resumed ServingReport is not bit-for-bit identical"
 print("streaming chaos OK: resume bit-for-bit identical "
       f"({len(ref['schedule_hex']) // 16} intervals)")
 PYEOF
+# A checkpoint missing a cursor field must be refused with a typed error
+# (exit 2, one `error:` line), never a traceback.
+cp -r "$SERVE_DIR/ck" "$SERVE_DIR/ck-bad"
+sed -i 's/"queue_peak"/"queue_peak_lost"/' "$SERVE_DIR/ck-bad/checkpoint.json"
+BAD_RC=0
+BAD_OUT="$(PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli \
+    "${STREAM_ARGS[@]}" --checkpoint-dir "$SERVE_DIR/ck-bad" --resume 2>&1)" \
+    || BAD_RC=$?
+[[ "$BAD_RC" == 2 ]] \
+    || { echo "streaming chaos FAILED: corrupt checkpoint exited $BAD_RC, not 2"; exit 1; }
+grep -q "^error: .*queue_peak" <<<"$BAD_OUT" \
+    || { echo "streaming chaos FAILED: no error line for the corrupt checkpoint"; exit 1; }
+if grep -q "Traceback" <<<"$BAD_OUT"; then
+    echo "streaming chaos FAILED: corrupt checkpoint printed a traceback"
+    exit 1
+fi
+echo "streaming chaos OK: corrupt checkpoint refused with exit 2"
 
 echo "== monitoring smoke (injected serving drift must fire detectors + refit) =="
 MON_OUT="$(REPRO_FAULTS='drift@serve.predict:60=4' \

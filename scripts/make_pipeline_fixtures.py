@@ -2,7 +2,7 @@
 """Record pipeline and simulator behaviour for bitwise equivalence tests.
 
 Usage: ``python scripts/make_pipeline_fixtures.py [pipeline] [cloudsim]
-[training] [controller]`` (every section when none is named).
+[training] [controller] [state]`` (every section when none is named).
 
 **pipeline** — pre-refactor D=1 behaviour.
 
@@ -54,6 +54,18 @@ controller is scalar Python floats over a sorted error window, so
 ``tests/test_controller_golden.py`` compares these bytes exactly; a
 rewrite of the controller must reproduce
 ``tests/data/controller_golden.json`` byte-for-byte.
+
+**state** — the exact ``json.dumps(obj.state_dict())`` string (no
+``sort_keys``, so key order is pinned too) of every stateful serving
+component after a seeded walk from :data:`STATE_CASES`: a circuit
+breaker through open, half-open and closed; guards with serve counts, a
+latched drift shift and an adaptive primary; calibrated and fired CUSUM
+and Page-Hinkley detectors; quality and SLO trackers; composed
+monitors; controllers; and adaptive bookkeeping with a CUSUM detector.
+The walks are scalar Python arithmetic over seeded draws, so
+``tests/test_state_golden.py`` compares these strings exactly; a
+rewrite of the persistence code must reproduce
+``tests/data/state_golden.json`` byte-for-byte.
 """
 
 from __future__ import annotations
@@ -74,13 +86,32 @@ from repro.autoscale.controller import (  # noqa: E402
     HybridController,
 )
 from repro.baselines.naive import LastValuePredictor  # noqa: E402
-from repro.core import FrameworkSettings, LoadDynamics, search_space_for  # noqa: E402
+from repro.core import (  # noqa: E402
+    AdaptiveLoadDynamics,
+    FrameworkSettings,
+    LoadDynamics,
+    search_space_for,
+)
 from repro.core.data import prepare_data  # noqa: E402
 from repro.nn.network import LSTMRegressor  # noqa: E402
 from repro.obs.logging import get_logger  # noqa: E402
 from repro.obs.metrics import reset_metrics  # noqa: E402
-from repro.obs.monitor import ForecastMonitor, PageHinkleyDetector  # noqa: E402
-from repro.serving import StreamConfig, StreamingServer, chunk_stream  # noqa: E402
+from repro.obs.monitor import (  # noqa: E402
+    CusumDetector,
+    ForecastMonitor,
+    PageHinkleyDetector,
+    QualityTracker,
+    SLOTracker,
+)
+from repro.resilience import faults  # noqa: E402
+from repro.serving import (  # noqa: E402
+    CircuitBreaker,
+    GuardedPredictor,
+    StreamConfig,
+    StreamingServer,
+    chunk_stream,
+    default_fallbacks,
+)
 
 logger = get_logger("scripts.fixtures")
 
@@ -426,6 +457,205 @@ def record_controller() -> dict:
     }
 
 
+def _level_shift(seed: int, n: int, at: int) -> np.ndarray:
+    """Seeded noisy load that doubles from interval ``at`` on."""
+    rng = np.random.default_rng(seed)
+    series = 100.0 + rng.normal(0.0, 3.0, n)
+    series[at:] *= 2.0
+    return series
+
+
+def _walk_breaker(breaker: CircuitBreaker) -> None:
+    """closed -> open -> half-open -> closed -> open -> half-open, ending
+    mid-probation with a full outcome window."""
+    for event in "fff" "aaa" "ss" "ssfsff" "aaa" "s":
+        if event == "a":
+            breaker.allow()
+        elif event == "s":
+            breaker.record_success()
+        else:
+            breaker.record_failure()
+
+
+def _walk_guard(guard: GuardedPredictor) -> None:
+    """Two NaN forecasts open the breaker (the fallbacks serve while it
+    is open), then a 1.5x drift latches on the primary."""
+    series = _level_shift(61, 60, 60)
+    spec = "nan@serve.predict:3,nan@serve.predict:4,drift@serve.predict:12=1.5"
+    with faults.injected(spec):
+        for i in range(8, series.size):
+            guard.predict_next(series[:i])
+
+
+def _adaptive() -> AdaptiveLoadDynamics:
+    """Adaptive wrapper around a stand-in incumbent model, as a resumed
+    process has it once the model artifact is loaded."""
+    adaptive = AdaptiveLoadDynamics(
+        drift_window=6, min_refit_gap=8, refit_retries=0,
+        refit_on_drift=CusumDetector(threshold=4.0, warmup=5),
+    )
+    adaptive.predictor = LastValuePredictor()
+    return adaptive
+
+
+def _walk_adaptive(adaptive: AdaptiveLoadDynamics, seed: int = 62,
+                   step=None) -> None:
+    """Refit bookkeeping as if an initial fit at 40 intervals had
+    validated at 6.5%: the level shift fires the detector, and the drift
+    refit it triggers fails (``boom@adaptive.refit``), so no model is
+    ever trained."""
+    adaptive.refit_history.append(40)
+    adaptive._best_val_mape = 6.5
+    series = _level_shift(seed, 75, 60)
+    with faults.injected("boom@adaptive.refit:*"):
+        for i in range(40, series.size):
+            (step or adaptive.fit)(series[:i])
+
+
+def _walk_guard_adaptive(guard: GuardedPredictor) -> None:
+    """The adaptive walk, driven through the guard's ``predict_next``."""
+    _walk_adaptive(guard.primary, 63, guard.predict_next)
+
+
+def _walk_errors(seed: int, calm: float, shifted: float, tail=()):
+    """Walk for a detector: calm errors calibrate it, a shift fires it,
+    then the ``tail`` errors follow."""
+    def walk(detector) -> None:
+        rng = np.random.default_rng(seed)
+        errors = np.concatenate(
+            (rng.normal(calm, 1.0, 20), rng.normal(shifted, 1.0, 8), tail)
+        )
+        for e in errors.tolist():
+            detector.update(e)
+    return walk
+
+
+def _walk_quality(tracker: QualityTracker) -> None:
+    rng = np.random.default_rng(64)
+    actual = rng.uniform(0.0, 100.0, 40)
+    actual[::9] = 0.0
+    for p, a in zip(rng.uniform(0.0, 100.0, 40).tolist(), actual.tolist()):
+        tracker.update(p, a)
+
+
+def _walk_slo(slo: SLOTracker) -> None:
+    rng = np.random.default_rng(65)
+    for lat, ape in zip(rng.uniform(0.0, 0.08, 30).tolist(),
+                        rng.uniform(0.0, 40.0, 30).tolist()):
+        slo.update(latency_s=lat, ape=ape)
+
+
+def _walk_monitor(monitor: ForecastMonitor) -> None:
+    """Accurate forecasts, a report, then a 1.6x over-forecast regime."""
+    rng = np.random.default_rng(66)
+    actual = rng.poisson(100, 60).astype(np.float64)
+    predicted = actual * rng.normal(1.0, 0.05, 60)
+    predicted[40:] *= 1.6
+    for i, (p, a) in enumerate(zip(predicted.tolist(), actual.tolist())):
+        if i == 30:
+            monitor.report()
+        monitor.observe(p, a)
+
+
+def _walk_controller(steps: int, jump: int, seed: int):
+    """Controller walk: noisy persistence forecasts of Poisson load with
+    NaN outages, and a load that doubles at ``jump`` while the forecast
+    keeps lagging it."""
+    def walk(controller: HybridController) -> None:
+        rng = np.random.default_rng(seed)
+        arrivals = rng.poisson(80, steps).astype(np.float64)
+        arrivals[jump:] *= 2.0
+        forecasts = np.concatenate(([80.0], arrivals[:-1])) + rng.normal(0, 6, steps)
+        forecasts[jump:] *= 0.7
+        arrivals[rng.integers(0, jump, 4)] = np.nan
+        forecasts[rng.integers(0, jump, 3)] = np.nan
+        for i in range(steps):
+            controller.step(forecasts[i], arrivals[: i + 1])
+    return walk
+
+
+#: name -> (fresh instance factory, seeded walk).  The state golden test
+#: and the state completeness test both run these.
+STATE_CASES = {
+    "breaker": (
+        lambda: CircuitBreaker(window=6, min_calls=3, cooldown=3, probes=2),
+        _walk_breaker,
+    ),
+    "guard": (
+        lambda: GuardedPredictor(
+            LastValuePredictor(), fallbacks=default_fallbacks(4),
+            breaker=CircuitBreaker(window=4, min_calls=2, cooldown=2, probes=1),
+        ),
+        _walk_guard,
+    ),
+    "guard_adaptive": (
+        lambda: GuardedPredictor(_adaptive()), _walk_guard_adaptive,
+    ),
+    "cusum": (
+        lambda: CusumDetector(threshold=6.0, warmup=12),
+        _walk_errors(43, 10.0, 30.0, tail=(2.0, 3.0)),
+    ),
+    "page_hinkley": (
+        lambda: PageHinkleyDetector(threshold=20.0, delta=1.0, min_samples=5),
+        _walk_errors(44, 10.0, 20.0),
+    ),
+    "quality": (lambda: QualityTracker(window=16), _walk_quality),
+    "slo": (
+        lambda: SLOTracker(
+            latency_slo_ms=50.0, accuracy_slo_mape=20.0, window=12,
+            min_intervals=5,
+        ),
+        _walk_slo,
+    ),
+    "monitor": (
+        lambda: ForecastMonitor(
+            quality=QualityTracker(window=16),
+            detectors=[
+                CusumDetector(threshold=6.0, warmup=10),
+                PageHinkleyDetector(threshold=20.0, delta=1.0, min_samples=5),
+            ],
+            slo=SLOTracker(accuracy_slo_mape=25.0, window=8, min_intervals=5),
+        ),
+        _walk_monitor,
+    ),
+    "monitor_no_slo": (lambda: ForecastMonitor(detectors=[]), _walk_monitor),
+    "controller_page_hinkley": (
+        lambda: HybridController(
+            ControllerConfig(
+                burst_streak=None, burst_clear=5, min_vms=2, max_step_up=30,
+                scale_down_cooldown=3,
+            ),
+            drift_detector=PageHinkleyDetector(
+                threshold=30.0, delta=1.0, min_samples=5,
+            ),
+        ),
+        _walk_controller(120, 116, 67),
+    ),
+    "controller": (lambda: HybridController(), _walk_controller(120, 60, 68)),
+    "adaptive": (_adaptive, _walk_adaptive),
+}
+
+
+def walked(name: str):
+    """A fresh instance of ``STATE_CASES[name]`` after its walk."""
+    make, walk = STATE_CASES[name]
+    obj = make()
+    walk(obj)
+    return obj
+
+
+def record_state() -> dict:
+    reset_metrics()
+    return {
+        "numpy": np.__version__,
+        "bit_generator": type(np.random.default_rng().bit_generator).__name__,
+        "cases": [
+            {"name": name, "state": json.dumps(walked(name).state_dict())}
+            for name in STATE_CASES
+        ],
+    }
+
+
 def write_cases(path: Path, fixture: dict) -> None:
     """Write ``fixture`` as JSON with one line per entry of its
     ``cases`` list, which keeps long input and hex lists compact."""
@@ -436,7 +666,7 @@ def write_cases(path: Path, fixture: dict) -> None:
 
 
 def main(argv: list[str]) -> int:
-    known = {"pipeline", "cloudsim", "training", "controller"}
+    known = {"pipeline", "cloudsim", "training", "controller", "state"}
     sections = set(argv) or known
     unknown = sections - known
     if unknown:
@@ -466,6 +696,10 @@ def main(argv: list[str]) -> int:
         out = data_dir / "controller_golden.json"
         write_cases(out, record_controller())
         logger.info("controller fixture written to %s", out)
+    if "state" in sections:
+        out = data_dir / "state_golden.json"
+        write_cases(out, record_state())
+        logger.info("state fixture written to %s", out)
     return 0
 
 

@@ -52,13 +52,13 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left, insort
-from collections import deque
 from dataclasses import dataclass
 from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro import state as _state
 from repro.baselines.base import Predictor, persistence_rescue, split_target
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
@@ -224,7 +224,21 @@ class Decision:
     correction: float = 0.0
 
 
-class HybridController:
+def _decision_row(d: Decision) -> list:
+    return [d.vms, d.decided_by, d.target, list(d.rails), d.burst,
+            d.forecast, d.correction]
+
+
+def _decision(row, owner) -> Decision:
+    vms, tag, target, rails, burst, forecast, correction = row
+    return Decision(
+        vms=int(vms), decided_by=str(tag), target=float(target),
+        rails=tuple(str(r) for r in rails), burst=bool(burst),
+        forecast=float(forecast), correction=float(correction),
+    )
+
+
+class HybridController(_state.Persistent):
     """Stateful closed-loop controller: one :meth:`step` per interval.
 
     Parameters
@@ -253,6 +267,40 @@ class HybridController:
     #: :data:`repro.serving.breaker.OPEN` without importing serving).
     BREAKER_OPEN = "open"
 
+    #: Persisted control-loop state (:mod:`repro.state`) with the values
+    #: :meth:`reset` restarts it from: the decision log (with
+    #: provenance), the corrector terms, the burst latch, the
+    #: rail/cooldown bookkeeping, and — when it carries state — the
+    #: attached drift detector's.  Loading one detector's state twice
+    #: (here and via a :class:`~repro.obs.monitor.monitor.ForecastMonitor`
+    #: sharing the instance) is idempotent, so shared detectors stay
+    #: consistent.
+    _STATE = (
+        # every decision made since the last reset, in order
+        ("decisions", "decisions",
+         _state.listed(_state.Codec(_decision_row, _decision)), []),
+        # decision counts per provenance tag
+        ("decided_by", "decided_by", _state.COUNTS, {}),
+        # clip counts per rail name
+        ("rail_hits", "rail_hits", _state.COUNTS, {}),
+        ("burst", "burst", _state.BOOL, False),
+        ("burst_reason", "burst_reason", _state.optional(_state.STR), None),
+        # completed + in-progress burst episodes
+        ("burst_episodes", "burst_episodes", _state.INT, 0),
+        ("errors", "_errors",
+         _state.window(_state.FLOAT, "config.error_window", maxlen=True), []),
+        ("integral", "_integral", _state.FLOAT, 0.0),
+        ("prev_error", "_prev_error", _state.optional(_state.FLOAT), None),
+        ("derivative", "_derivative", _state.FLOAT, 0.0),
+        ("last_forecast", "_last_forecast", _state.optional(_state.FLOAT), None),
+        ("last_vms", "_last_vms", _state.optional(_state.INT), None),
+        ("under_streak", "_under_streak", _state.INT, 0),
+        ("clean_streak", "_clean_streak", _state.INT, 0),
+        ("cooldown", "_cooldown", _state.INT, 0),
+        ("last_tag", "_last_tag", _state.optional(_state.STR), None),
+        ("drift_detector", "drift_detector", _state.OPTIONAL_CHILD),
+    )
+
     def __init__(
         self,
         config: ControllerConfig | None = None,
@@ -262,16 +310,6 @@ class HybridController:
         self.config = config if config is not None else ControllerConfig()
         self.drift_detector = drift_detector
         self.breaker = breaker
-        #: Every decision made since the last :meth:`reset`, in order.
-        self.decisions: list[Decision] = []
-        #: Decision counts per provenance tag.
-        self.decided_by: dict[str, int] = {}
-        #: Clip counts per rail name.
-        self.rail_hits: dict[str, int] = {}
-        #: Completed + in-progress burst episodes.
-        self.burst_episodes = 0
-        self.burst = False
-        self.burst_reason: str | None = None
 
         # Hot-path metric handles resolved once, not per decision.
         self._c_decisions = _metrics.counter("autoscale.controller.decisions")
@@ -286,32 +324,16 @@ class HybridController:
         self._c_burst_in = _metrics.counter("autoscale.controller.burst.entered")
         self._c_burst_out = _metrics.counter("autoscale.controller.burst.exited")
 
-        self._reset_state()
-
-    def _reset_state(self) -> None:
-        cfg = self.config
-        self._errors: deque[float] = deque(maxlen=cfg.error_window)
-        #: The positive entries of ``_errors``, kept sorted.
-        self._pos: list[float] = []
-        self._integral = 0.0
-        self._prev_error: float | None = None
-        self._derivative = 0.0
-        self._last_forecast: float | None = None
-        self._last_vms: int | None = None
-        self._under_streak = 0
-        self._clean_streak = 0
-        self._cooldown = 0
-        self._last_tag: str | None = None
+        self.reset()
 
     def reset(self) -> None:
         """Restart the control loop (fresh series); telemetry keeps counting."""
-        self.decisions.clear()
-        self.decided_by.clear()
-        self.rail_hits.clear()
-        self.burst = False
-        self.burst_reason = None
-        self.burst_episodes = 0
-        self._reset_state()
+        _state.reset(self)
+        #: The positive entries of ``_errors``, kept sorted.
+        self._pos: list[float] = []
+
+    def _loaded(self, state: dict) -> None:
+        self._pos = sorted(e for e in self._errors if e > 0.0)
 
     # ------------------------------------------------------------------
     # scoring: consume the newly revealed arrival
@@ -558,91 +580,6 @@ class HybridController:
                     n_decisions=len(self.decisions),
                 )
             self._last_tag = tag
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable mutable control-loop state.
-
-        Captures the full decision log (with provenance), the corrector
-        terms, the burst latch, the rail/cooldown bookkeeping, and — when
-        the attached drift detector supports it — the detector's state.
-        Loading the same detector state twice (here and via a
-        :class:`~repro.obs.monitor.monitor.ForecastMonitor` sharing the
-        instance) is idempotent, so shared detectors stay consistent.
-        """
-        out: dict = {
-            "decisions": [
-                [d.vms, d.decided_by, d.target, list(d.rails), d.burst,
-                 d.forecast, d.correction]
-                for d in self.decisions
-            ],
-            "decided_by": dict(self.decided_by),
-            "rail_hits": dict(self.rail_hits),
-            "burst": self.burst,
-            "burst_reason": self.burst_reason,
-            "burst_episodes": self.burst_episodes,
-            "errors": list(self._errors),
-            "integral": self._integral,
-            "prev_error": self._prev_error,
-            "derivative": self._derivative,
-            "last_forecast": self._last_forecast,
-            "last_vms": self._last_vms,
-            "under_streak": self._under_streak,
-            "clean_streak": self._clean_streak,
-            "cooldown": self._cooldown,
-            "last_tag": self._last_tag,
-        }
-        if self.drift_detector is not None and hasattr(
-            self.drift_detector, "state_dict"
-        ):
-            out["drift_detector"] = self.drift_detector.state_dict()
-        return out
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto a same-config instance."""
-        cfg = self.config
-        errors = [float(e) for e in state["errors"]]
-        if len(errors) > cfg.error_window:
-            raise ValueError(
-                f"{len(errors)} saved errors exceed error_window "
-                f"{cfg.error_window}"
-            )
-        self.decisions = [
-            Decision(
-                vms=int(vms), decided_by=str(tag), target=float(target),
-                rails=tuple(str(r) for r in rails), burst=bool(burst),
-                forecast=float(forecast), correction=float(correction),
-            )
-            for vms, tag, target, rails, burst, forecast, correction
-            in state["decisions"]
-        ]
-        self.decided_by = {str(k): int(v) for k, v in state["decided_by"].items()}
-        self.rail_hits = {str(k): int(v) for k, v in state["rail_hits"].items()}
-        self.burst = bool(state["burst"])
-        reason = state["burst_reason"]
-        self.burst_reason = str(reason) if reason is not None else None
-        self.burst_episodes = int(state["burst_episodes"])
-        self._errors = deque(errors, maxlen=cfg.error_window)
-        self._pos = sorted(e for e in errors if e > 0.0)
-        self._integral = float(state["integral"])
-        prev = state["prev_error"]
-        self._prev_error = float(prev) if prev is not None else None
-        self._derivative = float(state["derivative"])
-        last_f = state["last_forecast"]
-        self._last_forecast = float(last_f) if last_f is not None else None
-        last_v = state["last_vms"]
-        self._last_vms = int(last_v) if last_v is not None else None
-        self._under_streak = int(state["under_streak"])
-        self._clean_streak = int(state["clean_streak"])
-        self._cooldown = int(state["cooldown"])
-        tag = state["last_tag"]
-        self._last_tag = str(tag) if tag is not None else None
-        if "drift_detector" in state and self.drift_detector is not None and hasattr(
-            self.drift_detector, "load_state_dict"
-        ):
-            self.drift_detector.load_state_dict(state["drift_detector"])
 
     # ------------------------------------------------------------------
     @property

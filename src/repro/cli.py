@@ -535,6 +535,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_stream(args) -> int:
     from repro.serving import (
+        CheckpointError,
         GuardedPredictor,
         StreamConfig,
         TraceSanitizer,
@@ -593,13 +594,17 @@ def _cmd_stream(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = serve_and_simulate(
-        predictor, series, start,
-        refit_every=args.refit_every,
-        monitor=monitor,
-        stream=stream_cfg,
-        sanitizer=TraceSanitizer(policy=args.repair),
-    )
+    try:
+        report = serve_and_simulate(
+            predictor, series, start,
+            refit_every=args.refit_every,
+            monitor=monitor,
+            stream=stream_cfg,
+            sanitizer=TraceSanitizer(policy=args.repair),
+        )
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     res = report.result
     strm = report.stream or {}
     print(f"workload          : {args.config} "

@@ -43,12 +43,13 @@ chaos-testable.
 
 from __future__ import annotations
 
+import math
 import time
-from collections import deque
 from dataclasses import replace
 
 import numpy as np
 
+from repro import state as _state
 from repro.baselines.base import Predictor
 from repro.bayesopt.space import SearchSpace
 from repro.core.config import FrameworkSettings, search_space_for
@@ -65,7 +66,11 @@ __all__ = ["AdaptiveLoadDynamics"]
 logger = get_logger("core.adaptive")
 
 
-class AdaptiveLoadDynamics(Predictor):
+def _load_model(raw, owner):
+    return LoadDynamicsPredictor.load(raw) if raw else _state.KEEP
+
+
+class AdaptiveLoadDynamics(Predictor, _state.Persistent):
     """Self-retraining LoadDynamics wrapper.
 
     Parameters
@@ -103,6 +108,32 @@ class AdaptiveLoadDynamics(Predictor):
     """
 
     name = "adaptive-loaddynamics"
+
+    #: Persisted refit bookkeeping (:mod:`repro.state`), with the values
+    #: a new series resets it to.  The fitted incumbent predictor is a
+    #: model artifact, not bookkeeping: ``has_model`` records whether
+    #: one existed, and ``model_dir`` (see :meth:`state_dict`) where it
+    #: was saved for a load to restore it from.
+    _STATE = (
+        # history lengths at each (re)fit
+        ("refit_history", "refit_history", _state.listed(_state.INT), []),
+        # refits that kept the incumbent predictor
+        ("failed_refits", "failed_refits", _state.INT, 0),
+        # refit attempts triggered by drift detection
+        ("drift_refits", "drift_refits", _state.INT, 0),
+        ("recent_errors", "_recent_errors",
+         _state.window(_state.FLOAT, "drift_window", maxlen=True), []),
+        ("last_pred", "_last_pred", _state.optional(_state.FLOAT), None),
+        ("last_len", "_last_len", _state.INT, -1),
+        ("since_refit", "_since_refit", _state.INT, 0),
+        # best validation MAPE over all fits
+        ("best_val_mape", "_best_val_mape",
+         _state.Codec(float, _state.FLOAT.decode), math.inf),
+        ("has_model", "predictor",
+         _state.Codec(lambda p: p is not None, lambda raw, owner: _state.KEEP)),
+        ("model_dir", "predictor", _state.Codec(lambda p: None, _load_model)),
+        ("drift_detector", "refit_on_drift", _state.OPTIONAL_CHILD),
+    )
 
     def __init__(
         self,
@@ -143,14 +174,7 @@ class AdaptiveLoadDynamics(Predictor):
         self.target_channel = int(target_channel)
 
         self.predictor: LoadDynamicsPredictor | None = None
-        self.refit_history: list[int] = []  # history lengths at each (re)fit
-        self.failed_refits = 0  # refits that kept the incumbent predictor
-        self.drift_refits = 0  # refit attempts triggered by drift detection
-        self._recent_errors: deque[float] = deque(maxlen=self.drift_window)
-        self._last_pred: float | None = None
-        self._last_len = -1
-        self._since_refit = 0
-        self._best_val_mape = np.inf  # best validation MAPE over all fits
+        _state.reset(self)
 
     # ------------------------------------------------------------------
     @property
@@ -179,61 +203,19 @@ class AdaptiveLoadDynamics(Predictor):
     def state_dict(self, *, model_dir=None) -> dict:
         """JSON-serializable refit bookkeeping for crash-safe resume.
 
-        Covers the refit history/counters, the rolling error window, the
-        cached last forecast, the cool-down cursor, the best validation
-        MAPE anchor, and (when the shared drift detector supports it) the
-        detector state.  The fitted incumbent predictor itself is a model
-        artifact, not bookkeeping: pass ``model_dir`` to persist it
-        alongside via :meth:`~repro.core.predictor.LoadDynamicsPredictor.save`
-        and the state records the directory for :meth:`load_state_dict`
-        to reload from.  Without ``model_dir`` the state only records
-        *whether* an incumbent existed, and loading restores bookkeeping
-        around whatever predictor the instance currently holds.
+        Pass ``model_dir`` to persist the incumbent predictor alongside
+        via :meth:`~repro.core.predictor.LoadDynamicsPredictor.save`; the
+        state then records the directory a load reloads it from.
+        Without it, loading restores the bookkeeping around whatever
+        predictor the instance currently holds.
         """
-        out: dict = {
-            "refit_history": list(self.refit_history),
-            "failed_refits": self.failed_refits,
-            "drift_refits": self.drift_refits,
-            "recent_errors": list(self._recent_errors),
-            "last_pred": self._last_pred,
-            "last_len": self._last_len,
-            "since_refit": self._since_refit,
-            "best_val_mape": float(self._best_val_mape),
-            "has_model": self.predictor is not None,
-            "model_dir": None,
-        }
-        if self.refit_on_drift is not None and hasattr(
-            self.refit_on_drift, "state_dict"
-        ):
-            out["drift_detector"] = self.refit_on_drift.state_dict()
+        out = super().state_dict()
         if model_dir is not None and self.predictor is not None:
             out["model_dir"] = str(self.predictor.save(model_dir))
         return out
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto a same-config instance."""
-        errors = [float(e) for e in state["recent_errors"]]
-        if len(errors) > self.drift_window:
-            raise ValueError(
-                f"{len(errors)} saved errors exceed drift_window "
-                f"{self.drift_window}"
-            )
-        self.refit_history = [int(n) for n in state["refit_history"]]
-        self.failed_refits = int(state["failed_refits"])
-        self.drift_refits = int(state["drift_refits"])
-        self._recent_errors = deque(errors, maxlen=self.drift_window)
-        last_pred = state["last_pred"]
-        self._last_pred = float(last_pred) if last_pred is not None else None
-        self._last_len = int(state["last_len"])
-        self._since_refit = int(state["since_refit"])
-        self._best_val_mape = float(state["best_val_mape"])
-        if "drift_detector" in state and self.refit_on_drift is not None and hasattr(
-            self.refit_on_drift, "load_state_dict"
-        ):
-            self.refit_on_drift.load_state_dict(state["drift_detector"])
-        if state.get("model_dir"):
-            self.predictor = LoadDynamicsPredictor.load(state["model_dir"])
-        elif state["has_model"] and self.predictor is None:
+    def _loaded(self, state: dict) -> None:
+        if state["has_model"] and self.predictor is None:
             logger.warning(
                 "restored adaptive bookkeeping records a fitted incumbent, "
                 "but no model_dir was saved and none is loaded — the next "
@@ -369,14 +351,7 @@ class AdaptiveLoadDynamics(Predictor):
         if n < self._last_len:
             # New series: start over.
             self.predictor = None
-            self.refit_history.clear()
-            self.failed_refits = 0
-            self.drift_refits = 0
-            self._recent_errors.clear()
-            self._last_pred = None
-            self._last_len = -1
-            self._since_refit = 0
-            self._best_val_mape = np.inf
+            _state.reset(self)
             if self.refit_on_drift is not None:
                 self.refit_on_drift.reset()
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from typing import Protocol, runtime_checkable
 
+from repro import state as _state
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
@@ -75,62 +76,44 @@ class DriftDetector(Protocol):
         ...
 
 
-class DriftDetectorBase:
+def _same_detector(raw, owner):
+    if raw != owner.name:
+        raise ValueError(
+            f"state from detector {raw!r} cannot load into {owner.name!r}"
+        )
+    return _state.KEEP
+
+
+class DriftDetectorBase(_state.Persistent):
     """Latching, counting, and fire telemetry shared by the detectors.
 
     Subclasses implement :meth:`_step` (return ``True`` to fire) and
-    :meth:`_reset_state`; the base handles the latch, ``fired_at``, the
-    ``monitor.drift`` counter/event, and the snapshot scaffold.
+    extend ``_STATE`` with their mutable scalars and reset values; the
+    base handles the latch, ``fired_at``, the ``monitor.drift``
+    counter/event, persistence, and the snapshot scaffold.
     """
 
     name = "detector"
 
-    #: Attribute names of the subclass's mutable scalar state, serialized
-    #: verbatim by :meth:`state_dict` (config knobs are not included).
-    _STATE_SCALARS: tuple[str, ...] = ()
+    #: Persisted state (:mod:`repro.state`), in checkpoint key order.
+    #: :meth:`reset` assigns the reset values; ``n`` has none, so the
+    #: observation counter keeps running.
+    _STATE: tuple = (
+        ("name", "name", _state.Codec(str, _same_detector)),
+        ("drifted", "drifted", _state.BOOL, False),
+        ("statistic", "statistic", _state.FLOAT, 0.0),
+        ("n", "n", _state.INT),
+        ("fired_at", "fired_at", _state.optional(_state.INT), None),
+    )
 
     def __init__(self):
-        self.drifted = False
-        self.statistic = 0.0
         self.threshold = math.inf
         self.n = 0
-        self.fired_at: int | None = None
+        self.reset()
 
     # -- subclass surface ----------------------------------------------
     def _step(self, error: float) -> bool:
         raise NotImplementedError
-
-    def _reset_state(self) -> None:
-        raise NotImplementedError
-
-    # -- persistence ---------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable mutable state (latch, counters, ledgers)."""
-        out = {
-            "name": self.name,
-            "drifted": self.drifted,
-            "statistic": self.statistic,
-            "n": self.n,
-            "fired_at": self.fired_at,
-        }
-        for field in self._STATE_SCALARS:
-            out[field] = getattr(self, field)
-        return out
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto a same-config instance."""
-        if state.get("name") != self.name:
-            raise ValueError(
-                f"state from detector {state.get('name')!r} cannot load "
-                f"into {self.name!r}"
-            )
-        self.drifted = bool(state["drifted"])
-        self.statistic = float(state["statistic"])
-        self.n = int(state["n"])
-        fired_at = state["fired_at"]
-        self.fired_at = int(fired_at) if fired_at is not None else None
-        for field in self._STATE_SCALARS:
-            setattr(self, field, state[field])
 
     # ------------------------------------------------------------------
     def update(self, error: float) -> bool:
@@ -159,10 +142,7 @@ class DriftDetectorBase:
 
     def reset(self) -> None:
         """Unlatch and recalibrate; the observation counter keeps running."""
-        self.drifted = False
-        self.statistic = 0.0
-        self.fired_at = None
-        self._reset_state()
+        _state.reset(self)
 
     def snapshot(self) -> dict:
         return {
@@ -198,8 +178,9 @@ class CusumDetector(DriftDetectorBase):
     """
 
     name = "cusum"
-    _STATE_SCALARS = (
-        "_cal_n", "_cal_mean", "_cal_m2", "_mu", "_sigma", "_g_pos", "_g_neg",
+    _STATE = DriftDetectorBase._STATE + _state.scalars(
+        _cal_n=0, _cal_mean=0.0, _cal_m2=0.0, _mu=0.0, _sigma=1.0,
+        _g_pos=0.0, _g_neg=0.0,
     )
 
     def __init__(
@@ -222,16 +203,6 @@ class CusumDetector(DriftDetectorBase):
         self.slack = float(slack)
         self.warmup = int(warmup)
         self.min_std = float(min_std)
-        self._reset_state()
-
-    def _reset_state(self) -> None:
-        self._cal_n = 0
-        self._cal_mean = 0.0
-        self._cal_m2 = 0.0
-        self._mu = 0.0
-        self._sigma = 1.0
-        self._g_pos = 0.0
-        self._g_neg = 0.0
 
     @property
     def calibrated(self) -> bool:
@@ -285,7 +256,9 @@ class PageHinkleyDetector(DriftDetectorBase):
     """
 
     name = "page-hinkley"
-    _STATE_SCALARS = ("_count", "_mean", "_cum", "_cum_min")
+    _STATE = DriftDetectorBase._STATE + _state.scalars(
+        _count=0, _mean=0.0, _cum=0.0, _cum_min=0.0,
+    )
 
     def __init__(
         self,
@@ -303,13 +276,6 @@ class PageHinkleyDetector(DriftDetectorBase):
         self.threshold = float(threshold)
         self.delta = float(delta)
         self.min_samples = int(min_samples)
-        self._reset_state()
-
-    def _reset_state(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._cum = 0.0
-        self._cum_min = 0.0
 
     def _step(self, error: float) -> bool:
         self._count += 1

@@ -26,6 +26,7 @@ drifted model is failing *silently* even while budgets still hold.
 
 from __future__ import annotations
 
+from repro import state as _state
 from repro.obs import metrics as _metrics
 from repro.obs.monitor.drift import CusumDetector, DriftDetector, PageHinkleyDetector
 from repro.obs.monitor.quality import QualityTracker
@@ -39,7 +40,7 @@ def default_detectors() -> list[DriftDetector]:
     return [CusumDetector(), PageHinkleyDetector()]
 
 
-class ForecastMonitor:
+class ForecastMonitor(_state.Persistent):
     """Online forecast-quality monitoring for one serving stream.
 
     Parameters
@@ -52,6 +53,19 @@ class ForecastMonitor:
     slo:
         An :class:`SLOTracker`, or ``None`` for no SLO accounting.
     """
+
+    #: Persisted state (:mod:`repro.state`): the interval counters, the
+    #: quality tracker, every detector (position-matched to the
+    #: construction-time list) and the SLO ledgers.  Restores mutate the
+    #: composed objects in place, so the prebound hot-path methods stay
+    #: valid.
+    _STATE = (
+        ("intervals", "intervals", _state.INT),
+        ("published_intervals", "_published_intervals", _state.INT),
+        ("quality", "quality", _state.CHILD),
+        ("detectors", "detectors", _state.CHILD),
+        ("slo", "slo", _state.CHILD),
+    )
 
     def __init__(
         self,
@@ -96,41 +110,6 @@ class ForecastMonitor:
         if self._slo_update is not None:
             self._slo_update(latency_s=latency_s, ape=ape)
         return ape
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable composed state for crash-safe serving resume.
-
-        Covers the quality tracker, every detector (position-matched to
-        the construction-time detector list), the SLO ledgers, and the
-        interval counters.  All restores mutate the composed objects in
-        place, so the prebound hot-path methods stay valid.
-        """
-        return {
-            "intervals": self.intervals,
-            "published_intervals": self._published_intervals,
-            "quality": self.quality.state_dict(),
-            "detectors": [d.state_dict() for d in self.detectors],
-            "slo": self.slo.state_dict() if self.slo is not None else None,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto a same-config instance."""
-        saved = state["detectors"]
-        if len(saved) != len(self.detectors):
-            raise ValueError(
-                f"{len(saved)} saved detector states for "
-                f"{len(self.detectors)} configured detectors"
-            )
-        if (state["slo"] is None) != (self.slo is None):
-            raise ValueError("saved SLO state does not match configuration")
-        self.intervals = int(state["intervals"])
-        self._published_intervals = int(state["published_intervals"])
-        self.quality.load_state_dict(state["quality"])
-        for detector, det_state in zip(self.detectors, saved):
-            detector.load_state_dict(det_state)
-        if self.slo is not None:
-            self.slo.load_state_dict(state["slo"])
 
     # ------------------------------------------------------------------
     @property

@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from collections import deque
 
+from repro import state as _state
+
 __all__ = ["QualityTracker"]
 
 #: Window sums are recomputed from scratch every this-many updates per
@@ -37,19 +39,16 @@ __all__ = ["QualityTracker"]
 _REFRESH_EVERY_WINDOWS = 64
 
 
-class _Accumulator:
+class _Accumulator(_state.Persistent):
     """Running sums of one (err, ae, ape, sape, over, under) stream."""
 
     __slots__ = ("n", "err", "ae", "ape", "sape", "over", "under")
+    _STATE = _state.scalars(
+        n=0, err=0.0, ae=0.0, ape=0.0, sape=0.0, over=0, under=0,
+    )
 
     def __init__(self):
-        self.n = 0
-        self.err = 0.0
-        self.ae = 0.0
-        self.ape = 0.0
-        self.sape = 0.0
-        self.over = 0
-        self.under = 0
+        _state.reset(self)
 
     def add(self, rec: tuple[float, float, float, float, int, int]) -> None:
         self.n += 1
@@ -59,21 +58,6 @@ class _Accumulator:
         self.sape += rec[3]
         self.over += rec[4]
         self.under += rec[5]
-
-    def state_dict(self) -> dict:
-        return {
-            "n": self.n, "err": self.err, "ae": self.ae, "ape": self.ape,
-            "sape": self.sape, "over": self.over, "under": self.under,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.n = int(state["n"])
-        self.err = float(state["err"])
-        self.ae = float(state["ae"])
-        self.ape = float(state["ape"])
-        self.sape = float(state["sape"])
-        self.over = int(state["over"])
-        self.under = int(state["under"])
 
     def snapshot(self) -> dict:
         n = self.n
@@ -93,7 +77,7 @@ class _Accumulator:
         }
 
 
-class QualityTracker:
+class QualityTracker(_state.Persistent):
     """Rolling + cumulative online accuracy over a forecast stream.
 
     Parameters
@@ -105,6 +89,19 @@ class QualityTracker:
         :class:`~repro.core.adaptive.AdaptiveLoadDynamics`'s error
         scoring) so zero-arrival intervals do not divide by zero.
     """
+
+    #: Persisted state (:mod:`repro.state`).  The rolling accumulator is
+    #: saved *as accumulated* (raw running sums), not recomputed from the
+    #: window records: the subtract-on-evict float drift it carries is
+    #: part of the exact state, and a resumed stream must reproduce the
+    #: uninterrupted run's outputs bit-for-bit.
+    _STATE = (
+        ("recent", "_recent", _state.window(
+            _state.Codec(list, lambda raw, owner: tuple(raw)), "window",
+        )),
+        ("roll", "_roll", _state.CHILD),
+        ("total", "_total", _state.CHILD),
+    )
 
     def __init__(self, window: int = 256, eps: float = 1e-9):
         if window < 1:
@@ -187,33 +184,6 @@ class QualityTracker:
         for rec in self._recent:
             fresh.add(rec)
         self._roll = fresh
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable mutable state for crash-safe serving resume.
-
-        The rolling accumulator is serialized *as accumulated* (raw
-        running sums), not recomputed from the window records: the
-        subtract-on-evict float drift it carries is part of the exact
-        state, and a resumed stream must reproduce the uninterrupted
-        run's outputs bit-for-bit.
-        """
-        return {
-            "recent": [list(rec) for rec in self._recent],
-            "roll": self._roll.state_dict(),
-            "total": self._total.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto a same-config instance."""
-        recent = [tuple(rec) for rec in state["recent"]]
-        if len(recent) > self.window:
-            raise ValueError(
-                f"{len(recent)} saved window records exceed window {self.window}"
-            )
-        self._recent = deque(recent)
-        self._roll.load_state_dict(state["roll"])
-        self._total.load_state_dict(state["total"])
 
     def rolling_mape(self) -> float:
         """Mean APE over the current window (NaN when empty)."""

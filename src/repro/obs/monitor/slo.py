@@ -23,8 +23,9 @@ one human-readable reason per failing objective — which is what
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+
+from repro import state as _state
 
 __all__ = ["HEALTHY", "DEGRADED", "BREACHED", "HealthReport", "SLOTracker"]
 
@@ -64,21 +65,24 @@ class HealthReport:
         return {"status": self.status, "reasons": list(self.reasons)}
 
 
-class _Objective:
+class _Objective(_state.Persistent):
     """Violation accounting for one SLO objective."""
 
     __slots__ = ("name", "bound", "target", "window", "n", "violations",
                  "_recent", "_recent_violations")
+    _STATE = (
+        ("n", "n", _state.INT, 0),
+        ("violations", "violations", _state.INT, 0),
+        ("recent", "_recent", _state.window(_state.INT, "window"), []),
+        ("recent_violations", "_recent_violations", _state.INT, 0),
+    )
 
     def __init__(self, name: str, bound: float, target: float, window: int):
         self.name = name
         self.bound = float(bound)
         self.target = float(target)
         self.window = int(window)
-        self.n = 0
-        self.violations = 0
-        self._recent: deque[int] = deque()
-        self._recent_violations = 0
+        _state.reset(self)
 
     def record(self, violated: bool) -> None:
         v = int(violated)
@@ -88,25 +92,6 @@ class _Objective:
         self._recent_violations += v
         if len(self._recent) > self.window:
             self._recent_violations -= self._recent.popleft()
-
-    def state_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "violations": self.violations,
-            "recent": list(self._recent),
-            "recent_violations": self._recent_violations,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        recent = [int(v) for v in state["recent"]]
-        if len(recent) > self.window:
-            raise ValueError(
-                f"{len(recent)} saved window records exceed window {self.window}"
-            )
-        self.n = int(state["n"])
-        self.violations = int(state["violations"])
-        self._recent = deque(recent)
-        self._recent_violations = int(state["recent_violations"])
 
     @property
     def budget_consumed(self) -> float:
@@ -140,7 +125,7 @@ class _Objective:
         }
 
 
-class SLOTracker:
+class SLOTracker(_state.Persistent):
     """Latency + accuracy objectives with error-budget accounting.
 
     Parameters
@@ -160,6 +145,9 @@ class SLOTracker:
         have been observed, so the first violation of a young run cannot
         instantly "breach" a budget of fractions of an interval.
     """
+
+    #: Persisted state (:mod:`repro.state`): the per-objective ledgers.
+    _STATE = (("objectives", "objectives", _state.CHILD),)
 
     def __init__(
         self,
@@ -200,25 +188,6 @@ class SLOTracker:
         acc = self.objectives.get("accuracy")
         if acc is not None and ape is not None:
             acc.record(ape > acc.bound)
-
-    def state_dict(self) -> dict:
-        """JSON-serializable per-objective ledgers for serving resume."""
-        return {
-            "objectives": {
-                name: obj.state_dict() for name, obj in self.objectives.items()
-            },
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto a same-config instance."""
-        saved = state["objectives"]
-        if set(saved) != set(self.objectives):
-            raise ValueError(
-                f"saved objectives {sorted(saved)} do not match configured "
-                f"objectives {sorted(self.objectives)}"
-            )
-        for name, obj_state in saved.items():
-            self.objectives[name].load_state_dict(obj_state)
 
     def health(self) -> HealthReport:
         """Fold every objective into one verdict (worst wins)."""

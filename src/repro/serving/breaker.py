@@ -23,8 +23,7 @@ State transitions are recorded on the instance, counted in
 
 from __future__ import annotations
 
-from collections import deque
-
+from repro import state as _state
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
@@ -38,8 +37,38 @@ OPEN = "open"
 HALF_OPEN = "half_open"
 
 
-class CircuitBreaker:
+def _breaker_state(raw, owner) -> str:
+    state = str(raw)
+    if state not in (CLOSED, OPEN, HALF_OPEN):
+        raise ValueError(f"unknown breaker state {state!r}")
+    return state
+
+
+def _transition(raw, owner) -> tuple[str, str, str]:
+    from_state, to_state, reason = raw
+    return str(from_state), str(to_state), str(reason)
+
+
+class CircuitBreaker(_state.Persistent):
     """Deterministic closed/open/half-open breaker over call outcomes."""
+
+    #: Persisted state (:mod:`repro.state`) with reset values.  The
+    #: breaker's entire decision state is the window of outcomes plus
+    #: the open/half-open bookkeeping — all of it must survive a
+    #: checkpoint, or a resumed serving process would re-admit a model
+    #: the crashed process had already shed.
+    _STATE = (
+        ("state", "_state", _state.Codec(str, _breaker_state), CLOSED),
+        # True = failure; the window caps the deque.
+        ("outcomes", "_outcomes",
+         _state.window(_state.BOOL, "window", maxlen=True), []),
+        # allow() refusals since opening.
+        ("denied", "_denied", _state.INT, 0),
+        ("probe_successes", "_probe_successes", _state.INT, 0),
+        # (from_state, to_state, reason) history, oldest first.
+        ("transitions", "transitions",
+         _state.listed(_state.Codec(list, _transition)), []),
+    )
 
     def __init__(
         self,
@@ -66,13 +95,7 @@ class CircuitBreaker:
         self.cooldown = int(cooldown)
         self.probes = int(probes)
         self.name = str(name)
-
-        self._state = CLOSED
-        self._outcomes: deque[bool] = deque(maxlen=self.window)  # True = failure
-        self._denied = 0          # allow() refusals since opening
-        self._probe_successes = 0
-        #: (from_state, to_state, reason) history, oldest first.
-        self.transitions: list[tuple[str, str, str]] = []
+        _state.reset(self)
 
     # ------------------------------------------------------------------
     @property
@@ -119,46 +142,6 @@ class CircuitBreaker:
                 and self.failure_rate >= self.failure_threshold
             ):
                 self._transition(OPEN, "failure_rate")
-
-    # ------------------------------------------------------------------
-    # persistence: the breaker's entire decision state is the window of
-    # outcomes plus the open/half-open bookkeeping — all of it must
-    # survive a serialize/restore cycle or a resumed serving process
-    # would re-admit a model the crashed process had already shed.
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable mutable state (config is not included).
-
-        Captures the sliding outcome window, the open-state denial count,
-        the half-open probe tally, and the full transition history, so a
-        :meth:`load_state_dict` round-trip preserves cool-down progress
-        and probation accounting exactly.
-        """
-        return {
-            "state": self._state,
-            "outcomes": [bool(x) for x in self._outcomes],
-            "denied": self._denied,
-            "probe_successes": self._probe_successes,
-            "transitions": [list(t) for t in self.transitions],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto a same-config instance."""
-        to_state = str(state["state"])
-        if to_state not in (CLOSED, OPEN, HALF_OPEN):
-            raise ValueError(f"unknown breaker state {to_state!r}")
-        outcomes = [bool(x) for x in state["outcomes"]]
-        if len(outcomes) > self.window:
-            raise ValueError(
-                f"{len(outcomes)} saved outcomes exceed window {self.window}"
-            )
-        self._state = to_state
-        self._outcomes = deque(outcomes, maxlen=self.window)
-        self._denied = int(state["denied"])
-        self._probe_successes = int(state["probe_successes"])
-        self.transitions = [
-            (str(f), str(t), str(r)) for f, t, r in state["transitions"]
-        ]
 
     # ------------------------------------------------------------------
     def _transition(self, to_state: str, reason: str) -> None:

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import state as _state
 from repro.baselines.base import Predictor
 from repro.baselines.naive import LastValuePredictor, SeasonalNaivePredictor
 from repro.obs import events as _events
@@ -73,7 +74,7 @@ def default_fallbacks(period: int | None = None) -> list[Predictor]:
     return chain
 
 
-class GuardedPredictor(Predictor):
+class GuardedPredictor(Predictor, _state.Persistent):
     """Wrap a predictor with validation, a fallback chain, and a breaker.
 
     Parameters
@@ -94,6 +95,19 @@ class GuardedPredictor(Predictor):
     breaker:
         A configured :class:`CircuitBreaker`, or ``None`` for defaults.
     """
+
+    #: Persisted state (:mod:`repro.state`): the per-stage serve counts,
+    #: the latched drift shift, the breaker, and — when the primary
+    #: itself carries state (e.g.
+    #: :class:`~repro.core.adaptive.AdaptiveLoadDynamics`) — the
+    #: primary's.  Frozen models and the stateless baseline fallbacks
+    #: carry no mutable serving state.
+    _STATE = (
+        ("served_by", "served_by", _state.COUNTS),
+        ("drift_shift", "_drift_shift", _state.optional(_state.FLOAT)),
+        ("breaker", "breaker", _state.CHILD),
+        ("primary", "primary", _state.OPTIONAL_CHILD),
+    )
 
     def __init__(
         self,
@@ -227,42 +241,6 @@ class GuardedPredictor(Predictor):
             return None
         self.breaker.record_success()
         return value
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable mutable serving state.
-
-        Covers the per-stage serve counts, the latched drift shift, the
-        nested breaker state, and — when the primary itself exposes
-        ``state_dict`` (e.g. :class:`~repro.core.adaptive.AdaptiveLoadDynamics`)
-        — the primary's state.  Frozen models and the stateless baseline
-        fallbacks carry no mutable serving state, so they are not
-        serialized here.
-        """
-        out: dict = {
-            "served_by": dict(self.served_by),
-            "drift_shift": self._drift_shift,
-            "breaker": self.breaker.state_dict(),
-        }
-        if self.primary is not None and hasattr(self.primary, "state_dict"):
-            out["primary"] = self.primary.state_dict()
-        return out
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto a same-config instance."""
-        self.served_by = {str(k): int(v) for k, v in state["served_by"].items()}
-        shift = state["drift_shift"]
-        self._drift_shift = float(shift) if shift is not None else None
-        self.breaker.load_state_dict(state["breaker"])
-        if "primary" in state:
-            if self.primary is None or not hasattr(self.primary, "load_state_dict"):
-                raise ValueError(
-                    "saved state carries primary-predictor state but the "
-                    "configured primary cannot load it"
-                )
-            self.primary.load_state_dict(state["primary"])
 
     # ------------------------------------------------------------------
     # Predictor protocol

@@ -66,6 +66,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro import state as _state
 from repro.autoscale import CloudSimulator, VMSpec
 from repro.autoscale.controller import (
     HybridController,
@@ -231,6 +232,42 @@ class StreamConfig:
             raise ValueError("history_window must be >= 1")
 
 
+#: The ``cursor`` checkpoint section (:mod:`repro.state`): ingest
+#: position, backpressure clock and checkpoint count.
+_CURSOR = (
+    ("next_offset", "_next_offset", _state.INT, 0),
+    ("chunks_processed", "_chunks_processed", _state.INT, 0),
+    ("served_intervals", "_served_intervals", _state.INT, 0),
+    ("last_arrival_s", "_last_arrival_s", _state.FLOAT, 0.0),
+    ("busy_until_s", "_busy_until_s", _state.FLOAT, 0.0),
+    ("queue_peak", "_queue_peak", _state.FLOAT, 0.0),
+    ("checkpoints_written", "_checkpoints_written", _state.INT, 0),
+)
+#: The ``degrade`` checkpoint section: the last served decision and
+#: clean value, and the degradation ledgers.
+_DEGRADE = (
+    ("last_decision", "_last_decision", _state.FLOAT),
+    ("last_clean", "_last_clean", _state.FLOAT),
+    ("held_intervals", "_held_intervals", _state.INT, 0),
+    ("gap_intervals", "_gap_intervals", _state.INT, 0),
+    ("shed_chunks", "_shed_chunks", _state.INT, 0),
+    ("shed_intervals", "_shed_intervals", _state.INT, 0),
+    ("quarantined_intervals", "_quarantined_intervals", _state.INT, 0),
+    ("repaired_values", "_repaired_values", _state.INT, 0),
+    ("quarantine", "quarantine", _state.listed(), []),
+    ("stalls", "stalls", _state.listed(_state.Codec(
+        StreamStalled.as_dict, lambda raw, owner: StreamStalled(**raw),
+    )), []),
+)
+#: The ``components`` checkpoint section: each stateful component's
+#: ``state_dict()``, ``null`` for an absent or stateless one.
+_COMPONENTS = (
+    ("predictor", "predictor", _state.CHILD),
+    ("monitor", "monitor", _state.CHILD),
+    ("controller", "controller", _state.CHILD),
+)
+
+
 def chunk_stream(
     trace: np.ndarray,
     *,
@@ -361,23 +398,9 @@ class StreamingServer:
         self._last_decision = float(np.ceil(max(self._last_clean, 0.0)))
 
         # Stream cursor + degradation ledgers.
-        self._next_offset = 0
-        self._chunks_processed = 0
-        self._chunks_skipped = 0
-        self._served_intervals = 0
-        self._held_intervals = 0
-        self._gap_intervals = 0
-        self._shed_chunks = 0
-        self._shed_intervals = 0
-        self._quarantined_intervals = 0
-        self._repaired_values = 0
-        self._last_arrival_s = 0.0
-        self._busy_until_s = 0.0
-        self._queue_peak = 0.0
-        self._checkpoints_written = 0
+        _state.reset(self, _CURSOR)
+        _state.reset(self, _DEGRADE)
         self._restored = False
-        self.quarantine: list[dict] = []
-        self.stalls: list[StreamStalled] = []
 
         # Hot-path metric handles resolved once, not per chunk.
         self._c_chunks = _metrics.counter("serving.stream.chunks")
@@ -587,7 +610,6 @@ class StreamingServer:
         if end <= self._next_offset:
             # Replay of an interval range the restored checkpoint already
             # covers — the resume fast-path.
-            self._chunks_skipped += 1
             return
         if chunk.offset < self._next_offset:
             raise CheckpointError(
@@ -755,50 +777,14 @@ class StreamingServer:
 
         self._checkpoints_written += 1
         self._c_ckpt.inc()
-        components: dict = {
-            "predictor": (
-                self.predictor.state_dict()
-                if hasattr(self.predictor, "state_dict") else None
-            ),
-            "monitor": (
-                self.monitor.state_dict() if self.monitor is not None else None
-            ),
-            "controller": (
-                self.controller.state_dict()
-                if self.controller is not None else None
-            ),
-        }
-        w = self.config.history_window
-        lo = self._hlen - w
-        tail = self._hbuf[lo if lo > 0 else 0 : self._hlen]
-        counters = serving_counters()
         state = {
             "schema": CHECKPOINT_SCHEMA,
             "identity": self._identity(),
-            "cursor": {
-                "next_offset": self._next_offset,
-                "chunks_processed": self._chunks_processed,
-                "served_intervals": self._served_intervals,
-                "last_arrival_s": self._last_arrival_s,
-                "busy_until_s": self._busy_until_s,
-                "queue_peak": self._queue_peak,
-                "checkpoints_written": self._checkpoints_written,
-            },
-            "degrade": {
-                "last_decision": self._last_decision,
-                "last_clean": self._last_clean,
-                "held_intervals": self._held_intervals,
-                "gap_intervals": self._gap_intervals,
-                "shed_chunks": self._shed_chunks,
-                "shed_intervals": self._shed_intervals,
-                "quarantined_intervals": self._quarantined_intervals,
-                "repaired_values": self._repaired_values,
-                "quarantine": list(self.quarantine),
-                "stalls": [s.as_dict() for s in self.stalls],
-            },
-            "history": {"hex": tail.tobytes().hex()},
-            "components": components,
-            "counters": counters,
+            "cursor": _state.encode(self, _CURSOR),
+            "degrade": _state.encode(self, _DEGRADE),
+            "history": {"hex": self._history_view().tobytes().hex()},
+            "components": _state.encode(self, _COMPONENTS),
+            "counters": serving_counters(),
             "sidecar": {"n": self._n},
         }
         path = d / _CHECKPOINT_FILE
@@ -820,14 +806,48 @@ class StreamingServer:
                 chunks=self._chunks_processed, intervals=self._n,
             )
 
+    def _read_sidecars(
+        self, d: Path, n: int
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """The first ``n`` intervals of the schedule and actuals sidecars."""
+        out = []
+        for fname in (_SCHEDULE_FILE, _ACTUALS_FILE):
+            sidecar = d / fname
+            try:
+                blob = sidecar.read_bytes()
+            except OSError as exc:
+                raise CheckpointError(
+                    f"unreadable sidecar {sidecar}: {exc}"
+                ) from exc
+            if len(blob) < n * 8:
+                raise CheckpointError(
+                    f"sidecar {sidecar} holds {len(blob) // 8} intervals, "
+                    f"checkpoint claims {n}"
+                )
+            out.append(np.frombuffer(blob[: n * 8], dtype=np.float64))
+        return (n, *out)
+
+    def _decode_history(self, saved: dict) -> np.ndarray:
+        hist = np.frombuffer(bytes.fromhex(saved["hex"]), dtype=np.float64)
+        if hist.size > self.config.history_window:
+            raise ValueError(
+                f"{hist.size} history intervals exceed history_window "
+                f"{self.config.history_window}"
+            )
+        return hist
+
     def restore(self, directory: str | Path | None = None) -> bool:
         """Restore from a checkpoint directory; ``False`` = no checkpoint.
 
         A missing ``checkpoint.json`` is a fresh start (a crash before
         the first checkpoint resumes trivially); anything unusable —
         corrupt JSON, schema mismatch, identity mismatch, sidecars
-        shorter than the checkpoint claims — raises
-        :class:`CheckpointError` rather than serving from wrong state.
+        shorter than the checkpoint claims, a missing or malformed field
+        in any section — raises :class:`CheckpointError` naming the
+        section rather than serving from wrong state.  Restore is all or
+        nothing: every section is decoded and checked before any is
+        committed, so a failed restore leaves the server and its
+        components exactly as they were.
         """
         target = directory if directory is not None else self.config.checkpoint_dir
         if target is None:
@@ -841,6 +861,8 @@ class StreamingServer:
             state = json.loads(path.read_text())
         except (OSError, ValueError) as exc:
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+        if not isinstance(state, dict):
+            raise CheckpointError(f"unreadable checkpoint {path}: not an object")
 
         schema = state.get("schema")
         if schema != CHECKPOINT_SCHEMA:
@@ -861,76 +883,49 @@ class StreamingServer:
                 f"{path}"
             )
 
-        n = int(state["sidecar"]["n"])
-        self._reserve(max(0, n - self._n))
-        for fname, buf in (
-            (_SCHEDULE_FILE, self._sched_buf),
-            (_ACTUALS_FILE, self._act_buf),
+        # Decode every section before committing any, so an unusable
+        # one leaves the server and its components exactly as they were.
+        decoded = {}
+        for section, decode in (
+            ("sidecar", lambda saved: self._read_sidecars(d, int(saved["n"]))),
+            ("history", self._decode_history),
+            ("cursor", lambda saved: _state.prepare(
+                self, saved, _CURSOR, "cursor.")),
+            ("degrade", lambda saved: _state.prepare(
+                self, saved, _DEGRADE, "degrade.")),
+            ("components", lambda saved: _state.prepare(
+                self, saved, _COMPONENTS, "components.")),
+            ("counters", lambda saved: {
+                str(name): float(value) for name, value in saved.items()
+            }),
         ):
-            sidecar = d / fname
             try:
-                blob = sidecar.read_bytes()
-            except OSError as exc:
+                decoded[section] = decode(state[section])
+            except CheckpointError:
+                raise
+            except Exception as exc:
                 raise CheckpointError(
-                    f"unreadable sidecar {sidecar}: {exc}"
+                    f"unusable checkpoint {path}, section {section!r}: "
+                    f"{type(exc).__name__}: {exc}"
                 ) from exc
-            if len(blob) < n * 8:
-                raise CheckpointError(
-                    f"sidecar {sidecar} holds {len(blob) // 8} intervals, "
-                    f"checkpoint claims {n}"
-                )
-            buf[:n] = np.frombuffer(blob[: n * 8], dtype=np.float64)
-        self._n = n
-        self._sidecar_n = n
 
-        hist = np.frombuffer(
-            bytes.fromhex(state["history"]["hex"]), dtype=np.float64
-        )
+        n, schedule, actuals = decoded["sidecar"]
+        self._reserve(max(0, n - self._n))
+        self._sched_buf[:n] = schedule
+        self._act_buf[:n] = actuals
+        self._n = self._sidecar_n = n
+        hist = decoded["history"]
         self._hbuf[: hist.size] = hist
         self._hlen = int(hist.size)
-
-        cursor = state["cursor"]
-        self._next_offset = int(cursor["next_offset"])
-        self._chunks_processed = int(cursor["chunks_processed"])
-        self._served_intervals = int(cursor["served_intervals"])
-        self._last_arrival_s = float(cursor["last_arrival_s"])
-        self._busy_until_s = float(cursor["busy_until_s"])
-        self._queue_peak = float(cursor["queue_peak"])
-        self._checkpoints_written = int(cursor["checkpoints_written"])
-
-        degrade = state["degrade"]
-        self._last_decision = float(degrade["last_decision"])
-        self._last_clean = float(degrade["last_clean"])
-        self._held_intervals = int(degrade["held_intervals"])
-        self._gap_intervals = int(degrade["gap_intervals"])
-        self._shed_chunks = int(degrade["shed_chunks"])
-        self._shed_intervals = int(degrade["shed_intervals"])
-        self._quarantined_intervals = int(degrade["quarantined_intervals"])
-        self._repaired_values = int(degrade["repaired_values"])
-        self.quarantine = list(degrade["quarantine"])
-        self.stalls = [StreamStalled(**s) for s in degrade["stalls"]]
-
-        components = state["components"]
-        saved_pred = components.get("predictor")
-        if saved_pred is not None:
-            if not hasattr(self.predictor, "load_state_dict"):
-                raise CheckpointError(
-                    "checkpoint carries predictor state but the configured "
-                    "predictor cannot load it"
-                )
-            self.predictor.load_state_dict(saved_pred)
-        if self.monitor is not None:
-            self.monitor.load_state_dict(components["monitor"])
-        if self.controller is not None:
-            self.controller.load_state_dict(components["controller"])
-
+        for section in ("cursor", "degrade", "components"):
+            decoded[section]()
         # Counters are monotonic, so restoration is by delta: in a fresh
         # process every counter starts at 0 and lands exactly on the
         # checkpointed value, keeping ServingReport.serving_counters
         # bit-for-bit with an uninterrupted run.
-        for name, value in state["counters"].items():
+        for name, value in decoded["counters"].items():
             c = _metrics.counter(name)
-            delta = float(value) - c.value
+            delta = value - c.value
             if delta > 0:
                 c.inc(delta)
 

@@ -65,6 +65,7 @@ MODULES = PACKAGES + [
     "repro.serving.breaker",
     "repro.serving.online",
     "repro.serving.stream",
+    "repro.state",
 ]
 
 

@@ -112,6 +112,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "guarded[none]" in out  # degraded to the fallback chain
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: "{not json",
+        lambda text: text.replace('"next_offset"', '"next_offset_gone"'),
+    ], ids=["not-json", "missing-cursor-key"])
+    def test_stream_resume_corrupt_checkpoint_errors(
+        self, capsys, tmp_path, corrupt
+    ):
+        ckpt = tmp_path / "ck"
+        args = ["stream", "fb-10m", "--checkpoint-dir", str(ckpt)]
+        assert main(args) == 0
+        path = ckpt / "checkpoint.json"
+        path.write_text(corrupt(path.read_text()))
+        capsys.readouterr()
+        assert main(args + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "checkpoint" in err
+
     def test_simulate_conflicting_flags(self, capsys, tmp_path):
         rc = main(["simulate", "fb-10m", "--adaptive", "--model-dir", "x"])
         assert rc == 2

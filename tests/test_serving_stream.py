@@ -43,6 +43,7 @@ from repro.serving import (
     serve_and_simulate,
 )
 from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.serving.online import serving_counters
 
 
 def _json_roundtrip(state: dict) -> dict:
@@ -602,6 +603,63 @@ class TestCheckpointResume:
         sidecar.write_bytes(sidecar.read_bytes()[:64])
         with pytest.raises(CheckpointError, match="sidecar"):
             _stream_run(trace, 1000, ckpt=str(tmp_path / "ck"), resume=True)
+
+    @pytest.mark.parametrize("section, corrupt", [
+        ("cursor", lambda s: s["cursor"].pop("queue_peak")),
+        ("components", lambda s: s["components"]["controller"].pop("integral")),
+        ("components",
+         lambda s: s["components"]["monitor"]["quality"].pop("roll")),
+        ("components", lambda s: s["components"]["controller"].update(
+            errors=[1.0] * (HybridController().config.error_window + 1))),
+    ], ids=["cursor-field", "controller-field", "nested-child", "window-overflow"])
+    def test_malformed_checkpoint_restores_nothing(self, tmp_path, section, corrupt):
+        """A checkpoint with one bad field raises CheckpointError naming
+        its section, and the resuming server keeps exactly the state it
+        had: no sidecar, history, cursor, component or counter moves."""
+        reset_metrics()
+        trace = _diurnal(1400)
+        ckpt = tmp_path / "ck"
+
+        def server(checkpoint_dir=None):
+            cfg = StreamConfig(chunk_size=16, checkpoint_every=1,
+                               checkpoint_dir=checkpoint_dir)
+            return cfg, StreamingServer(
+                GuardedPredictor(None, fallbacks=default_fallbacks(48)),
+                trace[:1000], config=cfg,
+                monitor=ForecastMonitor(slo=SLOTracker(accuracy_slo_mape=30.0)),
+                controller=HybridController(),
+            )
+
+        cfg, writer = server(str(ckpt))
+        writer.run(chunk_stream(trace[1000:], config=cfg))
+        path = ckpt / "checkpoint.json"
+        state = json.loads(path.read_text())
+        assert state["cursor"]["chunks_processed"] == 25
+        corrupt(state)
+        path.write_text(json.dumps(state))
+
+        cfg, reader = server()
+        for chunk in list(chunk_stream(trace[1000:], config=cfg))[:10]:
+            reader._ingest(chunk)
+
+        def snapshot() -> str:
+            return _canon({
+                "n": reader._n,
+                "next_offset": reader._next_offset,
+                "summary": reader.summary(),
+                "history": reader._history_view().tobytes().hex(),
+                "schedule": reader._sched_buf[: reader._n].tobytes().hex(),
+                "predictor": reader.predictor.state_dict(),
+                "monitor": reader.monitor.state_dict(),
+                "controller": reader.controller.state_dict(),
+                "counters": serving_counters(),
+            })
+
+        before = snapshot()
+        with pytest.raises(CheckpointError, match=f"section '{section}'"):
+            reader.restore(ckpt)
+        assert reader._n == 160
+        assert snapshot() == before
 
     def test_resume_without_checkpoint_dir_is_typed_error(self):
         server = StreamingServer(
