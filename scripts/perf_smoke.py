@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI perf-smoke stage: fast path stays exact, benchmarks stay runnable.
 
-Five checks, all cheap enough for every CI run:
+Six checks, all cheap enough for every CI run:
 
 1. **Fast-path parity** — the cache-free inference kernels
    (``forward_inference``) must be bitwise-identical to the cached
@@ -16,10 +16,18 @@ Five checks, all cheap enough for every CI run:
    in ``tests/data/controller_golden.json``, replayed through
    ``HybridPolicy`` (the ``serve_walk`` path), must give the identical
    schedule bytes and ``decided_by`` counts.
-4. **Quick benchmarks** — run the latency benches with
+4. **Fit-path parity** — one seeded ``LoadDynamics.fit`` of the
+   perfbench model shape over a loss x optimizer space (4 trials, 2
+   epochs), run twice in this process: as shipped, and with the oracle
+   of ``tests/fit_path_oracle.py`` swapped in (the GP and EI/PI through
+   scipy's wrappers, ``np.clip``, and a re-predicted validation
+   forecast).  ``trial_values()`` bytes, every trial config, the
+   selected hyperparameters, the selected model's weights and the bytes
+   of every acquisition score the search computed must be identical.
+5. **Quick benchmarks** — run the latency benches with
    ``REPRO_BENCH_QUICK=1`` so a broken benchmark (import error, shape
    drift, harness change) fails CI instead of the next perf PR.
-5. **Artifact schema** — ``BENCH_inference.json`` / ``BENCH_training.json``
+6. **Artifact schema** — ``BENCH_inference.json`` / ``BENCH_training.json``
    must parse and carry the gauges perf PRs diff against.
 
 Exit status: 0 when everything holds, 1 otherwise.
@@ -35,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT))  # for the tests' fit-path oracle
 
 import numpy as np
 
@@ -218,6 +227,67 @@ def check_controller_parity() -> None:
     logger.info("controller parity: OK (%d recorded walks)", len(cases))
 
 
+def check_fit_path_parity() -> None:
+    import hashlib
+
+    import repro.bayesopt.optimizer as optimizer
+    from repro.bayesopt import CategoricalParam, IntParam, SearchSpace
+    from repro.core import FrameworkSettings, LoadDynamics
+    from repro.traces.synthetic import wikipedia_trace
+    from tests import fit_path_oracle
+
+    # perfbench's pinned model shape with its loss x optimizer choices.
+    space = SearchSpace([
+        IntParam("history_len", 24, 24),
+        IntParam("cell_size", 8, 8),
+        IntParam("num_layers", 2, 2),
+        IntParam("batch_size", 32, 32),
+        CategoricalParam("loss", ("mse", "mae", "huber")),
+        CategoricalParam("optimizer", ("adam", "rmsprop", "sgd")),
+    ])
+    trace = wikipedia_trace(days=3, seed=5).at_interval(5)[:576]
+
+    def fit():
+        # Every GP posterior and EI value the search computes passes
+        # through ``score_candidates``: a last-bit change there shows in
+        # this digest even when it does not change a decoded config.
+        scores = hashlib.sha256()
+        score_candidates = optimizer.score_candidates
+
+        def recorded(*args, **kwargs):
+            out = score_candidates(*args, **kwargs)
+            scores.update(np.ascontiguousarray(out).tobytes())
+            return out
+
+        settings = FrameworkSettings(
+            max_iters=4, n_initial=2, epochs=2, seed=0
+        )
+        optimizer.score_candidates = recorded
+        try:
+            predictor, report = LoadDynamics(
+                space=space, settings=settings
+            ).fit(np.asarray(trace, dtype=np.float64))
+        finally:
+            optimizer.score_candidates = score_candidates
+        weights = b"".join(p.tobytes() for p in predictor.model.params)
+        return (report.trial_values().tobytes(),
+                [t.config for t in report.trials],
+                report.best_hyperparameters, weights, scores.hexdigest())
+
+    shipped = fit()
+    with fit_path_oracle.installed():
+        old = fit()
+    for name, a, b in zip(("trial_values() bytes", "trial configs",
+                           "selected hyperparameters", "selected weights",
+                           "acquisition scores"),
+                          shipped, old, strict=True):
+        if a != b:
+            raise AssertionError(f"fit-path parity: {name} differ from the oracle")
+    if len(shipped[1]) != 4:
+        raise AssertionError(f"fit-path parity: {len(shipped[1])} trials, not 4")
+    logger.info("fit-path parity: OK (4 trials, identical to the oracle)")
+
+
 def run_quick_benchmarks(artifact_dir: Path) -> None:
     env = dict(os.environ)
     env["REPRO_BENCH_QUICK"] = "1"
@@ -264,6 +334,7 @@ def main() -> int:
     check_fastpath_parity()
     check_stream_batch_parity()
     check_controller_parity()
+    check_fit_path_parity()
     with tempfile.TemporaryDirectory() as tmp:
         run_quick_benchmarks(Path(tmp))
         check_artifacts(Path(tmp))

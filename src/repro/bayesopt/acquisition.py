@@ -10,7 +10,7 @@ acquisition even though the objective — validation MAPE — is minimized).
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 __all__ = [
     "expected_improvement",
@@ -18,6 +18,31 @@ __all__ = [
     "lower_confidence_bound",
     "ACQUISITIONS",
 ]
+
+
+# EI and PI evaluate the expressions ``scipy.stats.norm`` evaluates,
+# without ``rv_continuous``'s argument machinery: ``norm.cdf(z)``
+# standardizes ``(z - 0) / 1`` (exact), writes its own ``np.nan`` for NaN,
+# 1 for ``+inf`` and 0 for ``-inf``, and calls ``norm._cdf = ndtr`` on
+# the rest; ``ndtr`` returns those same bits at NaN and the infinities.
+
+#: sqrt(2 pi), the standard normal pdf's normalizer, as scipy spells it.
+_NORM_PDF_C = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal pdf: the bits ``norm.pdf`` returns.
+
+    ``norm._pdf`` is ``np.exp(-x**2/2.0) / sqrt(2 pi)`` on the
+    standardized *array* ``x``, where ``x**2`` is ``np.square``; a numpy
+    scalar ``**2`` would call libm ``pow``, which rounds differently on
+    about 0.1% of inputs.  NaN gets ``rv_continuous``'s own ``np.nan``
+    (``-z**2`` flips a NaN's sign bit), and a 0-d result is a numpy
+    scalar, as from ``norm.pdf``, so the arithmetic after it runs the
+    same scalar or array loops.
+    """
+    p = np.exp(-np.square(z) / 2.0) / _NORM_PDF_C
+    return np.where(np.isnan(z), np.nan, p)[()]
 
 
 def _prep(mu, sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -39,7 +64,7 @@ def expected_improvement(
     mu, sigma = _prep(mu, sigma)
     imp = best - mu - xi
     z = imp / sigma
-    ei = imp * norm.cdf(z) + sigma * norm.pdf(z)
+    ei = imp * ndtr(z) + sigma * _norm_pdf(z)
     return np.maximum(ei, 0.0)
 
 
@@ -48,7 +73,7 @@ def probability_of_improvement(
 ) -> np.ndarray:
     """PI for minimization: P[f(x) < best - xi]."""
     mu, sigma = _prep(mu, sigma)
-    return norm.cdf((best - mu - xi) / sigma)
+    return ndtr((best - mu - xi) / sigma)
 
 
 def lower_confidence_bound(

@@ -44,6 +44,22 @@ logger = get_logger("core.evaluation")
 __all__ = ["TrialEvaluator"]
 
 
+def _validation_forecast(model, history, X_val: np.ndarray) -> np.ndarray:
+    """The trained model's scaled forecast of the validation windows.
+
+    An :class:`~repro.nn.network.LSTMRegressor` fit keeps the forecast
+    its best epoch made of these very windows with the weights it then
+    restored, so that forecast is reused: predicting again would
+    recompute the same bits.  A fit in which no epoch improved, a fit
+    validated on other windows, and a family that returns no history
+    predict.
+    """
+    kept = getattr(history, "best_val_pred", None)
+    if kept is not None and getattr(history, "val_inputs", None) is X_val:
+        return kept
+    return model.predict(X_val)
+
+
 class TrialEvaluator:
     """Family-agnostic train+validate objective for one search.
 
@@ -180,7 +196,7 @@ class TrialEvaluator:
             scaler if scaler.n_channels_ is None
             else scaler.channel(target_channel)
         )
-        pred_scaled = model.predict(X_val)
+        pred_scaled = _validation_forecast(model, history, X_val)
         pred = np.maximum(out_scaler.inverse_transform(pred_scaled), 0.0)
         actual = out_scaler.inverse_transform(y_val_scaled)
         try:

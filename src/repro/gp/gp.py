@@ -20,7 +20,7 @@ standardized internally so kernel-variance priors stay workload-agnostic
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize
 
 from repro.gp.kernels import RBF, Kernel
@@ -36,17 +36,57 @@ _JITTERS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 #: refactorization with jitter escalation.
 _SCHUR_FLOOR = 1e-10
 
+# The float64 LAPACK routines scipy's ``cholesky``/``cho_solve``/
+# ``solve_triangular`` dispatch to, resolved once.  Called directly on
+# the same operands they compute the same bits as through the wrappers,
+# whose Python layers cost more than the factorizations themselves at
+# BO-history sizes (DESIGN.md §13, "LAPACK directly").  The wrappers'
+# finiteness checks stay, as explicit checks at the call sites and at
+# the API boundary (:func:`_require_finite`).
+_potrf, _potrs, _potri, _trtrs = get_lapack_funcs(
+    ("potrf", "potrs", "potri", "trtrs"), (np.empty((1, 1)),)
+)
+
+
+def _require_finite(name: str, a: np.ndarray) -> None:
+    """Reject NaN/inf in ``a`` with a ``ValueError`` naming it."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must not contain NaN or inf")
+
 
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky of K, escalating diagonal jitter until it succeeds."""
+    """Lower Cholesky of K, escalating diagonal jitter until it succeeds.
+
+    A non-finite jittered matrix raises ``ValueError`` (as
+    ``scipy.linalg.cholesky`` with ``check_finite`` does); a matrix that
+    stays indefinite at the largest jitter raises ``LinAlgError``.  The
+    factor is Fortran-ordered with a zeroed upper triangle.
+    """
     scale = float(np.mean(np.diag(K))) or 1.0
+    n = K.shape[0]
     for jitter in _JITTERS:
-        try:
-            L = cholesky(K + jitter * scale * np.eye(K.shape[0]), lower=True)
+        A = K + jitter * scale * np.eye(n)
+        _require_finite("kernel matrix", A)
+        L, info = _potrf(A, lower=1, clean=1)
+        if info == 0:
             return L, jitter * scale
-        except np.linalg.LinAlgError:
-            continue
+        if info < 0:  # pragma: no cover - an illegal argument is a bug here
+            raise ValueError(f"illegal value in argument {-info} of potrf")
     raise np.linalg.LinAlgError("kernel matrix not positive definite even with jitter")
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = b for a lower factor ``L`` from :func:`_chol_with_jitter`.
+
+    ``L`` is finite by construction (the factor of a checked finite
+    matrix, or a checked rank-1 extension of one); ``b`` is checked here
+    as ``cho_solve(check_finite=True)`` checked it.
+    """
+    _require_finite("right-hand side", b)
+    x, info = _potrs(L, b, lower=1)
+    if info != 0:  # pragma: no cover - an illegal argument is a bug here
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
 
 
 class GaussianProcessRegressor:
@@ -149,7 +189,7 @@ class GaussianProcessRegressor:
         n = X.shape[0]
         K = self.kernel(X) + self.noise * np.eye(n)
         L, _ = _chol_with_jitter(K)
-        alpha = cho_solve((L, True), y)
+        alpha = _cho_solve(L, y)
         lml = (
             -0.5 * float(y @ alpha)
             - float(np.sum(np.log(np.diag(L))))
@@ -162,12 +202,11 @@ class GaussianProcessRegressor:
         # full triangular solves, ~n^3).  The full inverse is genuinely
         # consumed here — every dK/dtheta_j is dense — while the noise
         # gradient below reads only its trace (the W diagonal).
-        potri, = get_lapack_funcs(("potri",), (L,))
-        Kinv, info = potri(L, lower=1)
+        Kinv, info = _potri(L, lower=1)
         if info == 0:
             Kinv = np.tril(Kinv) + np.tril(Kinv, -1).T
         else:  # pragma: no cover - potri failure is a broken factor
-            Kinv = cho_solve((L, True), np.eye(n))
+            Kinv = _cho_solve(L, np.eye(n))
         W = np.outer(alpha, alpha) - Kinv
         grads_K = self.kernel.gradients(X)
         g = 0.5 * np.einsum("ij,tij->t", W, grads_K)
@@ -178,7 +217,7 @@ class GaussianProcessRegressor:
 
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcessRegressor":
-        """Fit on rows ``X`` with scalar targets ``y``."""
+        """Fit on rows ``X`` with scalar targets ``y`` (finite, or ``ValueError``)."""
         from repro.resilience import faults as _faults
 
         injector = _faults.active()
@@ -192,6 +231,8 @@ class GaussianProcessRegressor:
             raise ValueError("X and y length mismatch")
         if X.shape[0] == 0:
             raise ValueError("cannot fit a GP on zero observations")
+        _require_finite("X", X)
+        _require_finite("y", y)
         self._X = X
         self._y_raw = y.copy()
         self._restandardize()
@@ -214,7 +255,7 @@ class GaussianProcessRegressor:
         """Exact O(n^3) factorization of the current training set."""
         K = self.kernel(self._X) + self.noise * np.eye(self._X.shape[0])
         self._L, self._jitter = _chol_with_jitter(K)
-        self._alpha = cho_solve((self._L, True), self._y_standardized)
+        self._alpha = _cho_solve(self._L, self._y_standardized)
         self._updates_since_refactor = 0
         _metrics.counter("gp.refit.full").inc()
 
@@ -247,6 +288,9 @@ class GaussianProcessRegressor:
                 f"update() takes one row of {self._X.shape[1]} features, "
                 f"got shape {x.shape}"
             )
+        _require_finite("x", x2d)
+        if not np.isfinite(y):
+            raise ValueError("y must not be NaN or inf")
         X_old, L_old, n = self._X, self._L, self._X.shape[0]
         self._X = np.vstack([X_old, x2d])
         self._y_raw = np.append(self._y_raw, float(y))
@@ -257,12 +301,7 @@ class GaussianProcessRegressor:
             return self
 
         ks = self.kernel(X_old, x2d)  # (n, 1)
-        # Direct LAPACK calls (the exact routines scipy's
-        # solve_triangular / cho_solve dispatch to, so numerics are
-        # bit-identical) — the wrappers' validation layers cost more
-        # than the O(n^2) solves themselves at BO-history sizes.
-        trtrs, potrs = get_lapack_funcs(("trtrs", "potrs"), (L_old,))
-        cs, info = trtrs(L_old, ks, lower=1)
+        cs, info = _trtrs(L_old, ks, lower=1)
         if info != 0:
             self._refactor()
             return self
@@ -283,7 +322,7 @@ class GaussianProcessRegressor:
         L[n, :n] = c
         L[n, n] = np.sqrt(d2)
         self._L = L
-        alpha, info = potrs(L, self._y_standardized, lower=1)
+        alpha, info = _potrs(L, self._y_standardized, lower=1)
         if info != 0:  # pragma: no cover - factor was just validated
             self._refactor()
             return self
@@ -327,20 +366,32 @@ class GaussianProcessRegressor:
     def predict(
         self, Xs: np.ndarray, return_std: bool = False
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Posterior mean (and latent std) at query rows ``Xs``."""
+        """Posterior mean (and latent std) at finite query rows ``Xs``."""
         if not self.is_fitted:
             raise RuntimeError("call fit() first")
         Xs = np.asarray(Xs, dtype=np.float64)
         if Xs.ndim == 1:
             Xs = Xs[None, :]
+        _require_finite("Xs", Xs)
         Ks = self.kernel(self._X, Xs)  # (n, m)
         mean = Ks.T @ self._alpha * self._y_std + self._y_mean
         if not return_std:
             return mean
-        v = solve_triangular(self._L, Ks, lower=True)
+        v = self._solve_lower(Ks)
         var = self.kernel.diag(Xs) - np.sum(v * v, axis=0)
         np.maximum(var, 1e-15, out=var)
         return mean, np.sqrt(var) * self._y_std
+
+    def _solve_lower(self, Ks: np.ndarray) -> np.ndarray:
+        """``L^-1 Ks`` for the current factor (always Fortran-ordered, so
+        this is the ``trtrs`` call ``solve_triangular`` makes).  Finite
+        query rows can still give a non-finite cross-covariance when a
+        kernel overflows; that is rejected as the wrapper rejected it."""
+        _require_finite("cross-covariance k(X, Xs)", Ks)
+        v, info = _trtrs(self._L, Ks, lower=1)
+        if info > 0:  # pragma: no cover - a Cholesky factor has no zero pivot
+            raise np.linalg.LinAlgError(f"singular factor at diagonal {info - 1}")
+        return v
 
     def sample_posterior(
         self, Xs: np.ndarray, n_samples: int = 1, seed: int | None = None
@@ -349,9 +400,10 @@ class GaussianProcessRegressor:
         if not self.is_fitted:
             raise RuntimeError("call fit() first")
         Xs = np.asarray(Xs, dtype=np.float64)
+        _require_finite("Xs", Xs)
         Ks = self.kernel(self._X, Xs)
         mean = Ks.T @ self._alpha
-        v = solve_triangular(self._L, Ks, lower=True)
+        v = self._solve_lower(Ks)
         cov = self.kernel(Xs) - v.T @ v
         Lc, _ = _chol_with_jitter(cov + 1e-12 * np.eye(Xs.shape[0]))
         rng = self._rng if seed is None else np.random.default_rng(seed)

@@ -12,6 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
+# ``clip_ufunc`` is the ufunc ``np.clip`` dispatches to for float arrays
+# with both bounds given (through ``ndarray.clip`` and
+# ``_methods._clip``), so it computes the same bits.  Calling it directly
+# skips those Python layers, which cost more than the clip itself at
+# training-step sizes.  This is the one place that binds it.
+try:  # numpy >= 2.0
+    from numpy._core.umath import clip as clip_ufunc
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip as clip_ufunc
+
 __all__ = [
     "sigmoid",
     "tanh",
@@ -28,7 +38,7 @@ _CLIP = 60.0
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Element-wise logistic sigmoid, stable for large |x|."""
-    z = np.clip(x, -_CLIP, _CLIP)
+    z = clip_ufunc(x, -_CLIP, _CLIP)
     return 1.0 / (1.0 + np.exp(-z))
 
 

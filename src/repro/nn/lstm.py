@@ -21,9 +21,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.activations import clip_ufunc
 from repro.nn.initializers import glorot_uniform, lstm_bias, orthogonal
 
 __all__ = ["LSTMLayer", "LSTMCache"]
+
+#: Element budget of one stacked ``dU`` GEMM block in
+#: :meth:`LSTMLayer.backward` (8 MB of float64): long windows of wide
+#: layers take the (T, H, 4H) product in blocks of steps instead of
+#: materializing it whole.
+_DU_BLOCK_ELEMS = 1 << 20
 
 
 class _LSTMScratch:
@@ -72,7 +79,7 @@ def _sigmoid_inplace(z: np.ndarray) -> None:
     operands — only the destination differs, so results are identical
     to the out-of-place version to the last bit.
     """
-    np.clip(z, -60.0, 60.0, out=z)
+    clip_ufunc(z, -60.0, 60.0, z)
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0
@@ -237,7 +244,7 @@ class LSTMLayer:
         zsig, zg = z[:, : 3 * H], z[:, 3 * H :]
         tmp = np.empty((B, H))
 
-        mul, mm, add, clip = np.multiply, np.matmul, np.add, np.clip
+        mul, mm, add, clip = np.multiply, np.matmul, np.add, clip_ufunc
         neg, exp, div, tanh = np.negative, np.exp, np.divide, np.tanh
         U = self.U
         h_prev, c_prev = h0, c0
@@ -342,7 +349,7 @@ class LSTMLayer:
         # Hot loop: ufuncs hoisted to locals and ``out`` passed
         # positionally — at these array sizes (a few KB per step) the
         # numpy dispatch overhead is a measurable share of each step.
-        mul, mm, add, clip = np.multiply, np.matmul, np.add, np.clip
+        mul, mm, add, clip = np.multiply, np.matmul, np.add, clip_ufunc
         neg, exp, div, tanh = np.negative, np.exp, np.divide, np.tanh
         z, a, g, tmp = s.z, s.a, s.g, s.tmp
         zsig, zg, ai, af, ao = s.zsig, s.zg, s.ai, s.af, s.ao
@@ -395,8 +402,9 @@ class LSTMLayer:
         The activation derivatives do not depend on the recurrence, so
         they are computed once over whole stacks before the loop; the
         loop then writes each step's pre-activation gradients straight
-        into ``dz_all[t]`` and accumulates ``dU`` through one reused
-        GEMM buffer.  Each element keeps the per-gate formulation's
+        into ``dz_all[t]`` (its gate columns zipped in as views), and
+        ``dU`` is taken out of the loop as stacked GEMMs summed in the
+        loop's order.  Each element keeps the per-gate formulation's
         operation order (DESIGN.md §8), so gradients are bit-identical.
         """
         x, sig, gs, cs, tanh_cs, hs = (
@@ -420,7 +428,6 @@ class LSTMLayer:
         dW = np.zeros_like(self.W)
         dU = np.zeros_like(self.U)
         db = np.zeros_like(self.b)
-        dU_t = np.empty_like(self.U)
         dz_all = np.empty((T, B, 4 * H))  # pre-activation grads, for batched GEMMs
         dh = np.empty((B, H))
         dc = np.empty((B, H))
@@ -430,15 +437,17 @@ class LSTMLayer:
         mul, mm, add = np.multiply, np.matmul, np.add
         UT = self.U.T
         # Each step's views, in forward order; the loop walks them back.
+        # The gate columns of ``dz_all`` ([i, f, o], g, i, f, o) ride
+        # along as views, so no step slices anything.
         steps = list(zip(
             d_h_seq.transpose(1, 0, 2), sig[..., :H], sig[..., H : 2 * H],
             sig[..., 2 * H :], gs, [cache.c0, *cs[:-1]], tanh_cs,
-            [cache.h0, *hs[:-1]], dsig, dtanh_c, dtanh_g, dz_all,
+            dsig, dtanh_c, dtanh_g, dz_all, dz_all[..., : 3 * H],
+            dz_all[..., 3 * H :], dz_all[..., :H], dz_all[..., H : 2 * H],
+            dz_all[..., 2 * H : 3 * H],
         ))
-        for (dht, i, f, o, g, c_prev, tc, h_prev,
-             dsig_t, dtc, dtg, dz) in reversed(steps):
-            dzifo, dzg = dz[:, : 3 * H], dz[:, 3 * H :]
-            dzi, dzf, dzo = dz[:, :H], dz[:, H : 2 * H], dz[:, 2 * H : 3 * H]
+        for (dht, i, f, o, g, c_prev, tc, dsig_t, dtc, dtg,
+             dz, dzifo, dzg, dzi, dzf, dzo) in reversed(steps):
             # Each element keeps the per-gate form's operation order:
             # float multiplication does not associate, so (dh ⊙ o) ⊙ tanh'
             # must not become dh ⊙ (o ⊙ tanh').
@@ -455,10 +464,18 @@ class LSTMLayer:
             # one pass, dg ⊙ tanh'.
             mul(dzifo, dsig_t, dzifo)
             mul(dzg, dtg, dzg)
-
-            mm(h_prev.T, dz, dU_t)
-            add(dU, dU_t, dU)
             mm(dz, UT, dh_next)
+
+        # dU = sum_t h_{t-1}^T dz_t needs no recurrence: stacked GEMMs over
+        # blocks of steps make the same per-step gemm calls on the same
+        # operands and strides, and the sum runs t = T-1 ... 0 from zero,
+        # as the loop's did (addition does not associate).
+        hT = np.concatenate([cache.h0[None], hs[:-1]]).transpose(0, 2, 1)
+        block = max(1, _DU_BLOCK_ELEMS // (4 * H * H))
+        for stop in range(T, 0, -block):
+            start = max(0, stop - block)
+            for P_t in mm(hT[start:stop], dz_all[start:stop])[::-1]:
+                add(dU, P_t, dU)
 
         # Batched input-side GEMMs (time loop only carries the recurrence).
         dz_flat = dz_all.transpose(1, 0, 2).reshape(B * T, 4 * H)

@@ -40,6 +40,14 @@ class TrainingHistory:
     grad_norm: list[float] = field(default_factory=list)
     best_epoch: int = -1
     stopped_early: bool = False
+    #: The validation windows as passed to ``fit`` and the best epoch's
+    #: forecast of them, made with exactly the weights ``fit`` restores,
+    #: so ``predict(val_inputs)`` afterwards returns these bits again.
+    #: ``best_val_pred`` is ``None`` when no epoch improved.
+    val_inputs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    best_val_pred: np.ndarray | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def epochs_run(self) -> int:
@@ -208,7 +216,10 @@ class LSTMRegressor:
 
         With ``validation`` given, tracks the best-epoch weights and
         restores them at the end (early stopping after ``patience``
-        epochs without ``min_delta`` improvement).
+        epochs without ``min_delta`` improvement).  That epoch's
+        validation forecast is kept on the history
+        (``best_val_pred``), so callers scoring the restored model on
+        the same windows need not predict again.
 
         ``callbacks`` is a list of :class:`repro.obs.TrainingCallback`
         objects (or plain ``(epoch, logs)`` callables); each gets
@@ -250,6 +261,8 @@ class LSTMRegressor:
                 val_xy = (vx, vy)
 
         history = TrainingHistory()
+        if val_xy is not None:
+            history.val_inputs = validation[0]
         best_val = np.inf
         best_weights: list[np.ndarray] | None = None
         stall = 0
@@ -289,6 +302,7 @@ class LSTMRegressor:
                 if vloss < best_val - min_delta:
                     best_val = vloss
                     best_weights = [p.copy() for p in params]
+                    history.best_val_pred = vp  # a fresh array, never scratch
                     history.best_epoch = epoch
                     stall = 0
                     improved = True

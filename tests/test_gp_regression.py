@@ -120,3 +120,67 @@ class TestPosteriorSampling:
         assert draws.shape == (64, 2)
         # Far point has much higher posterior variance than near point.
         assert draws[:, 1].std() > draws[:, 0].std()
+
+
+class TestNonFiniteInput:
+    """Non-finite input is rejected at the API boundary with a
+    ``ValueError`` that names the argument, on every path: not left to a
+    LAPACK wrapper's generic check on some paths and passed through as
+    NaN on others."""
+
+    @pytest.fixture
+    def gp(self, rng):
+        X = rng.uniform(0, 1, (5, 2))
+        y = rng.standard_normal(5)
+        return GaussianProcessRegressor(
+            kernel=Matern52(ard=True, n_dims=2), optimize=False
+        ).fit(X, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("return_std", [False, True])
+    def test_predict(self, gp, bad, return_std):
+        with pytest.raises(ValueError, match="Xs"):
+            gp.predict([[bad, 0.5]], return_std=return_std)
+
+    def test_sample_posterior(self, gp):
+        with pytest.raises(ValueError, match="Xs"):
+            gp.sample_posterior(np.array([[0.5, np.nan]]), seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fit(self, rng, bad):
+        X = rng.uniform(0, 1, (5, 2))
+        y = rng.standard_normal(5)
+        y_bad, X_bad = y.copy(), X.copy()
+        y_bad[2], X_bad[3, 1] = bad, bad
+        for optimize in (False, True):
+            gp = GaussianProcessRegressor(optimize=optimize)
+            with pytest.raises(ValueError, match="y must"):
+                gp.fit(X, y_bad)
+            with pytest.raises(ValueError, match="X must"):
+                gp.fit(X_bad, y)
+            assert not gp.is_fitted
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_update_rejects_before_changing_state(self, gp, bad):
+        X, L = gp._X.copy(), gp._L.copy()
+        with pytest.raises(ValueError, match="x must"):
+            gp.update(np.array([0.2, bad]), 1.0)
+        with pytest.raises(ValueError, match="y must"):
+            gp.update(np.array([0.2, 0.3]), bad)
+        assert gp.n_observations == 5
+        assert np.array_equal(gp._X, X) and np.array_equal(gp._L, L)
+
+    def test_overflowing_kernel_still_rejected_on_std_path(self, gp):
+        """A finite query far enough out overflows the Matern kernel to
+        NaN; the std path rejects the cross-covariance as the
+        ``solve_triangular`` wrapper's finiteness check did."""
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="k\\(X, Xs\\)"):
+            gp.predict([[1e200, 0.5]], return_std=True)
+
+    def test_non_finite_matrix_is_a_value_error(self):
+        from repro.gp.gp import _chol_with_jitter
+
+        K = np.eye(3)
+        K[1, 0] = np.nan
+        with pytest.raises(ValueError, match="kernel matrix"):
+            _chol_with_jitter(K)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.nn.activations import (
+    clip_ufunc,
     drelu_from_x,
     dsigmoid_from_y,
     dtanh_from_y,
@@ -44,6 +45,59 @@ class TestSigmoid:
         num = (sigmoid(x + eps) - sigmoid(x - eps)) / (2 * eps)
         ana = dsigmoid_from_y(sigmoid(x))
         np.testing.assert_allclose(ana, num, atol=1e-8)
+
+
+_EDGES = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 60.0, -60.0,
+          np.nextafter(60.0, np.inf), 5e-324]
+
+
+class TestClipBinding:
+    """``clip_ufunc`` gives the bytes ``np.clip`` gives: same values,
+    same NaN and signed-zero bits, same result type, strided or
+    written in place."""
+
+    @staticmethod
+    def _same(got, want):
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=arrays(
+            np.float64, st.tuples(st.integers(1, 7), st.integers(1, 9)),
+            elements=st.sampled_from(_EDGES) | st.floats(allow_nan=True),
+        ),
+        bounds=st.sampled_from([(-60.0, 60.0), (0.0, 1.0), (-0.0, 0.0)]),
+    )
+    def test_same_bytes_as_np_clip(self, x, bounds):
+        lo, hi = bounds
+        self._same(clip_ufunc(x, lo, hi), np.clip(x, lo, hi))
+        # Strided views: every other column, and a transpose.
+        for view in (x[:, ::2], x.T):
+            self._same(clip_ufunc(view, lo, hi), np.clip(view, lo, hi))
+            # A contiguous destination for a strided operand, as the
+            # fused LSTM sigmoid writes it.
+            a, b = np.empty(view.shape), np.empty(view.shape)
+            clip_ufunc(view, lo, hi, a)
+            np.clip(view, lo, hi, out=b)
+            self._same(a, b)
+        # ``out`` aliasing the input, contiguous and strided.
+        for sl in (np.s_[:, :], np.s_[:, ::2]):
+            a, b = x.copy(), x.copy()
+            clip_ufunc(a[sl], lo, hi, a[sl])
+            np.clip(b[sl], lo, hi, out=b[sl])
+            self._same(a, b)
+
+    def test_scalars_and_zero_d(self):
+        for v in _EDGES:
+            for x in (np.float64(v), np.array(v), v):
+                self._same(clip_ufunc(x, -60.0, 60.0), np.clip(x, -60.0, 60.0))
+
+    def test_sigmoid_matches_np_clip_spelling(self):
+        x = np.array(_EDGES + [-800.0, 800.0, 1.5])
+        with np.errstate(invalid="ignore"):
+            want = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+        self._same(sigmoid(x), want)
 
 
 class TestTanh:

@@ -10,12 +10,15 @@ kernel to the per-gate formulation it replaced, kept below verbatim as
 from __future__ import annotations
 
 import re
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn import lstm as lstm_module
 from repro.nn.activations import dsigmoid_from_y, dtanh_from_y, sigmoid
 from repro.nn.losses import mse_loss
 from repro.nn.lstm import LSTMLayer
@@ -208,8 +211,11 @@ class TestReferenceOracle:
         B=st.integers(1, 5), T=st.integers(1, 6), D=st.integers(1, 4),
         H=st.integers(1, 6), with_state=st.booleans(),
         scale=st.sampled_from([0.5, 3.0, 40.0]), seed=st.integers(0, 2**16),
+        du_block=st.sampled_from([None, 1, 2, 4]),
     )
-    def test_forward_backward_bytes(self, B, T, D, H, with_state, scale, seed):
+    def test_forward_backward_bytes(
+        self, B, T, D, H, with_state, scale, seed, du_block
+    ):
         rng = np.random.default_rng(seed)
         layer = LSTMLayer(D, H, rng)
         layer.b += rng.standard_normal(layer.b.shape)
@@ -223,7 +229,12 @@ class TestReferenceOracle:
         h, cache = layer.forward(x, **state)
         h_ref, cache_ref = reference_forward(layer, x, **state)
         assert hex64(h) == hex64(h_ref)
-        dx, grads = layer.backward(d_h_seq, cache)
+        # ``du_block`` steps per stacked dU GEMM (None: the default
+        # budget, one block at these sizes) crosses block boundaries.
+        budget = (nullcontext() if du_block is None else mock.patch.object(
+            lstm_module, "_DU_BLOCK_ELEMS", du_block * 4 * H * H))
+        with budget:
+            dx, grads = layer.backward(d_h_seq, cache)
         dx_ref, grads_ref = reference_backward(layer, d_h_seq, cache_ref)
         assert hex64(dx) == hex64(dx_ref)
         for name, got, want in zip("W U b".split(), grads, grads_ref, strict=True):
