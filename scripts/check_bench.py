@@ -34,7 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Artifacts using the flat ``{"schema": ..., "metrics": {...}}`` layout.
 #: (BENCH_autoscale.json has its own scenario-grid schema and checker.)
-COMPARABLE = ("BENCH_serving.json", "BENCH_search.json")
+COMPARABLE = ("BENCH_serving.json",)
 
 HIGHER_BETTER = ("_per_s", "speedup", "hit_rate")
 LOWER_BETTER = ("_ms", "_s", "overhead_pct")

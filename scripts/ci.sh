@@ -25,9 +25,6 @@ python scripts/fault_smoke.py
 echo "== perf smoke (fast-path parity + quick benchmarks) =="
 python scripts/perf_smoke.py
 
-echo "== search-perf smoke (incremental surrogate refit budget + parity) =="
-python scripts/search_perf_smoke.py
-
 echo "== model-family smoke (non-default family end to end) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli fit gl-30m \
     --budget tiny --family gru --max-iters 2 --epochs 3
@@ -151,22 +148,6 @@ for gauge in ("bench.serving.stream_intervals_per_s",
     assert snap and snap["kind"] == "gauge" and math.isfinite(snap["value"]), \
         f"BENCH_serving.json: bad gauge {gauge}: {snap}"
 print("BENCH_serving.json schema OK")
-PYEOF
-
-echo "== search-loop bench (quick) =="
-REPRO_BENCH_QUICK=1 REPRO_BENCH_ARTIFACT_DIR="$BENCH_DIR" \
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q \
-    benchmarks/bench_search_loop.py
-python - "$BENCH_DIR/BENCH_search.json" <<'PYEOF'
-import json, math, sys
-metrics = json.load(open(sys.argv[1]))["metrics"]
-for gauge in ("bench.search.tell_ms_p50",
-              "bench.search.suggest_ms_p50",
-              "bench.search.tell_speedup"):
-    snap = metrics.get(gauge)
-    assert snap and snap["kind"] == "gauge" and math.isfinite(snap["value"]), \
-        f"BENCH_search.json: bad gauge {gauge}: {snap}"
-print("BENCH_search.json schema OK")
 PYEOF
 
 echo "== bench regression check (schema-only under REPRO_BENCH_QUICK) =="

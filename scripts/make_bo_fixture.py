@@ -8,9 +8,8 @@ records every suggested config and objective value to
 ``tests/data/bo_default_path.json``.
 
 ``tests/test_bayesopt_fixture.py`` replays the same seeds and asserts
-the suggested configs are **bit-identical** — the guarantee that the
-search-loop perf work (incremental surrogate, vectorized sweep
-acquisition) never moved the default path.  Regenerate only when the
+the suggested configs are **bit-identical** — the guarantee that work
+on the search loop never moved the proposal path.  Regenerate only when the
 default proposal math is changed *on purpose*:
 
     PYTHONPATH=src python scripts/make_bo_fixture.py

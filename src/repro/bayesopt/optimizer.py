@@ -13,20 +13,6 @@ Acquisition maximization uses dense random candidates plus local
 perturbations of the incumbent, followed by an L-BFGS-B polish of the
 best candidate in the continuous relaxation; the decoded config is
 deduplicated against history (integer rounding collapses nearby points).
-
-Two opt-in fast paths (off by default; the default proposal stream is
-pinned bit-for-bit by ``tests/test_bayesopt_fixture.py``):
-
-- ``incremental=True`` keeps one surrogate alive across iterations and
-  folds each ``tell`` into it with a rank-1 Cholesky append
-  (:meth:`GaussianProcessRegressor.update`, O(n^2)), re-optimizing the
-  kernel hyperparameters only every ``reopt_every`` tells instead of
-  every suggestion.
-- ``acq_optimizer="sweep"`` replaces the scalar L-BFGS-B polish with a
-  scrambled-Sobol candidate sweep plus a batched top-k stochastic
-  polish: every acquisition evaluation is one vectorized GP posterior
-  call over an ``(N, D)`` matrix, never a Python-loop of per-point
-  solves.
 """
 
 from __future__ import annotations
@@ -38,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from repro.bayesopt.acquisition import ACQUISITIONS, score_candidates
 from repro.bayesopt.space import SearchSpace
@@ -56,15 +41,6 @@ __all__ = [
 ]
 
 logger = get_logger("bayesopt")
-
-#: Batched-polish geometry for the "sweep" acquisition optimizer: the
-#: top ``_SWEEP_TOPK`` sweep candidates are each refined with
-#: ``_SWEEP_PROPOSALS`` Gaussian perturbations per round over
-#: ``_SWEEP_ROUNDS`` rounds of halving step size — one vectorized GP
-#: call per round instead of ~50 scalar L-BFGS-B evaluations.
-_SWEEP_TOPK = 4
-_SWEEP_PROPOSALS = 16
-_SWEEP_ROUNDS = 3
 
 
 def unpack_objective(out) -> tuple[float, dict]:
@@ -174,20 +150,6 @@ class BayesianOptimizer:
         Random candidates scored per suggestion.
     seed:
         Reproducibility seed for candidate sampling and the GP restarts.
-    incremental:
-        Keep one surrogate alive across iterations; each ``tell`` is a
-        rank-1 Cholesky append (O(n^2)) and kernel hyperparameters are
-        re-optimized only every ``reopt_every`` tells.  Off by default:
-        the incremental schedule consumes the RNG stream differently
-        (no per-suggest hyperopt), so it is a distinct — internally
-        deterministic — search path, not a drop-in replica.
-    reopt_every:
-        With ``incremental``, full surrogate refits (with hyperparameter
-        re-optimization) happen every this many GP-backed tells.
-    acq_optimizer:
-        ``"auto"`` (sweep when incremental, else polish), ``"polish"``
-        (L-BFGS-B from the best candidate — the pre-perf-pass default),
-        or ``"sweep"`` (Sobol sweep + batched top-k stochastic polish).
     """
 
     def __init__(
@@ -200,9 +162,6 @@ class BayesianOptimizer:
         n_candidates: int = 1024,
         gp_noise: float = 1e-4,
         seed: int = 0,
-        incremental: bool = False,
-        reopt_every: int = 8,
-        acq_optimizer: str = "auto",
     ):
         if acquisition not in ACQUISITIONS:
             raise ValueError(
@@ -210,13 +169,6 @@ class BayesianOptimizer:
             )
         if n_initial < 1:
             raise ValueError("n_initial must be >= 1")
-        if acq_optimizer not in ("auto", "polish", "sweep"):
-            raise ValueError(
-                f"unknown acq_optimizer {acq_optimizer!r}; "
-                "choose from ['auto', 'polish', 'sweep']"
-            )
-        if reopt_every < 1:
-            raise ValueError("reopt_every must be >= 1")
         self.space = space
         self.n_initial = int(n_initial)
         self.acquisition_name = acquisition
@@ -224,20 +176,8 @@ class BayesianOptimizer:
         self.kappa = float(kappa)
         self.n_candidates = int(n_candidates)
         self.gp_noise = float(gp_noise)
-        self.incremental = bool(incremental)
-        self.reopt_every = int(reopt_every)
-        if acq_optimizer == "auto":
-            acq_optimizer = "sweep" if self.incremental else "polish"
-        self.acq_optimizer = acq_optimizer
         self._rng = np.random.default_rng(seed)
         self._seed = seed
-        #: Persistent surrogate (incremental mode only).  ``None`` means
-        #: the next GP suggestion performs a full fit with hyperparameter
-        #: optimization; a held GP is reused as long as its observation
-        #: count matches the true history (constant-liar lies and
-        #: external tells invalidate it).
-        self._gp: GaussianProcessRegressor | None = None
-        self._gp_tells = 0
         self.history: list[TrialRecord] = []
         self._X: list[np.ndarray] = []
         self._y: list[float] = []
@@ -298,11 +238,6 @@ class BayesianOptimizer:
 
     def restore_search_state(self, state: dict) -> None:
         self._rng.bit_generator.state = state["rng"]
-        # A resume is a natural re-optimization point: the persistent
-        # surrogate's hyperparameters cannot be serialized through the
-        # journal, so drop it and let the next suggestion refit fully.
-        self._gp = None
-        self._gp_tells = 0
 
     def _sample_novel(self) -> dict:
         """Uniform sample, dodging excluded configs when a ban is active."""
@@ -426,43 +361,12 @@ class BayesianOptimizer:
         self._X.append(self.space.to_unit(config))
         self._y.append(float(value))
         self._pending = None
-        if self.incremental:
-            self._absorb_tell()
         record_trial(record, optimizer="bayesian")
         logger.debug(
             "trial %d: value=%.4g config=%s", record.iteration, record.value, record.config
         )
         _metrics.timer("bo.tell_seconds").observe(time.perf_counter() - t0)
         return record
-
-    def _absorb_tell(self) -> None:
-        """Fold the newest observation into the persistent surrogate.
-
-        Rank-1 append when the held GP trails the history by exactly one
-        observation; every ``reopt_every`` tells the GP is dropped so the
-        next suggestion refits fully with hyperparameter re-optimization
-        (stale lengthscales are the failure mode of naive incremental
-        BO).  Any mismatch — external tells, replayed journals — also
-        drops the GP rather than guessing.
-        """
-        gp = self._gp
-        if gp is None:
-            return
-        if gp.n_observations != len(self._y) - 1:
-            self._gp = None
-            self._gp_tells = 0
-            return
-        if self._gp_tells + 1 >= self.reopt_every:
-            self._gp = None
-            self._gp_tells = 0
-            return
-        try:
-            gp.update(self._X[-1], self._y[-1])
-        except (np.linalg.LinAlgError, FloatingPointError):
-            self._gp = None
-            self._gp_tells = 0
-            return
-        self._gp_tells += 1
 
     # ------------------------------------------------------------------
     # the GP suggestion machinery
@@ -479,29 +383,6 @@ class BayesianOptimizer:
         gp.fit(np.vstack(self._X), np.asarray(self._y))
         return gp
 
-    def _surrogate(self) -> GaussianProcessRegressor:
-        """The surrogate for this suggestion: fresh fit, or the persistent
-        incrementally-updated GP when it is in sync with the history.
-
-        The held GP is only valid when its observation count equals the
-        true history length — constant-liar lies appended by
-        :meth:`suggest_batch` inflate ``self._y``, so batched suggests
-        past the first fall through to a fresh lie-aware fit (and the
-        result is *not* retained, keeping the persistent GP lie-free).
-        """
-        if (
-            self.incremental
-            and self._gp is not None
-            and self._gp.n_observations == len(self._y)
-        ):
-            _metrics.counter("bo.surrogate.reused").inc()
-            return self._gp
-        gp = self._fit_surrogate()
-        if self.incremental and not self._pending_batch:
-            self._gp = gp
-            self._gp_tells = 0
-        return gp
-
     def _acquisition_values(
         self, gp: GaussianProcessRegressor, U: np.ndarray
     ) -> np.ndarray:
@@ -516,13 +397,11 @@ class BayesianOptimizer:
 
     def _suggest_with_gp(self) -> dict:
         t0 = time.perf_counter()
-        gp = self._surrogate()
+        gp = self._fit_surrogate()
         t1 = time.perf_counter()
         self._suggest_timings["surrogate_fit_s"] = t1 - t0
         _metrics.timer("bo.surrogate_fit_seconds").observe(t1 - t0)
         try:
-            if self.acq_optimizer == "sweep":
-                return self._optimize_acquisition_sweep(gp)
             return self._optimize_acquisition(gp)
         finally:
             t2 = time.perf_counter()
@@ -560,62 +439,6 @@ class BayesianOptimizer:
         _metrics.gauge("bo.acquisition.candidates").set(
             float(U.shape[0] + res.nfev)
         )
-
-        return self._decode_best(u_best, U, scores)
-
-    def _optimize_acquisition_sweep(self, gp: GaussianProcessRegressor) -> dict:
-        """Vectorized candidate sweep + batched top-k stochastic polish.
-
-        All acquisition evaluations are batched GP posterior calls — no
-        scalar objective loop.  The global pool is a scrambled Sobol
-        sequence (seeded from the run RNG stream) when ``n_candidates``
-        is a power of two, degrading to uniform sampling otherwise; it
-        is joined by local Gaussian perturbations of the incumbent, as
-        in the polish path.  The top ``_SWEEP_TOPK`` candidates are then
-        refined jointly: each round scores ``topk x _SWEEP_PROPOSALS``
-        perturbations in one GP call and halves the step size.
-        """
-        d = self.space.n_dims
-        n_cand = self.n_candidates
-        if n_cand >= 8 and (n_cand & (n_cand - 1)) == 0:
-            sobol = qmc.Sobol(
-                d, scramble=True, seed=int(self._rng.integers(2**31))
-            )
-            U_global = sobol.random(n_cand)
-        else:
-            U_global = self._rng.uniform(size=(n_cand, d))
-        n_local = max(1, n_cand // 4)
-        incumbent = self._X[int(np.argmin(self._y))]
-        U_local = np.clip(
-            incumbent + 0.05 * self._rng.standard_normal((n_local, d)), 0.0, 1.0
-        )
-        U = np.vstack([U_global, U_local])
-        scores = self._acquisition_values(gp, U)
-        n_scored = U.shape[0]
-
-        k = min(_SWEEP_TOPK, len(scores))
-        top = np.argsort(scores)[::-1][:k]
-        centers = U[top].copy()
-        center_scores = scores[top].copy()
-        sigma = 0.05
-        m = _SWEEP_PROPOSALS
-        rows = np.arange(k)
-        for _ in range(_SWEEP_ROUNDS):
-            P = np.clip(
-                centers[:, None, :]
-                + sigma * self._rng.standard_normal((k, m, d)),
-                0.0,
-                1.0,
-            )
-            s = self._acquisition_values(gp, P.reshape(k * m, d)).reshape(k, m)
-            n_scored += k * m
-            best_j = np.argmax(s, axis=1)
-            improved = s[rows, best_j] > center_scores
-            centers[improved] = P[rows, best_j][improved]
-            center_scores[improved] = s[rows, best_j][improved]
-            sigma *= 0.5
-        u_best = centers[int(np.argmax(center_scores))]
-        _metrics.gauge("bo.acquisition.candidates").set(float(n_scored))
 
         return self._decode_best(u_best, U, scores)
 

@@ -41,6 +41,10 @@ __all__ = ["main", "build_parser"]
 logger = get_logger("cli")
 
 
+class _CliError(Exception):
+    """A failure the CLI reports as one ``error:`` line and exit status 2."""
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -306,8 +310,7 @@ def _cmd_fit(args) -> int:
     from repro.core import FrameworkSettings, LoadDynamics, search_space_for
 
     if args.resume and not args.journal:
-        print("error: --resume requires --journal", file=sys.stderr)
-        return 2
+        raise _CliError("--resume requires --journal")
     _cfg, series = _load_series(args)
     trace = args.config.split("-")[0]
     ld = LoadDynamics(
@@ -420,6 +423,54 @@ def _print_serving_report(report, predictor=None) -> None:
     print(f"health            : {report.health.get('status', 'unknown')} ({reasons})")
 
 
+def _serving_monitor(args):
+    """Check the flags ``simulate`` and ``stream`` share; build their monitor.
+
+    A bad value raises :class:`_CliError` naming its flag, before any
+    trace is loaded or model fitted.  Returns the
+    :class:`~repro.obs.monitor.ForecastMonitor` the flags ask for (with
+    an :class:`~repro.obs.monitor.SLOTracker` when an objective is set),
+    or ``None``.  ``stream`` has no latency objective or snapshot flag.
+    """
+    if not 0.0 < args.start_frac < 1.0:
+        raise _CliError("--start-frac must be in (0, 1)")
+    if args.refit_every is not None and args.refit_every < 1:
+        raise _CliError("--refit-every must be >= 1")
+    latency_ms = getattr(args, "slo_latency_ms", None)
+    slos = (("--slo-latency-ms", latency_ms), ("--slo-mape", args.slo_mape))
+    for flag, value in slos:
+        if value is not None and not value > 0:
+            raise _CliError(f"{flag} must be positive")
+    has_slo = latency_ms is not None or args.slo_mape is not None
+    metrics_out = getattr(args, "metrics_out", None)
+    if not (args.monitor or has_slo or metrics_out is not None):
+        return None
+    from repro.obs.monitor import ForecastMonitor, SLOTracker
+
+    slo = None
+    if has_slo:
+        slo = SLOTracker(latency_slo_ms=latency_ms, accuracy_slo_mape=args.slo_mape)
+    return ForecastMonitor(slo=slo)
+
+
+def _guarded_predictor(cfg, primary=None, model_dir=None):
+    """``primary`` (or, with ``model_dir``, a saved model) behind the
+    fallback chain for ``cfg``'s daily period.
+
+    The guarded load shields against a corrupted directory by degrading
+    to the fallback chain instead of dying; with neither argument the
+    chain alone serves.
+    """
+    from repro.serving import GuardedPredictor, daily_period, default_fallbacks
+
+    fallbacks = default_fallbacks(daily_period(cfg.interval_minutes))
+    if model_dir is not None:
+        return GuardedPredictor.load(
+            model_dir, on_corrupt="fallback", fallbacks=fallbacks
+        )
+    return GuardedPredictor(primary, fallbacks=fallbacks)
+
+
 def _cmd_simulate(args) -> int:
     from repro.core import (
         AdaptiveLoadDynamics,
@@ -428,41 +479,13 @@ def _cmd_simulate(args) -> int:
         LoadDynamicsPredictor,
         search_space_for,
     )
-    from repro.serving import (
-        GuardedPredictor,
-        TraceSanitizer,
-        daily_period,
-        default_fallbacks,
-        serve_and_simulate,
-    )
+    from repro.serving import GuardedPredictor, TraceSanitizer, serve_and_simulate
 
-    if not 0.0 < args.start_frac < 1.0:
-        print("error: --start-frac must be in (0, 1)", file=sys.stderr)
-        return 2
+    monitor = _serving_monitor(args)
     if args.refit_on_drift:
         args.adaptive = True
     if args.adaptive and args.model_dir:
-        print("error: --adaptive and --model-dir are mutually exclusive",
-              file=sys.stderr)
-        return 2
-
-    want_monitor = (
-        args.monitor
-        or args.slo_latency_ms is not None
-        or args.slo_mape is not None
-        or args.metrics_out is not None
-    )
-    monitor = None
-    if want_monitor:
-        from repro.obs.monitor import ForecastMonitor, SLOTracker
-
-        slo = None
-        if args.slo_latency_ms is not None or args.slo_mape is not None:
-            slo = SLOTracker(
-                latency_slo_ms=args.slo_latency_ms,
-                accuracy_slo_mape=args.slo_mape,
-            )
-        monitor = ForecastMonitor(slo=slo)
+        raise _CliError("--adaptive and --model-dir are mutually exclusive")
 
     cfg, series = _load_series(args)
     if args.repair:
@@ -477,7 +500,6 @@ def _cmd_simulate(args) -> int:
             max_iters=args.max_iters, epochs=args.epochs
         )
     space = search_space_for(trace, args.budget)
-    fallbacks = default_fallbacks(daily_period(cfg.interval_minutes))
 
     if args.adaptive:
         # Share the monitor's first detector (CUSUM) with the adaptive
@@ -501,11 +523,7 @@ def _cmd_simulate(args) -> int:
                   "drift detector (replaces fixed refit cadence)")
     elif args.model_dir:
         if args.guarded:
-            # The guarded load shields against a corrupted directory by
-            # degrading to the fallback chain instead of dying.
-            predictor = GuardedPredictor.load(
-                args.model_dir, on_corrupt="fallback", fallbacks=fallbacks
-            )
+            predictor = _guarded_predictor(cfg, model_dir=args.model_dir)
         else:
             predictor = LoadDynamicsPredictor.load(args.model_dir)
     else:
@@ -515,7 +533,7 @@ def _cmd_simulate(args) -> int:
         if fit_report.degraded:
             print(f"fit DEGRADED      : {fit_report.degraded_reason}")
     if args.guarded and not isinstance(predictor, GuardedPredictor):
-        predictor = GuardedPredictor(predictor, fallbacks=fallbacks)
+        predictor = _guarded_predictor(cfg, predictor)
 
     report = serve_and_simulate(
         predictor, series, start, refit_every=args.refit_every, monitor=monitor
@@ -536,48 +554,22 @@ def _cmd_simulate(args) -> int:
 def _cmd_stream(args) -> int:
     from repro.serving import (
         CheckpointError,
-        GuardedPredictor,
         StreamConfig,
         TraceSanitizer,
-        daily_period,
-        default_fallbacks,
         serve_and_simulate,
     )
 
-    if not 0.0 < args.start_frac < 1.0:
-        print("error: --start-frac must be in (0, 1)", file=sys.stderr)
-        return 2
+    monitor = _serving_monitor(args)
     if args.resume and not args.checkpoint_dir:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-
-    want_monitor = args.monitor or args.slo_mape is not None
-    monitor = None
-    if want_monitor:
-        from repro.obs.monitor import ForecastMonitor, SLOTracker
-
-        slo = (
-            SLOTracker(accuracy_slo_mape=args.slo_mape)
-            if args.slo_mape is not None else None
-        )
-        monitor = ForecastMonitor(slo=slo)
-
+        raise _CliError("--resume requires --checkpoint-dir")
     cfg, series = _load_series(args)
     if series.ndim != 1:
-        print("error: streaming serving is univariate; pick a 1-D trace",
-              file=sys.stderr)
-        return 2
+        raise _CliError("streaming serving is univariate; pick a 1-D trace")
     start = int(len(series) * args.start_frac)
-    fallbacks = default_fallbacks(daily_period(cfg.interval_minutes))
-    if args.model_dir:
-        predictor = GuardedPredictor.load(
-            args.model_dir, on_corrupt="fallback", fallbacks=fallbacks
-        )
-    else:
-        # No model: serve from the fallback chain alone — fast,
-        # deterministic, and exactly what a corrupt-model degradation
-        # serves, so it is the canonical parity-check predictor too.
-        predictor = GuardedPredictor(None, fallbacks=fallbacks)
+    # Without --model-dir the fallback chain alone serves — fast,
+    # deterministic, and exactly what a corrupt-model degradation serves,
+    # so it is the canonical parity-check predictor too.
+    predictor = _guarded_predictor(cfg, model_dir=args.model_dir)
 
     try:
         stream_cfg = StreamConfig(
@@ -592,8 +584,7 @@ def _cmd_stream(args) -> int:
             resume=args.resume,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(str(exc)) from exc
     try:
         report = serve_and_simulate(
             predictor, series, start,
@@ -603,8 +594,7 @@ def _cmd_stream(args) -> int:
             sanitizer=TraceSanitizer(policy=args.repair),
         )
     except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(str(exc)) from exc
     res = report.result
     strm = report.stream or {}
     print(f"workload          : {args.config} "
@@ -668,14 +658,12 @@ def _cmd_autoscale(args) -> int:
 
     for name in args.scenarios or ():
         if name not in SCENARIO_NAMES:
-            print(f"error: unknown scenario {name!r}; choose from "
-                  f"{' '.join(SCENARIO_NAMES)}", file=sys.stderr)
-            return 2
+            raise _CliError(f"unknown scenario {name!r}; choose from "
+                            f"{' '.join(SCENARIO_NAMES)}")
     for name in args.policies or ():
         if name not in POLICY_NAMES:
-            print(f"error: unknown policy {name!r}; choose from "
-                  f"{' '.join(POLICY_NAMES)}", file=sys.stderr)
-            return 2
+            raise _CliError(f"unknown policy {name!r}; choose from "
+                            f"{' '.join(POLICY_NAMES)}")
 
     if args.quick:
         scenarios = default_scenarios(days=6, serve_days=3, seed=args.seed)
@@ -721,8 +709,7 @@ def _cmd_metrics(args) -> int:
     try:
         metrics = load_snapshot(args.snapshot)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read metrics snapshot: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(f"cannot read metrics snapshot: {exc}") from exc
     if args.prefix:
         metrics = {k: v for k, v in metrics.items() if k.startswith(args.prefix)}
     if args.format == "json":
@@ -815,6 +802,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "metrics":
             return _cmd_metrics(args)
         return _cmd_figures(args)
+    except _CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if trace_sink is not None:
             obs.remove_sink(trace_sink, close=True)

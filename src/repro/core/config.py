@@ -218,15 +218,6 @@ class FrameworkSettings:
     #: Failures (divergence/timeout) after which a config is quarantined
     #: and never suggested again; ``0`` disables the quarantine.
     quarantine_after: int = 3
-    #: Keep one BO surrogate alive across iterations, folding each
-    #: result in with a rank-1 Cholesky append (O(n^2) per tell) instead
-    #: of refitting from scratch every suggestion.  Off by default: the
-    #: incremental schedule is internally deterministic but is a
-    #: different search path than the paper-default per-suggest refit.
-    incremental_surrogate: bool = False
-    #: With ``incremental_surrogate``, re-optimize the GP kernel
-    #: hyperparameters (full refit) every this many tells.
-    surrogate_reopt_every: int = 8
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -245,8 +236,6 @@ class FrameworkSettings:
             raise ValueError("retry_backoff must be in (0, 1]")
         if self.quarantine_after < 0:
             raise ValueError("quarantine_after must be >= 0")
-        if self.surrogate_reopt_every < 1:
-            raise ValueError("surrogate_reopt_every must be >= 1")
 
     @classmethod
     def reduced(cls, **overrides) -> "FrameworkSettings":

@@ -81,16 +81,9 @@ def _evaluate_trial(
     process: no shared window cache (each worker builds its own
     windows), and the returned model travels back via pickle with its
     inference scratch dropped.
-
-    ``scaled`` / ``raw`` may arrive as :class:`repro.parallel.SharedArray`
-    handles — zero-copy views of the parent's shared-memory pages —
-    instead of pickled copies; :func:`repro.parallel.as_ndarray`
-    normalizes both cases.
     """
-    from repro.parallel import as_ndarray
-
     return evaluator.evaluate(
-        as_ndarray(scaled), as_ndarray(raw), scaler, config, i_train_end, i_val_end,
+        scaled, raw, scaler, config, i_train_end, i_val_end,
         target_channel=target_channel,
     )
 
@@ -352,29 +345,23 @@ class LoadDynamics:
                 if workers <= 1:
                     driver.run(objective, cfg.max_iters - n_replayed)
                 else:
-                    from repro.parallel import share_arrays
-
-                    # The scaled and raw traces are identical for every
-                    # trial: publish them once in shared memory so each
-                    # batch task pickles a page handle, not the data.
-                    with share_arrays(scaled, s) as (scaled_h, s_h):
-                        raw_eval = functools.partial(
-                            _evaluate_trial,
-                            evaluator,
-                            scaled_h,
-                            s_h,
-                            scaler,
-                            i_train_end,
-                            i_val_end,
-                            target_channel,
-                        )
-                        driver.run_parallel(
-                            raw_eval,
-                            settle,
-                            memo,
-                            cfg.max_iters - n_replayed,
-                            workers,
-                        )
+                    raw_eval = functools.partial(
+                        _evaluate_trial,
+                        evaluator,
+                        scaled,
+                        s,
+                        scaler,
+                        i_train_end,
+                        i_val_end,
+                        target_channel,
+                    )
+                    driver.run_parallel(
+                        raw_eval,
+                        settle,
+                        memo,
+                        cfg.max_iters - n_replayed,
+                        workers,
+                    )
             finally:
                 if journal_obj is not None:
                     journal_obj.close()
@@ -523,8 +510,6 @@ class LoadDynamics:
             kwargs.setdefault("n_initial", self.settings.n_initial)
             kwargs.setdefault("acquisition", self.settings.acquisition)
             kwargs.setdefault("seed", self.settings.seed)
-            kwargs.setdefault("incremental", self.settings.incremental_surrogate)
-            kwargs.setdefault("reopt_every", self.settings.surrogate_reopt_every)
         elif "seed" not in kwargs and hasattr(self.optimizer_cls, "__init__"):
             # Random search takes a seed; grid search takes none of ours.
             try:

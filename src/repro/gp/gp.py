@@ -30,12 +30,6 @@ __all__ = ["GaussianProcessRegressor"]
 
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
-#: Relative floor for the Schur complement in a rank-1 Cholesky append;
-#: below it the grown factor would be numerically rank-deficient and
-#: :meth:`GaussianProcessRegressor.update` falls back to a full
-#: refactorization with jitter escalation.
-_SCHUR_FLOOR = 1e-10
-
 # The float64 LAPACK routines scipy's ``cholesky``/``cho_solve``/
 # ``solve_triangular`` dispatch to, resolved once.  Called directly on
 # the same operands they compute the same bits as through the wrappers,
@@ -79,7 +73,7 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = b for a lower factor ``L`` from :func:`_chol_with_jitter`.
 
     ``L`` is finite by construction (the factor of a checked finite
-    matrix, or a checked rank-1 extension of one); ``b`` is checked here
+    matrix); ``b`` is checked here
     as ``cho_solve(check_finite=True)`` checked it.
     """
     _require_finite("right-hand side", b)
@@ -107,10 +101,6 @@ class GaussianProcessRegressor:
     n_restarts:
         Extra random restarts for the optimizer (first start is the
         current kernel configuration).
-    refactor_every:
-        Rank-1 :meth:`update` appends are followed by an *exact* full
-        refactorization every this many updates, bounding accumulated
-        float drift in the grown Cholesky factor.
     """
 
     def __init__(
@@ -121,18 +111,14 @@ class GaussianProcessRegressor:
         optimize_noise: bool = True,
         n_restarts: int = 2,
         seed: int = 0,
-        refactor_every: int = 50,
     ):
         if noise <= 0:
             raise ValueError("noise must be positive")
-        if refactor_every < 1:
-            raise ValueError("refactor_every must be >= 1")
         self.kernel = kernel if kernel is not None else RBF()
         self.noise = float(noise)
         self.optimize = bool(optimize)
         self.optimize_noise = bool(optimize_noise)
         self.n_restarts = int(n_restarts)
-        self.refactor_every = int(refactor_every)
         self._rng = np.random.default_rng(seed)
         self._X: np.ndarray | None = None
         self._y_raw: np.ndarray | None = None
@@ -140,10 +126,9 @@ class GaussianProcessRegressor:
         self._y_std = 1.0
         self._L: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
-        #: Absolute diagonal jitter baked into the current factor — a
-        #: rank-1 append must extend the *same* regularized matrix.
+        #: Absolute diagonal jitter the current factor was taken with
+        #: (0 unless the kernel matrix needed regularizing).
         self._jitter = 0.0
-        self._updates_since_refactor = 0
 
     # ------------------------------------------------------------------
     @property
@@ -235,7 +220,10 @@ class GaussianProcessRegressor:
         _require_finite("y", y)
         self._X = X
         self._y_raw = y.copy()
-        self._restandardize()
+        self._y_mean = float(np.mean(y))
+        std = float(np.std(y))
+        self._y_std = std if std > 1e-12 else 1.0
+        self._y_standardized = (y - self._y_mean) / self._y_std
 
         if self.optimize and X.shape[0] >= 2:
             self._optimize_hyperparameters()
@@ -243,42 +231,18 @@ class GaussianProcessRegressor:
         self._refactor()
         return self
 
-    def _restandardize(self) -> None:
-        """Recompute target standardization over the full raw targets."""
-        y = self._y_raw
-        self._y_mean = float(np.mean(y))
-        std = float(np.std(y))
-        self._y_std = std if std > 1e-12 else 1.0
-        self._y_standardized = (y - self._y_mean) / self._y_std
-
     def _refactor(self) -> None:
         """Exact O(n^3) factorization of the current training set."""
         K = self.kernel(self._X) + self.noise * np.eye(self._X.shape[0])
         self._L, self._jitter = _chol_with_jitter(K)
         self._alpha = _cho_solve(self._L, self._y_standardized)
-        self._updates_since_refactor = 0
         _metrics.counter("gp.refit.full").inc()
 
-    # ------------------------------------------------------------------
     def update(self, x: np.ndarray, y: float) -> "GaussianProcessRegressor":
-        """Incorporate one new observation with a rank-1 Cholesky append.
-
-        Grows the lower factor ``L`` by one row — a cross-covariance
-        column, one triangular solve, and a Schur complement — so the
-        cost is O(n^2) instead of the O(n^3) refactorization a full
-        :meth:`fit` performs.  Target standardization and ``alpha`` are
-        recomputed against the full raw target vector (also O(n^2)), so
-        the resulting posterior matches a from-scratch ``fit`` with the
-        same kernel hyperparameters (``optimize=False``) to round-off.
-        Hyperparameters are **not** re-optimized here; callers that want
-        re-optimization periodically call :meth:`fit` instead.
-
-        Falls back to a full refactorization (with jitter escalation)
-        when the Schur complement is not safely positive, and performs
-        an exact refactorization every ``refactor_every`` updates to
-        bound float drift.  The ``gp.refit.rank1`` / ``gp.refit.full``
-        counters record which path ran.
-        """
+        """Add one observation and refactor with the current kernel
+        hyperparameters, which are not re-optimized: the posterior is
+        exactly :meth:`fit` with ``optimize=False`` on the grown data.
+        A non-finite ``x`` or ``y`` is rejected before any state changes."""
         if not self.is_fitted:
             raise RuntimeError("call fit() before update()")
         x = np.asarray(x, dtype=np.float64)
@@ -291,45 +255,13 @@ class GaussianProcessRegressor:
         _require_finite("x", x2d)
         if not np.isfinite(y):
             raise ValueError("y must not be NaN or inf")
-        X_old, L_old, n = self._X, self._L, self._X.shape[0]
-        self._X = np.vstack([X_old, x2d])
-        self._y_raw = np.append(self._y_raw, float(y))
-        self._restandardize()
-
-        if self._updates_since_refactor + 1 >= self.refactor_every:
-            self._refactor()
-            return self
-
-        ks = self.kernel(X_old, x2d)  # (n, 1)
-        cs, info = _trtrs(L_old, ks, lower=1)
-        if info != 0:
-            self._refactor()
-            return self
-        c = cs.ravel()
-        knn = float(self.kernel.diag(x2d)[0]) + self.noise + self._jitter
-        d2 = knn - float(c @ c)
-        if not np.isfinite(d2) or d2 <= _SCHUR_FLOOR * knn:
-            # The appended point makes the factor numerically rank
-            # deficient (near-duplicate row, collapsed lengthscale);
-            # rebuild exactly, escalating jitter if needed.
-            self._refactor()
-            return self
-
-        # Fortran order so the LAPACK calls here (and on the next
-        # append) bind the factor directly instead of copying it.
-        L = np.zeros((n + 1, n + 1), order="F")
-        L[:n, :n] = L_old
-        L[n, :n] = c
-        L[n, n] = np.sqrt(d2)
-        self._L = L
-        alpha, info = _potrs(L, self._y_standardized, lower=1)
-        if info != 0:  # pragma: no cover - factor was just validated
-            self._refactor()
-            return self
-        self._alpha = alpha
-        self._updates_since_refactor += 1
-        _metrics.counter("gp.refit.rank1").inc()
-        return self
+        optimize, self.optimize = self.optimize, False
+        try:
+            return self.fit(
+                np.vstack([self._X, x2d]), np.append(self._y_raw, float(y))
+            )
+        finally:
+            self.optimize = optimize
 
     def _optimize_hyperparameters(self) -> None:
         bounds = self._theta_bounds()

@@ -1,8 +1,7 @@
 """Seeded default BO path vs recorded fixture (bit-identical configs).
 
-The search-loop perf pass (incremental surrogate, vectorized sweep
-acquisition) must leave the *default* :class:`BayesianOptimizer`
-proposal math untouched: same RNG stream, same candidate sweep, same
+Work on the search loop must leave the :class:`BayesianOptimizer`
+proposal math untouched: same RNG stream, same candidate pool, same
 L-BFGS-B polish, therefore the same suggested configs bit for bit.
 The fixture was recorded by ``scripts/make_bo_fixture.py`` running the
 pre-rewrite code.

@@ -1,9 +1,9 @@
 """scripts/check_bench.py: the benchmark regression gate.
 
 Exercised as a subprocess, the way CI runs it — exit codes are the
-contract.  The artifacts are tiny hand-built BENCH_serving.json /
-BENCH_search.json files so every direction heuristic and the quick-mode
-schema-only path are covered without running any real bench.
+contract.  The artifacts are tiny hand-built BENCH_serving.json files
+so every direction heuristic and the quick-mode schema-only path are
+covered without running any real bench.
 """
 
 from __future__ import annotations
@@ -76,18 +76,18 @@ def test_throughput_drop_fails(dirs):
 
 def test_latency_rise_fails(dirs):
     base, cand = dirs
-    _write(base, "BENCH_search.json", {"bench.search.tell_ms_p50": 1.0})
-    _write(cand, "BENCH_search.json", {"bench.search.tell_ms_p50": 1.4})
+    _write(base, "BENCH_serving.json", {"bench.serving.predict_p50_ms": 1.0})
+    _write(cand, "BENCH_serving.json", {"bench.serving.predict_p50_ms": 1.4})
     proc = _run(cand, base)
     assert proc.returncode == 1
 
 
 def test_large_improvement_passes(dirs):
     base, cand = dirs
-    _write(base, "BENCH_search.json", {"bench.search.tell_speedup": 3.0,
-                                       "bench.search.tell_ms_p50": 2.0})
-    _write(cand, "BENCH_search.json", {"bench.search.tell_speedup": 9.0,
-                                       "bench.search.tell_ms_p50": 0.5})
+    _write(base, "BENCH_serving.json", {"bench.serving.chunked_speedup": 3.0,
+                                        "bench.serving.predict_p50_ms": 2.0})
+    _write(cand, "BENCH_serving.json", {"bench.serving.chunked_speedup": 9.0,
+                                        "bench.serving.predict_p50_ms": 0.5})
     proc = _run(cand, base)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
@@ -107,7 +107,7 @@ def test_quick_mode_skips_ratios_but_checks_schema(dirs):
     proc = _run(cand, base, quick=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # ... but a malformed candidate still fails in quick mode.
-    (cand / "BENCH_search.json").write_text(json.dumps({"metrics": {"x": {}}}))
+    (cand / "BENCH_serving.json").write_text(json.dumps({"metrics": {"x": {}}}))
     proc = _run(cand, base, quick=True)
     assert proc.returncode == 1
 

@@ -129,6 +129,29 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "error:" in err and "checkpoint" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["stream", "gl-30m", "--slo-mape", "-5"], "--slo-mape"),
+        (["simulate", "gl-30m", "--slo-mape", "-5"], "--slo-mape"),
+        (["simulate", "gl-30m", "--slo-latency-ms", "0"], "--slo-latency-ms"),
+        (["stream", "gl-30m", "--refit-every", "0"], "--refit-every"),
+        (["simulate", "gl-30m", "--refit-every", "0"], "--refit-every"),
+    ], ids=["stream-slo-mape", "simulate-slo-mape", "simulate-slo-latency",
+            "stream-refit-every", "simulate-refit-every"])
+    def test_bad_serving_flag_is_one_error_line(
+        self, capsys, monkeypatch, argv, flag
+    ):
+        from repro.core import LoadDynamics
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a bad flag must be refused before any fit")
+
+        monkeypatch.setattr(LoadDynamics, "fit", no_fit)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and flag in errors[0], err
+        assert "Traceback" not in err
+
     def test_simulate_conflicting_flags(self, capsys, tmp_path):
         rc = main(["simulate", "fb-10m", "--adaptive", "--model-dir", "x"])
         assert rc == 2

@@ -77,6 +77,37 @@ class TestFitPredict:
             GaussianProcessRegressor(noise=0.0)
 
 
+class TestUpdate:
+    def test_update_is_a_refit_with_the_same_hyperparameters(self, data):
+        """``update`` grows the data by one row and refactors exactly:
+        the same bytes as ``fit(optimize=False)`` on the grown set, with
+        the hyperparameters the first fit optimized."""
+        X, y = data
+        gp = GaussianProcessRegressor(
+            kernel=Matern52(ard=True, n_dims=2), n_restarts=1
+        ).fit(X[:-1], y[:-1])
+        ref = GaussianProcessRegressor(
+            kernel=Matern52(ard=True, n_dims=2), noise=gp.noise, optimize=False
+        )
+        ref.kernel.theta = gp.kernel.theta
+        ref.fit(X, y)
+        gp.update(X[-1], y[-1])
+        assert gp.optimize
+        assert gp.n_observations == len(y)
+        for got, want in ((gp._L, ref._L), (gp._alpha, ref._alpha)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_update_before_fit_raises(self):
+        with pytest.raises(RuntimeError):
+            GaussianProcessRegressor(optimize=False).update(np.zeros(2), 0.0)
+
+    def test_update_wrong_dims_raises(self, rng):
+        gp = GaussianProcessRegressor(optimize=False)
+        gp.fit(rng.uniform(size=(4, 3)), rng.normal(size=4))
+        with pytest.raises(ValueError, match="3 features"):
+            gp.update(np.zeros(2), 0.0)
+
+
 class TestLML:
     def test_gradient_matches_numeric(self, rng):
         X = rng.uniform(0, 1, (10, 2))
