@@ -1,11 +1,13 @@
 """The GP surrogate and the acquisition functions against their wrapper
 versions, kept verbatim in ``tests/fit_path_oracle.py``, on raw bytes.
 
-``tests/data/bo_default_path.json`` pins the BO path to the L-BFGS-B and
-LAPACK rounding of the host that recorded it.  These pins compare the
-shipped code with the oracle on the same LAPACK in the same process,
-so they hold on any host: per call on drawn inputs, and over the whole
-seeded runs ``scripts/make_bo_fixture.py`` records.
+The closed-loop bytes of ``tests/data/bo_default_path.json`` hold only
+with the L-BFGS-B and LAPACK rounding of the host that recorded them
+(``tests/test_bayesopt_fixture.py`` replays the recorded runs step by
+step on other hosts).  These pins compare the shipped code with the
+oracle on the same LAPACK in the same process, so they hold on any
+host: per call on drawn inputs, and over the whole seeded runs
+``scripts/make_bo_fixture.py`` records.
 """
 
 from __future__ import annotations
