@@ -8,7 +8,8 @@ script runs one seeded tiny fit through the *public* API and freezes:
 
 * ``tests/data/equivalence_lstm.json`` — per-trial configs/values plus
   the selected hyperparameters (deterministic metadata only; wall-clock
-  keys are excluded);
+  keys are excluded), under a ``provenance`` block naming the numpy,
+  scipy, bit generator and BLAS/LAPACK builds used;
 * ``tests/data/prerefactor_journal_full.jsonl`` — the trial journal the
   run wrote;
 * ``tests/data/prerefactor_journal_partial.jsonl`` — the same journal
@@ -17,8 +18,8 @@ script runs one seeded tiny fit through the *public* API and freezes:
 
 It only uses the stable public surface, so re-running it under any
 refactor that claims default-path equivalence must reproduce the
-committed fixtures byte-for-byte (modulo the header timestamp and
-wall-clock metadata).
+committed fixtures byte-for-byte (modulo the header timestamp,
+wall-clock metadata and the provenance block).
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ def trial_snapshot(trial) -> dict:
 
 
 def main() -> int:
+    # scripts/ is sys.path[0] when this file runs as a script.
+    from make_bo_fixture import environment
+
     data_dir = Path(__file__).resolve().parent.parent / "tests" / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
     journal_path = data_dir / "prerefactor_journal_full.jsonl"
@@ -81,6 +85,10 @@ def main() -> int:
     predictor, report = ld.fit(fixture_series(), journal=journal_path)
 
     fixture = {
+        "provenance": {
+            "recorded_by": "scripts/make_equivalence_fixtures.py",
+            **environment(),
+        },
         "max_iters": MAX_ITERS,
         "partial_trials": PARTIAL_TRIALS,
         "best_hyperparameters": report.best_hyperparameters.as_dict(),

@@ -19,9 +19,12 @@ the pre-refactor behaviour of the three stages that promise covers:
 
 Float arrays are stored as hex-encoded little-endian float64 bytes so
 the regression test (``tests/test_equivalence_multivariate.py``)
-compares raw bits, not values-within-tolerance.  Re-running this script
-under any refactor that claims D=1 equivalence must reproduce
-``tests/data/equivalence_pipeline.json`` byte-for-byte.
+compares raw bits, not values-within-tolerance.  A ``provenance`` block
+names the numpy, scipy, bit generator and BLAS/LAPACK builds the
+recording ran under.  Re-running this script under any refactor that
+claims D=1 equivalence must reproduce
+``tests/data/equivalence_pipeline.json`` byte-for-byte, apart from that
+block.
 
 **cloudsim** — ``CloudSimulator.run`` outputs (hex-encoded
 ``turnaround_seconds``, ``makespan_seconds``, under/over-provisioning,
@@ -188,9 +191,9 @@ def record_fit_predictions(series: np.ndarray) -> dict:
 def cloudsim_cases() -> list[dict]:
     """Simulator inputs covering every branch of ``CloudSimulator.run``.
 
-    Sizes are chosen around 2**18 jobs, the largest block the simulator
-    draws at once: one run of many small intervals adds up to more than
-    that, and one interval alone is larger than it.
+    Sizes are chosen around the simulator's buffer: one run of many
+    small intervals adds up to more than a block, and single intervals
+    larger than the buffer are walked in leaves.
     """
     rng = np.random.default_rng(2020)
     mixed_a = rng.integers(0, 40, 60).astype(np.float64)
@@ -675,8 +678,15 @@ def main(argv: list[str]) -> int:
     data_dir = Path(__file__).resolve().parent.parent / "tests" / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
     if "pipeline" in sections:
+        # scripts/ is sys.path[0] when this file runs as a script.
+        from make_bo_fixture import environment
+
         series = fixture_series()
         fixture = {
+            "provenance": {
+                "recorded_by": "scripts/make_pipeline_fixtures.py pipeline",
+                **environment(),
+            },
             "prepare_data": record_prepare_data(series),
             "forward_inference": record_forward_inference(),
             "fit": record_fit_predictions(series),

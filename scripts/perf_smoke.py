@@ -47,7 +47,7 @@ sys.path.insert(1, str(ROOT))  # for the tests' fit-path oracle
 
 import numpy as np
 
-from repro.obs.logging import get_logger
+from repro.obs.logging import configure_logging, get_logger
 
 logger = get_logger("perf_smoke")
 
@@ -331,6 +331,7 @@ def check_artifacts(artifact_dir: Path) -> None:
 def main() -> int:
     import tempfile
 
+    configure_logging("INFO")
     check_fastpath_parity()
     check_stream_batch_parity()
     check_controller_parity()

@@ -21,12 +21,16 @@ are bit-for-bit those of the plain per-interval formula — one
 ``job_seconds * (1 + job_jitter_frac * (2u - 1))``, cold-start delays
 added to the cold tail, then ``mean``/``max``/``sum`` of the interval.
 ``tests/data/cloudsim_golden.json`` pins those bytes.  To get there
-with less work per job, :meth:`CloudSimulator.run` fills one reusable
-float64 buffer with the draws of a block of consecutive intervals (up
-to 2**18 jobs, or one interval if a single interval is larger), applies
-the duration formula in place in the same operation order, and reduces
-each interval's view of the buffer once.  Memory is bounded by the
-largest interval, not by the length of the replay.
+with less work per job, :meth:`CloudSimulator.run` draws into one
+reusable float64 buffer of up to 2**16 jobs (512 KiB, so every pass
+stays in cache) and applies the duration formula in place.  Intervals
+that fit are packed into the buffer as blocks of consecutive whole
+intervals, and each interval's view is reduced once.  A larger interval
+is walked in leaves that fit, split exactly where numpy's pairwise sum
+splits a contiguous run, and the leaf sums are added back up that tree,
+so the interval total is the one ``ndarray.sum`` would return.  Memory
+is bounded by the buffer and the largest cold tail, not by the size of
+an interval or the length of the replay.
 """
 
 from __future__ import annotations
@@ -41,10 +45,29 @@ from repro.obs import metrics as _metrics
 
 __all__ = ["VMSpec", "SimulationResult", "CloudSimulator"]
 
-# Jobs drawn and transformed per block of consecutive intervals: 2 MiB
-# of float64, small enough that the in-place passes stay in cache.  A
-# single interval with more jobs than this gets a block of its own.
-_BLOCK_JOBS = 1 << 18
+# Jobs drawn and transformed at once: 512 KiB of float64, small enough
+# that the in-place passes and the reductions stay in cache.
+_BLOCK_JOBS = 1 << 16
+
+
+def _pairwise_reduce(lo: int, hi: int, leaf_jobs: int, leaf) -> tuple:
+    """Sum and max of elements ``[lo, hi)`` as ``ndarray.sum`` adds them.
+
+    numpy sums a contiguous float64 run of more than 128 elements as the
+    sum of its two halves, the first ``m // 2`` elements rounded down to
+    a multiple of 8.  This recurses along the same splits until a node
+    holds at most ``leaf_jobs`` (>= 128) elements, reduces it with
+    ``leaf(lo, hi) -> (sum, max)``, left to right, and adds the sums
+    back in numpy's left-plus-right order.
+    """
+    m = hi - lo
+    if m <= leaf_jobs:
+        return leaf(lo, hi)
+    half = m // 2
+    half -= half % 8
+    left_sum, left_max = _pairwise_reduce(lo, lo + half, leaf_jobs, leaf)
+    right_sum, right_max = _pairwise_reduce(lo + half, hi, leaf_jobs, leaf)
+    return left_sum + right_sum, max(left_max, right_max)
 
 
 @dataclass(frozen=True)
@@ -175,8 +198,28 @@ class CloudSimulator:
         provisioned_at = p.tolist()
         # Interval i's jobs are draws starts[i]:starts[i + 1] of the run.
         starts = [0] + np.cumsum(a).tolist()
-        buf = np.empty(min(starts[-1], max(_BLOCK_JOBS, max(jobs_at, default=0))))
+        buf = np.empty(min(starts[-1], _BLOCK_JOBS))
         frac, job_seconds = spec.job_jitter_frac, spec.job_seconds
+
+        def fill(view):
+            # Consecutive fills concatenate into the run's draws.  u - 0.5
+            # and 2 * frac are exact, so their product is the real number
+            # (2u - 1) * frac and rounds as the formula's temporary did.
+            rng.random(out=view)
+            view -= 0.5
+            view *= 2.0 * frac
+            view += 1.0
+            view *= job_seconds
+            return view
+
+        def settle(view, first, warm):
+            # view holds an interval's jobs first:first + view.size; the
+            # cold ones (from warm on) wait for their startup wave.
+            end = first + view.size
+            if end > warm:
+                cut = max(first, warm)
+                view[cut - first :] += delays[cut - warm : end - warm]
+            return view.sum(), view.max()
 
         # Per-step scaling-decision telemetry costs one branch per
         # interval when no event sink is registered.
@@ -185,18 +228,14 @@ class CloudSimulator:
         lo = 0
         while lo < n:
             # The block is intervals [lo, hi): as many whole intervals as
-            # the buffer holds.  Consecutive draws concatenate, and the
-            # in-place passes round exactly as the per-interval formula's
-            # temporaries did.
+            # the buffer holds, drawn and transformed at once.  An
+            # interval larger than the buffer is walked on its own.
             base = starts[lo]
             hi = bisect.bisect_right(starts, base + buf.size, lo + 1) - 1
-            block = buf[: starts[hi] - base]
-            rng.random(out=block)
-            block *= 2.0
-            block -= 1.0
-            block *= frac
-            block += 1.0
-            block *= job_seconds
+            if hi > lo:
+                fill(buf[: starts[hi] - base])
+            else:
+                hi = lo + 1
             for i in range(lo, hi):
                 jobs = jobs_at[i]
                 if jobs == 0:
@@ -212,14 +251,21 @@ class CloudSimulator:
                     continue
                 warm = min(jobs, provisioned_at[i])
                 cold = jobs - warm
-                completion = block[starts[i] - base : starts[i + 1] - base]
-                if cold > 0:
-                    completion[warm:] += delays[:cold]
-                # One pairwise sum per interval view: total / jobs is
-                # np.mean's result, and the same total is the paid time.
-                total = completion.sum()
+                # One pairwise sum per interval: total / jobs is np.mean's
+                # result, and the same total is the paid time.
+                if jobs > buf.size:
+                    total, peak = _pairwise_reduce(
+                        0, jobs, buf.size,
+                        lambda first, end: settle(
+                            fill(buf[: end - first]), first, warm
+                        ),
+                    )
+                else:
+                    total, peak = settle(
+                        buf[starts[i] - base : starts[i + 1] - base], 0, warm
+                    )
                 turnaround[i] = total / jobs
-                makespan[i] = completion.max()
+                makespan[i] = peak
                 # Paid VM time: every used VM for its job (+startup for
                 # cold), plus idle surplus for a nominal job-length lease.
                 vm_seconds += float(total)

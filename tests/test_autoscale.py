@@ -23,7 +23,8 @@ from repro.autoscale import (
     provisioning_schedule,
     summarize,
 )
-from repro.autoscale.cloudsim import _BLOCK_JOBS
+from repro.autoscale import cloudsim
+from repro.autoscale.cloudsim import _BLOCK_JOBS, _pairwise_reduce
 from repro.baselines.naive import MeanPredictor
 
 GOLDEN = Path(__file__).parent / "data" / "cloudsim_golden.json"
@@ -223,12 +224,62 @@ class TestBitExactReplay:
                 assert hex64(getattr(res, key)) == case[key], (case["name"], key)
             assert float(res.vm_seconds).hex() == case["vm_seconds"], case["name"]
 
-    def test_golden_cases_cross_the_block(self, golden):
-        """The recorded cases still exercise the block boundaries."""
+    def test_golden_cases_cross_the_block(self, golden, monkeypatch):
+        """The recorded cases still exercise the block boundaries and the
+        walk of an interval larger than the buffer."""
         cases = {case["name"]: case for case in golden["cases"]}
         small = np.ceil(cases["many_small_cross_block"]["arrivals"])
         assert small.max() < _BLOCK_JOBS < small.sum()
         assert max(cases["one_over_block"]["arrivals"]) > _BLOCK_JOBS
+
+        # Interval sizes the simulator walks: the outermost calls only,
+        # since the walk recurses through the same module name.
+        walked, depth = [], [0]
+
+        def counting(lo, hi, leaf_jobs, leaf):
+            if not depth[0]:
+                walked.append(hi - lo)
+            depth[0] += 1
+            try:
+                return _pairwise_reduce(lo, hi, leaf_jobs, leaf)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(cloudsim, "_pairwise_reduce", counting)
+        for name in ("large_intervals", "one_over_block", "many_small_cross_block"):
+            walked.clear()
+            case = cases[name]
+            CloudSimulator(spec=VMSpec(**case["spec"]), seed=case["seed"]).run(
+                np.asarray(case["arrivals"]), np.asarray(case["provisioned"])
+            )
+            big = [int(a) for a in case["arrivals"] if a > _BLOCK_JOBS]
+            assert walked == big, name
+
+    @pytest.mark.parametrize("leaf_jobs", [128, 1 << 13, _BLOCK_JOBS])
+    def test_pairwise_walk_matches_ndarray_sum(self, leaf_jobs):
+        """The walk adds leaf sums exactly as numpy's pairwise sum adds a
+        contiguous run.  A numpy release that changes ``pairwise_sum``
+        fails here by name, not only as a golden-byte diff."""
+        rng = np.random.default_rng(leaf_jobs)
+        b = _BLOCK_JOBS
+        lengths = (
+            [1, 2, 5, 7, 8, 9, 127, 128, 129, 1000, 1023, 4097]
+            + [1 << k for k in (10, 13, 16, 17, 19)]
+            + [b - 1, b + 1, 2 * b, 2 * b + 5, 3 * b + 1, 5 * b + 7, 8 * b + 3]
+            + rng.integers(9_000, 2_000_000, 8).tolist()
+        )
+        for n in lengths:
+            x = rng.random(n) * rng.uniform(1.0, 500.0) + rng.uniform(0.0, 600.0)
+            total, peak = _pairwise_reduce(
+                0, n, leaf_jobs, lambda lo, hi: (x[lo:hi].sum(), x[lo:hi].max())
+            )
+            assert total.hex() == x.sum().hex(), (
+                f"n={n}, leaf_jobs={leaf_jobs}: tree walk {total!r} != "
+                f"ndarray.sum {x.sum()!r} under numpy {np.__version__}; "
+                f"its pairwise summation no longer splits as "
+                f"cloudsim._pairwise_reduce assumes"
+            )
+            assert peak == x.max()
 
     @given(
         intervals=st.lists(
@@ -237,7 +288,8 @@ class TestBitExactReplay:
                     st.just(0),
                     st.integers(1, 60),
                     st.sampled_from([_BLOCK_JOBS // 2 + 1, _BLOCK_JOBS - 1,
-                                     _BLOCK_JOBS, _BLOCK_JOBS + 3]),
+                                     _BLOCK_JOBS, _BLOCK_JOBS + 3,
+                                     2 * _BLOCK_JOBS + 5, 3 * _BLOCK_JOBS + 1]),
                 ),
                 st.floats(0.0, 0.9),  # shaved off: fractional arrivals
                 st.floats(0.0, 1.5),  # provisioned / arrivals
@@ -254,6 +306,13 @@ class TestBitExactReplay:
         intervals=[(7, 0.5, 1.0), (_BLOCK_JOBS - 1, 0.0, 0.5), (0, 0.0, 1.2),
                    (3, 0.0, 0.0), (_BLOCK_JOBS + 3, 0.0, 0.99), (40, 0.2, 1.5)],
         startup=120.0, job_seconds=180.0, jitter=0.1, max_startups=4, seed=0,
+    )
+    @example(
+        # Cold tails across leaf boundaries: a whole multi-leaf interval
+        # cold, then one whose warm/cold cut falls inside a leaf.
+        intervals=[(3 * _BLOCK_JOBS + 1, 0.0, 0.0), (5, 0.0, 1.0),
+                   (2 * _BLOCK_JOBS + 5, 0.0, 0.4)],
+        startup=90.0, job_seconds=200.0, jitter=0.3, max_startups=3, seed=11,
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_per_interval_oracle(self, intervals, startup, job_seconds,
@@ -282,17 +341,20 @@ class TestBitExactReplay:
         ]
         assert emitted == steps
 
-    def test_memory_bounded_by_largest_interval(self):
-        """A replay never holds more than a few intervals' worth of jobs.
+    def test_memory_bounded_by_block_and_cold_tail(self):
+        """A replay never holds an interval's jobs at once.
 
-        200 intervals of ~200k jobs would be ~320 MB drawn at once; the
-        block buffer keeps the traced peak to a small multiple of
-        ``max(largest interval, block) * 8`` bytes.
+        200 intervals of ~200k jobs would be ~320 MB drawn at once, and
+        one interval alone ~1.6 MB; the buffer and the leaf walk keep the
+        traced peak to a small multiple of ``max(block, largest cold
+        tail) * 8`` bytes.
         """
         rng = np.random.default_rng(3)
         arrivals = np.round(rng.uniform(190_000, 210_000, 200))
         provisioned = np.round(arrivals * rng.uniform(0.9, 1.1, 200))
-        bound = 3 * max(int(arrivals.max()), _BLOCK_JOBS) * 8
+        largest_cold = int(np.max(arrivals - provisioned))
+        assert arrivals.min() > 2 * _BLOCK_JOBS > largest_cold
+        bound = 3 * max(_BLOCK_JOBS, largest_cold) * 8
         sim = CloudSimulator(seed=0)
         tracemalloc.start()
         try:
