@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI perf-smoke stage: fast path stays exact, benchmarks stay runnable.
 
-Six checks, all cheap enough for every CI run:
+Seven checks, all cheap enough for every CI run:
 
 1. **Fast-path parity** — the cache-free inference kernels
    (``forward_inference``) must be bitwise-identical to the cached
@@ -24,10 +24,15 @@ Six checks, all cheap enough for every CI run:
    forecast).  ``trial_values()`` bytes, every trial config, the
    selected hyperparameters, the selected model's weights and the bytes
    of every acquisition score the search computed must be identical.
-5. **Quick benchmarks** — run the latency benches with
+5. **Replay parity** — ``CloudSimulator.run`` on a perfbench
+   ``search``-sized schedule (16 intervals of ~860k jobs), once serial
+   (``REPRO_MAX_WORKERS=1``) and once cut into spans on threads (at
+   least two, even on a one-core host), must give identical turnaround,
+   makespan and ``vm_seconds`` bytes.
+6. **Quick benchmarks** — run the latency benches with
    ``REPRO_BENCH_QUICK=1`` so a broken benchmark (import error, shape
    drift, harness change) fails CI instead of the next perf PR.
-6. **Artifact schema** — ``BENCH_inference.json`` / ``BENCH_training.json``
+7. **Artifact schema** — ``BENCH_inference.json`` / ``BENCH_training.json``
    must parse and carry the gauges perf PRs diff against.
 
 Exit status: 0 when everything holds, 1 otherwise.
@@ -40,6 +45,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -288,6 +294,36 @@ def check_fit_path_parity() -> None:
     logger.info("fit-path parity: OK (4 trials, identical to the oracle)")
 
 
+def check_replay_parity() -> None:
+    from repro.autoscale import cloudsim
+    from repro.obs.metrics import gauge
+    from repro.parallel import MAX_WORKERS_ENV, effective_workers
+
+    rng = np.random.default_rng(0)
+    arrivals = np.round(rng.uniform(800_000, 920_000, 16))
+    provisioned = np.round(arrivals * rng.uniform(0.9, 1.1, 16))
+    sim = cloudsim.CloudSimulator(seed=3)
+
+    def replay():
+        res = sim.run(arrivals, provisioned)
+        out = (res.turnaround_seconds.tobytes(), res.makespan_seconds.tobytes(),
+               float(res.vm_seconds).hex())
+        return out, int(gauge("autoscale.replay_spans").value)
+
+    with mock.patch.dict(os.environ, {MAX_WORKERS_ENV: "1"}):
+        serial, serial_spans = replay()
+    with mock.patch.object(cloudsim, "effective_workers",
+                           lambda: max(2, effective_workers())):
+        split, spans = replay()
+    if serial_spans != 1 or spans < 2:
+        raise AssertionError(
+            f"replay parity: {serial_spans} serial and {spans} split spans"
+        )
+    if split != serial:
+        raise AssertionError("replay parity: split replay differs from serial")
+    logger.info("replay parity: OK (%d spans)", spans)
+
+
 def run_quick_benchmarks(artifact_dir: Path) -> None:
     env = dict(os.environ)
     env["REPRO_BENCH_QUICK"] = "1"
@@ -336,6 +372,7 @@ def main() -> int:
     check_stream_batch_parity()
     check_controller_parity()
     check_fit_path_parity()
+    check_replay_parity()
     with tempfile.TemporaryDirectory() as tmp:
         run_quick_benchmarks(Path(tmp))
         check_artifacts(Path(tmp))

@@ -21,33 +21,52 @@ are bit-for-bit those of the plain per-interval formula — one
 ``job_seconds * (1 + job_jitter_frac * (2u - 1))``, cold-start delays
 added to the cold tail, then ``mean``/``max``/``sum`` of the interval.
 ``tests/data/cloudsim_golden.json`` pins those bytes.  To get there
-with less work per job, :meth:`CloudSimulator.run` draws into one
+with less work per job, :meth:`CloudSimulator.run` draws into a
 reusable float64 buffer of up to 2**16 jobs (512 KiB, so every pass
 stays in cache) and applies the duration formula in place.  Intervals
 that fit are packed into the buffer as blocks of consecutive whole
 intervals, and each interval's view is reduced once.  A larger interval
 is walked in leaves that fit, split exactly where numpy's pairwise sum
 splits a contiguous run, and the leaf sums are added back up that tree,
-so the interval total is the one ``ndarray.sum`` would return.  Memory
-is bounded by the buffer and the largest cold tail, not by the size of
-an interval or the length of the replay.
+so the interval total is the one ``ndarray.sum`` would return.
+
+A replay of many jobs is cut, at interval boundaries only, into spans
+of about equal job count, one per available core
+(:func:`repro.parallel.effective_workers`, so ``REPRO_MAX_WORKERS=1``
+keeps it serial), and the spans run on threads; numpy's draws, in-place
+passes and reductions release the GIL.  ``rng.random`` turns one PCG64
+output into one double, so a span starting at job ``k`` draws from a
+PCG64 advanced by ``k`` and gets exactly the serial run's draws.  The
+spans share the buffer budget, so memory is bounded by 2**16 jobs and
+the largest cold tail on any core count, not by the size of an interval
+or the length of the replay.  Totals and peaks land in per-interval
+arrays; ``vm_seconds`` and the ``autoscale.step`` events are formed
+after the join, in interval order, on the calling thread.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
+from repro.parallel import effective_workers
 
 __all__ = ["VMSpec", "SimulationResult", "CloudSimulator"]
 
 # Jobs drawn and transformed at once: 512 KiB of float64, small enough
 # that the in-place passes and the reductions stay in cache.
 _BLOCK_JOBS = 1 << 16
+
+# Fewest jobs worth a span of their own: below this a replay stays on
+# the calling thread, since a thread's start and join would cost more
+# than the overlap saves.
+_SPAN_MIN_JOBS = 16 * _BLOCK_JOBS
 
 
 def _pairwise_reduce(lo: int, hi: int, leaf_jobs: int, leaf) -> tuple:
@@ -68,6 +87,72 @@ def _pairwise_reduce(lo: int, hi: int, leaf_jobs: int, leaf) -> tuple:
     left_sum, left_max = _pairwise_reduce(lo, lo + half, leaf_jobs, leaf)
     right_sum, right_max = _pairwise_reduce(lo + half, hi, leaf_jobs, leaf)
     return left_sum + right_sum, max(left_max, right_max)
+
+
+def _replay_span(lo, hi, *, seed, spec, starts, warm_at, delays, block_jobs,
+                 totals, peaks):
+    """Replay intervals ``[lo, hi)``: write each busy interval's completion
+    ``sum`` and ``max`` to ``totals[i]`` and ``peaks[i]``.
+
+    The span draws its jobs from a PCG64 advanced past the run's first
+    ``starts[lo]`` outputs.  ``rng.random`` turns one output into one
+    double, so these are exactly the serial run's draws for the span.
+    Intervals that fit the ``block_jobs`` buffer are drawn and
+    transformed as packed blocks; a larger one is walked along numpy's
+    pairwise-sum tree.
+    """
+    base = starts[lo]
+    rng = np.random.Generator(np.random.PCG64(seed).advance(base))
+    buf = np.empty(min(starts[hi] - base, block_jobs))
+    frac, job_seconds = spec.job_jitter_frac, spec.job_seconds
+
+    def fill(view):
+        # Consecutive fills concatenate into the span's draws.  u - 0.5
+        # and 2 * frac are exact, so their product is the real number
+        # (2u - 1) * frac and rounds as the formula's temporary did.
+        rng.random(out=view)
+        view -= 0.5
+        view *= 2.0 * frac
+        view += 1.0
+        view *= job_seconds
+        return view
+
+    def settle(view, first, warm):
+        # view holds an interval's jobs first:first + view.size; the
+        # cold ones (from warm on) wait for their startup wave.
+        end = first + view.size
+        if end > warm:
+            cut = max(first, warm)
+            view[cut - first :] += delays[cut - warm : end - warm]
+        return view.sum(), view.max()
+
+    while lo < hi:
+        # The block is intervals [lo, stop): as many whole intervals as
+        # the buffer holds, drawn and transformed at once.  An interval
+        # larger than the buffer is walked on its own.
+        base = starts[lo]
+        stop = bisect.bisect_right(starts, base + buf.size, lo + 1, hi + 1) - 1
+        if stop > lo:
+            fill(buf[: starts[stop] - base])
+        else:
+            stop = lo + 1
+        for i in range(lo, stop):
+            first, last = starts[i], starts[i + 1]
+            if last == first:
+                continue
+            warm = warm_at[i]
+            if last - first > buf.size:
+                totals[i], peaks[i] = _pairwise_reduce(
+                    0, last - first, buf.size,
+                    lambda leaf_lo, leaf_hi: settle(
+                        fill(buf[: leaf_hi - leaf_lo]), leaf_lo, warm
+                    ),
+                )
+            else:
+                totals[i], peaks[i] = settle(
+                    buf[first - base : last - base], 0, warm
+                )
+        lo = stop
 
 
 @dataclass(frozen=True)
@@ -179,14 +264,11 @@ class CloudSimulator:
         if np.any(a < 0) or np.any(p < 0):
             raise ValueError("counts must be non-negative")
         n = a.size
-        rng = np.random.default_rng(self.seed)
         spec = self.spec
+        job_seconds = spec.job_seconds
 
-        turnaround = np.zeros(n)
-        makespan = np.zeros(n)
         under = np.maximum(a - p, 0).astype(np.float64)
         over = np.maximum(p - a, 0).astype(np.float64)
-        vm_seconds = 0.0
 
         # Cold jobs wait for a throttled on-demand startup wave: the k-th
         # cold VM becomes ready after (1 + k // max_concurrent) startup
@@ -194,92 +276,64 @@ class CloudSimulator:
         cold_rank = np.arange(int(under.max(initial=0.0)))
         delays = spec.startup_seconds * (1 + cold_rank // spec.max_concurrent_startups)
 
-        jobs_at = a.tolist()
-        provisioned_at = p.tolist()
         # Interval i's jobs are draws starts[i]:starts[i + 1] of the run.
         starts = [0] + np.cumsum(a).tolist()
-        buf = np.empty(min(starts[-1], _BLOCK_JOBS))
-        frac, job_seconds = spec.job_jitter_frac, spec.job_seconds
+        # Spans of whole intervals, balanced by job count; each one big
+        # enough to pay for its thread, and the buffer budget shared.
+        n_spans = max(1, min(effective_workers(), starts[-1] // _SPAN_MIN_JOBS))
+        cuts = {bisect.bisect_left(starts, starts[-1] * k // n_spans)
+                for k in range(1, n_spans)}
+        bounds = [0, *sorted(c for c in cuts if 0 < c < n), n]
+        spans = list(zip(bounds, bounds[1:]))
+        totals = np.zeros(n)
+        makespan = np.zeros(n)
+        replay = functools.partial(
+            _replay_span, seed=self.seed, spec=spec, starts=starts,
+            warm_at=np.minimum(a, p).tolist(), delays=delays,
+            # Never below numpy's 128-element pairwise block, which the
+            # tree walk assumes of its leaves.
+            block_jobs=max(_BLOCK_JOBS // len(spans), 128),
+            totals=totals, peaks=makespan,
+        )
+        # The calling thread replays the first span; leaving the block
+        # joins every worker, and a worker's exception re-raises here.
+        with ThreadPoolExecutor(max(len(spans) - 1, 1),
+                                thread_name_prefix="cloudsim-span") as pool:
+            rest = [pool.submit(replay, lo, hi) for lo, hi in spans[1:]]
+            replay(*spans[0])
+            for future in rest:
+                future.result()
 
-        def fill(view):
-            # Consecutive fills concatenate into the run's draws.  u - 0.5
-            # and 2 * frac are exact, so their product is the real number
-            # (2u - 1) * frac and rounds as the formula's temporary did.
-            rng.random(out=view)
-            view -= 0.5
-            view *= 2.0 * frac
-            view += 1.0
-            view *= job_seconds
-            return view
+        # One pairwise sum per interval: total / jobs is np.mean's result,
+        # and the same total is the paid time.
+        turnaround = np.divide(totals, a, out=np.zeros(n), where=a > 0)
+        # Paid VM time: every used VM for its job (+startup for cold),
+        # then idle surplus for a nominal job-length lease, interval by
+        # interval.  accumulate adds strictly left to right, and an idle
+        # interval's +0.0 total is exact.
+        paid = np.column_stack((totals, over * job_seconds)).ravel()
+        vm_seconds = float(np.add.accumulate(paid)[-1]) if n else 0.0
 
-        def settle(view, first, warm):
-            # view holds an interval's jobs first:first + view.size; the
-            # cold ones (from warm on) wait for their startup wave.
-            end = first + view.size
-            if end > warm:
-                cut = max(first, warm)
-                view[cut - first :] += delays[cut - warm : end - warm]
-            return view.sum(), view.max()
-
-        # Per-step scaling-decision telemetry costs one branch per
-        # interval when no event sink is registered.
-        trace = _events.enabled()
-
-        lo = 0
-        while lo < n:
-            # The block is intervals [lo, hi): as many whole intervals as
-            # the buffer holds, drawn and transformed at once.  An
-            # interval larger than the buffer is walked on its own.
-            base = starts[lo]
-            hi = bisect.bisect_right(starts, base + buf.size, lo + 1) - 1
-            if hi > lo:
-                fill(buf[: starts[hi] - base])
-            else:
-                hi = lo + 1
-            for i in range(lo, hi):
-                jobs = jobs_at[i]
+        # Per-step scaling-decision telemetry, in interval order; no
+        # per-interval work when no event sink is registered.
+        if _events.enabled():
+            for i, (jobs, prov) in enumerate(zip(a.tolist(), p.tolist())):
                 if jobs == 0:
-                    # Idle interval: surplus VMs still cost for the full
-                    # interval.
-                    vm_seconds += float(provisioned_at[i]) * job_seconds
-                    if trace:
-                        _events.emit(
-                            "autoscale.step", interval=i, arrivals=0,
-                            provisioned=provisioned_at[i], cold_starts=0,
-                            idle_vms=provisioned_at[i], turnaround_s=0.0,
-                        )
-                    continue
-                warm = min(jobs, provisioned_at[i])
-                cold = jobs - warm
-                # One pairwise sum per interval: total / jobs is np.mean's
-                # result, and the same total is the paid time.
-                if jobs > buf.size:
-                    total, peak = _pairwise_reduce(
-                        0, jobs, buf.size,
-                        lambda first, end: settle(
-                            fill(buf[: end - first]), first, warm
-                        ),
+                    _events.emit(
+                        "autoscale.step", interval=i, arrivals=0,
+                        provisioned=prov, cold_starts=0, idle_vms=prov,
+                        turnaround_s=0.0,
                     )
                 else:
-                    total, peak = settle(
-                        buf[starts[i] - base : starts[i + 1] - base], 0, warm
-                    )
-                turnaround[i] = total / jobs
-                makespan[i] = peak
-                # Paid VM time: every used VM for its job (+startup for
-                # cold), plus idle surplus for a nominal job-length lease.
-                vm_seconds += float(total)
-                vm_seconds += float(over[i]) * job_seconds
-                if trace:
                     _events.emit(
                         "autoscale.step", interval=i, arrivals=jobs,
-                        provisioned=provisioned_at[i], cold_starts=cold,
+                        provisioned=prov, cold_starts=int(under[i]),
                         idle_vms=int(over[i]), turnaround_s=turnaround[i],
                         makespan_s=makespan[i],
                     )
-            lo = hi
 
         m = _metrics
+        m.gauge("autoscale.replay_spans").set(float(len(spans)))
         m.counter("autoscale.intervals").inc(n)
         m.counter("autoscale.cold_starts").inc(float(np.sum(under)))
         m.counter("autoscale.idle_vm_intervals").inc(float(np.sum(over)))

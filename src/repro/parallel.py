@@ -35,16 +35,29 @@ __all__ = ["parallel_map", "effective_workers", "chunk_indices"]
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on.
+
+    The affinity mask, where the platform has one, so a process pinned
+    to fewer CPUs (a cgroup cpuset, ``taskset``) is not oversubscribed;
+    otherwise ``os.cpu_count()``.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def effective_workers(n_workers: int | None = None) -> int:
     """Resolve the worker count.
 
-    ``None`` means "use all cores", honouring :data:`MAX_WORKERS_ENV`.
+    ``None`` means "use every CPU this process may run on", honouring
+    :data:`MAX_WORKERS_ENV`.
     Values below 1 are clamped to 1 (serial); a malformed or sub-serial
     env cap is clamped with a ``repro.parallel`` warning rather than
     silently forcing a surprise serial run.
     """
     cap_text = os.environ.get(MAX_WORKERS_ENV)
-    cpu = os.cpu_count() or 1
+    cpu = _available_cpus()
     if n_workers is None:
         n_workers = cpu
     if cap_text is not None:
@@ -115,7 +128,7 @@ def parallel_map(
     data = list(items)
     workers = effective_workers(n_workers)
     _metrics.gauge("parallel.workers_requested").set(
-        float(n_workers if n_workers is not None else (os.cpu_count() or 1))
+        float(n_workers if n_workers is not None else _available_cpus())
     )
     if workers <= 1 or len(data) < 2:
         _metrics.gauge("parallel.workers_effective").set(1.0)

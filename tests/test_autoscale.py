@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -26,6 +28,8 @@ from repro.autoscale import (
 from repro.autoscale import cloudsim
 from repro.autoscale.cloudsim import _BLOCK_JOBS, _pairwise_reduce
 from repro.baselines.naive import MeanPredictor
+from repro.obs import metrics as _metrics
+from repro.parallel import MAX_WORKERS_ENV
 
 GOLDEN = Path(__file__).parent / "data" / "cloudsim_golden.json"
 
@@ -74,6 +78,29 @@ def oracle_run(spec: VMSpec, seed: int, arrivals, provisioned):
                       "cold_starts": cold, "idle_vms": int(over[i]),
                       "turnaround_s": turnaround[i], "makespan_s": makespan[i]})
     return turnaround, makespan, vm_seconds, steps
+
+
+@contextlib.contextmanager
+def serial_replay():
+    """Replays inside run as one span, as ``REPRO_MAX_WORKERS=1`` asks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(MAX_WORKERS_ENV, "1")
+        yield
+
+
+@contextlib.contextmanager
+def forced_split(workers: int):
+    """Replays inside split into up to ``workers`` spans however few
+    jobs they hold and however many cores the host has."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cloudsim, "_SPAN_MIN_JOBS", 1)
+        mp.setattr(cloudsim, "effective_workers", lambda: workers)
+        yield
+
+
+def replay_spans() -> int:
+    """Span count of the last replay, from its metrics gauge."""
+    return int(_metrics.gauge("autoscale.replay_spans").value)
 
 
 @pytest.fixture
@@ -212,48 +239,91 @@ class TestBitExactReplay:
         return json.loads(GOLDEN.read_text())
 
     def test_golden_bytes(self, golden):
+        # As shipped: every golden case is below the split threshold.
+        self.check_golden_bytes(golden, workers=None)
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_golden_bytes_split(self, golden, workers):
+        self.check_golden_bytes(golden, workers)
+
+    def test_golden_cases_cross_the_block(self, golden, monkeypatch):
+        self.check_walks(golden, monkeypatch, workers=None)
+
+    def test_golden_cases_cross_the_block_split(self, golden, monkeypatch):
+        self.check_walks(golden, monkeypatch, workers=3)
+
+    @staticmethod
+    def check_golden_bytes(golden, workers):
+        """Every recorded case replays to its bytes, as shipped or cut
+        into up to ``workers`` spans on threads."""
         assert golden["bit_generator"] == type(
             np.random.default_rng().bit_generator
         ).__name__
-        for case in golden["cases"]:
-            sim = CloudSimulator(spec=VMSpec(**case["spec"]), seed=case["seed"])
-            res = sim.run(np.asarray(case["arrivals"], dtype=np.float64),
-                          np.asarray(case["provisioned"], dtype=np.float64))
-            for key in ("turnaround_seconds", "makespan_seconds",
-                        "under_provisioned", "over_provisioned"):
-                assert hex64(getattr(res, key)) == case[key], (case["name"], key)
-            assert float(res.vm_seconds).hex() == case["vm_seconds"], case["name"]
+        spans = []
+        with forced_split(workers) if workers else contextlib.nullcontext():
+            for case in golden["cases"]:
+                sim = CloudSimulator(spec=VMSpec(**case["spec"]),
+                                     seed=case["seed"])
+                res = sim.run(np.asarray(case["arrivals"], dtype=np.float64),
+                              np.asarray(case["provisioned"], dtype=np.float64))
+                spans.append(replay_spans())
+                for key in ("turnaround_seconds", "makespan_seconds",
+                            "under_provisioned", "over_provisioned"):
+                    assert hex64(getattr(res, key)) == case[key], (
+                        case["name"], key
+                    )
+                assert float(res.vm_seconds).hex() == case["vm_seconds"], (
+                    case["name"]
+                )
+        assert max(spans) == (workers or 1), spans
 
-    def test_golden_cases_cross_the_block(self, golden, monkeypatch):
+    @staticmethod
+    def check_walks(golden, monkeypatch, workers):
         """The recorded cases still exercise the block boundaries and the
-        walk of an interval larger than the buffer."""
+        walk of an interval larger than the buffer, as shipped or cut
+        into spans that share the buffer budget."""
         cases = {case["name"]: case for case in golden["cases"]}
         small = np.ceil(cases["many_small_cross_block"]["arrivals"])
         assert small.max() < _BLOCK_JOBS < small.sum()
         assert max(cases["one_over_block"]["arrivals"]) > _BLOCK_JOBS
 
         # Interval sizes the simulator walks: the outermost calls only,
-        # since the walk recurses through the same module name.
-        walked, depth = [], [0]
+        # since the walk recurses through the same module name.  Spans
+        # run on their own threads, so the recursion depth is kept per
+        # thread and the sizes per span, joined in span order.
+        walked, local = {}, threading.local()
+        replay_span = cloudsim._replay_span
+
+        def recording(lo, hi, **kwargs):
+            local.walked, local.depth = walked.setdefault(lo, []), 0
+            return replay_span(lo, hi, **kwargs)
 
         def counting(lo, hi, leaf_jobs, leaf):
-            if not depth[0]:
-                walked.append(hi - lo)
-            depth[0] += 1
+            if not local.depth:
+                local.walked.append(hi - lo)
+            local.depth += 1
             try:
                 return _pairwise_reduce(lo, hi, leaf_jobs, leaf)
             finally:
-                depth[0] -= 1
+                local.depth -= 1
 
+        monkeypatch.setattr(cloudsim, "_replay_span", recording)
         monkeypatch.setattr(cloudsim, "_pairwise_reduce", counting)
-        for name in ("large_intervals", "one_over_block", "many_small_cross_block"):
-            walked.clear()
-            case = cases[name]
-            CloudSimulator(spec=VMSpec(**case["spec"]), seed=case["seed"]).run(
-                np.asarray(case["arrivals"]), np.asarray(case["provisioned"])
-            )
-            big = [int(a) for a in case["arrivals"] if a > _BLOCK_JOBS]
-            assert walked == big, name
+        with forced_split(workers) if workers else contextlib.nullcontext():
+            for name in ("large_intervals", "one_over_block",
+                         "many_small_cross_block"):
+                walked.clear()
+                case = cases[name]
+                CloudSimulator(spec=VMSpec(**case["spec"]), seed=case["seed"]).run(
+                    np.asarray(case["arrivals"]), np.asarray(case["provisioned"])
+                )
+                assert len(walked) == replay_spans(), name
+                # Cuts fall only between intervals: one_over_block's
+                # 300k-job interval leaves room for two spans, not three.
+                assert replay_spans() in ((2, 3) if workers else (1,)), name
+                block = _BLOCK_JOBS // replay_spans()
+                big = [int(a) for a in case["arrivals"] if a > block]
+                assert [n for lo in sorted(walked) for n in walked[lo]] == big, name
 
     @pytest.mark.parametrize("leaf_jobs", [128, 1 << 13, _BLOCK_JOBS])
     def test_pairwise_walk_matches_ndarray_sum(self, leaf_jobs):
@@ -341,6 +411,107 @@ class TestBitExactReplay:
         ]
         assert emitted == steps
 
+    @given(
+        intervals=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.just(0),
+                    st.integers(1, 60),
+                    st.sampled_from([_BLOCK_JOBS // 4 - 1, _BLOCK_JOBS // 4 + 9,
+                                     _BLOCK_JOBS // 2 + 1, _BLOCK_JOBS + 3]),
+                ),
+                st.floats(0.0, 0.9),  # shaved off: fractional arrivals
+                st.floats(0.0, 1.5),  # provisioned / arrivals
+            ),
+            max_size=16,
+        ),
+        workers=st.integers(2, 4),
+        jitter=st.floats(0.0, 0.99),
+        max_startups=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        # Idle intervals open both spans: the second starts with two of
+        # them right after the cut, and its last interval is all cold.
+        intervals=[(0, 0.0, 1.0), (40, 0.0, 1.0), (0, 0.0, 1.0),
+                   (0, 0.0, 2.0), (40, 0.3, 0.0)],
+        workers=2, jitter=0.1, max_startups=4, seed=0,
+    )
+    @example(
+        # Four spans with a quarter of the budget each: the first three
+        # walk an interval larger than their buffer, cold tails included.
+        intervals=[(_BLOCK_JOBS // 2 + 1, 0.0, 0.7), (3, 0.0, 0.0),
+                   (_BLOCK_JOBS // 4 + 9, 0.5, 0.2),
+                   (_BLOCK_JOBS // 2 + 1, 0.0, 1.0), (7, 0.0, 0.0)],
+        workers=4, jitter=0.5, max_startups=2, seed=7,
+    )
+    @example(
+        # One interval holds most of the jobs, so the three cuts of a
+        # four-way split coincide and the run gets two spans.
+        intervals=[(_BLOCK_JOBS + 3, 0.0, 0.7), (3, 0.0, 0.0)],
+        workers=4, jitter=0.2, max_startups=3, seed=5,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_split_matches_serial(self, intervals, workers, jitter,
+                                  max_startups, seed):
+        """Span-parallel replay gives the serial replay's bytes and
+        events, with the buffer budget shared across 2-4 spans."""
+        jobs, shave, ratio = np.array(intervals, dtype=np.float64).reshape(-1, 3).T
+        arrivals = np.maximum(jobs - shave, 0.0)
+        provisioned = arrivals * ratio
+        sim = CloudSimulator(
+            spec=VMSpec(job_jitter_frac=jitter, max_concurrent_startups=max_startups),
+            seed=seed,
+        )
+
+        def replay():
+            sink = obs.add_sink(obs.MemorySink())
+            try:
+                res = sim.run(arrivals, provisioned)
+            finally:
+                obs.remove_sink(sink)
+            events = [
+                {k: v for k, v in rec.items() if k not in ("time", "v")}
+                for rec in sink.by_name("autoscale.step")
+            ]
+            return res, events, replay_spans()
+
+        with serial_replay():
+            serial, serial_events, serial_spans = replay()
+        with forced_split(workers):
+            split, split_events, split_spans = replay()
+        assert serial_spans == 1
+        # The first cut falls inside the run unless the last interval
+        # holds more than a (1 - 1/workers) share of the jobs.
+        a = np.ceil(arrivals)
+        if a.sum() >= workers and a[:-1].sum() >= a.sum() // workers:
+            assert split_spans >= 2
+        assert hex64(split.turnaround_seconds) == hex64(serial.turnaround_seconds)
+        assert hex64(split.makespan_seconds) == hex64(serial.makespan_seconds)
+        assert float(split.vm_seconds).hex() == float(serial.vm_seconds).hex()
+        assert [e["interval"] for e in split_events] == list(range(arrivals.size))
+        assert split_events == serial_events
+
+    def test_worker_span_error_reaches_caller(self):
+        """An exception in a span off the calling thread is raised by
+        ``run``, after every span thread has been joined."""
+        replay_span = cloudsim._replay_span
+        ran = []
+
+        def failing(lo, hi, **kwargs):
+            ran.append(lo)
+            if lo > 0:
+                raise RuntimeError(f"span at interval {lo} failed")
+            return replay_span(lo, hi, **kwargs)
+
+        with forced_split(3), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cloudsim, "_replay_span", failing)
+            with pytest.raises(RuntimeError, match="span at interval"):
+                CloudSimulator(seed=1).run(np.full(9, 50.0), np.full(9, 40.0))
+        assert sorted(ran) == [0, 3, 6]
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("cloudsim-span")]
+
     def test_memory_bounded_by_block_and_cold_tail(self):
         """A replay never holds an interval's jobs at once.
 
@@ -349,6 +520,16 @@ class TestBitExactReplay:
         traced peak to a small multiple of ``max(block, largest cold
         tail) * 8`` bytes.
         """
+        self.check_memory_bound(workers=None)
+
+    def test_memory_bounded_by_block_and_cold_tail_split(self):
+        """Four spans share the one buffer budget under the same bound;
+        four full-size buffers (2 MiB) would break it."""
+        self.check_memory_bound(workers=4)
+        assert replay_spans() == 4
+
+    @staticmethod
+    def check_memory_bound(workers):
         rng = np.random.default_rng(3)
         arrivals = np.round(rng.uniform(190_000, 210_000, 200))
         provisioned = np.round(arrivals * rng.uniform(0.9, 1.1, 200))
@@ -356,12 +537,13 @@ class TestBitExactReplay:
         assert arrivals.min() > 2 * _BLOCK_JOBS > largest_cold
         bound = 3 * max(_BLOCK_JOBS, largest_cold) * 8
         sim = CloudSimulator(seed=0)
-        tracemalloc.start()
-        try:
-            sim.run(arrivals, provisioned)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with forced_split(workers) if workers else contextlib.nullcontext():
+            tracemalloc.start()
+            try:
+                sim.run(arrivals, provisioned)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert peak <= bound, f"peak {peak} bytes > bound {bound} bytes"
 
 

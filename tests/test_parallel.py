@@ -56,6 +56,24 @@ class TestEffectiveWorkers:
     def test_none_uses_cpu_count(self):
         assert effective_workers(None) >= 1
 
+    def test_respects_cpu_affinity(self, monkeypatch):
+        """A process pinned to fewer CPUs than the host has (a cgroup
+        cpuset, ``taskset``) sizes its pools by its affinity mask."""
+        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5},
+                            raising=False)
+        assert effective_workers(None) == 2
+        assert effective_workers(6) == 2
+        assert effective_workers(1) == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert effective_workers(None) == 3
+        assert effective_workers(8) == 3
+
     def test_clamped_to_one(self):
         assert effective_workers(0) == 1
         assert effective_workers(-5) == 1
