@@ -4,6 +4,7 @@
 The package DAG, bottom to top::
 
     substrate   nn / ml / baselines / gp      (model math; no framework)
+                bayesopt                      (search spaces, optimizers, loop)
     models      repro.models                  (families over the substrate)
     core        repro.core                    (the Fig. 6 pipeline stages)
     apps        cli / experiments             (entry points)
@@ -14,6 +15,9 @@ call time, not just import time):
 
 * substrate packages must not import ``repro.core``, ``repro.models``,
   ``repro.cli``, or ``repro.experiments`` — they are leaf libraries;
+* ``repro.bayesopt`` holds the one suggest → evaluate → tell loop that
+  ``repro.core`` drives, so it is held to the substrate rule too: no
+  ``repro.core``/``repro.models`` or entry points;
 * ``repro.obs`` (including ``repro.obs.monitor``) sits below everything
   that feeds it telemetry: serving/core/models/cli/experiments are all
   off limits — monitors consume observations, they never reach back
@@ -40,6 +44,7 @@ _FORBIDDEN: dict[str, tuple[str, ...]] = {
     "ml": ("repro.core", "repro.models", "repro.cli", "repro.experiments"),
     "baselines": ("repro.core", "repro.models", "repro.cli", "repro.experiments"),
     "gp": ("repro.core", "repro.models", "repro.cli", "repro.experiments"),
+    "bayesopt": ("repro.core", "repro.models", "repro.cli", "repro.experiments"),
     "models": ("repro.cli", "repro.experiments"),
     "serving": ("repro.cli", "repro.experiments"),
     "traces": ("repro.core", "repro.models", "repro.cli", "repro.experiments"),

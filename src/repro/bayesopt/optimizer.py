@@ -13,6 +13,11 @@ Acquisition maximization uses dense random candidates plus local
 perturbations of the incumbent, followed by an L-BFGS-B polish of the
 best candidate in the continuous relaxation; the decoded config is
 deduplicated against history (integer rounding collapses nearby points).
+
+The module also holds what every optimizer shares:
+:class:`SearchOptimizer` (trial history, best record, quarantine hook,
+``tell`` and ``run``) and :func:`run_search`, the one suggest → evaluate
+→ tell loop behind ``run`` and the framework's search driver.
 """
 
 from __future__ import annotations
@@ -31,10 +36,13 @@ from repro.gp import GaussianProcessRegressor, Matern52
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
+from repro.parallel import effective_workers, parallel_map
 
 __all__ = [
     "BayesianOptimizer",
+    "SearchOptimizer",
     "TrialRecord",
+    "batch_evaluator",
     "unpack_objective",
     "record_trial",
     "run_search",
@@ -86,26 +94,39 @@ class TrialRecord:
     metadata: dict = field(default_factory=dict)
 
 
+def batch_evaluator(objective: Callable[[dict], object], workers: int):
+    """Turn a per-config ``objective`` into the batch evaluation
+    :func:`run_search` calls: a plain loop for one worker or a lone
+    config, otherwise :func:`repro.parallel.parallel_map` (one chunk per
+    worker, so the objective must be picklable)."""
+
+    def evaluate(configs: list[dict]) -> list:
+        if workers <= 1 or len(configs) < 2:
+            return [objective(config) for config in configs]
+        return parallel_map(
+            objective, configs, n_workers=workers, chunks_per_worker=1
+        )
+
+    return evaluate
+
+
 def run_search(
     optimizer,
-    objective: Callable[[dict], float],
+    evaluate: Callable[[list[dict]], list],
     n_iters: int,
     callback: Callable[["TrialRecord"], None] | None = None,
-    n_workers: int | None = None,
-) -> "TrialRecord":
-    """Closed-loop ask/evaluate/tell driver shared by all optimizers.
+    workers: int = 1,
+) -> None:
+    """The one suggest → evaluate → tell loop behind every search.
 
-    Serial when ``n_workers`` is ``None`` or 1 (byte-identical to the
-    classic one-at-a-time loop).  Otherwise draws ``suggest_batch``
-    batches and evaluates each through
-    :func:`repro.parallel.parallel_map` (which itself degrades to a
-    serial loop where process pools are unavailable).  Results are told
-    in suggestion order, so trial records are deterministic for a
-    deterministic objective either way.
+    Each round asks for one config (``suggest``) when ``workers`` is 1,
+    else for a batch of up to ``workers`` (``suggest_batch``), hands the
+    configs to ``evaluate`` (a list of objective outputs back, in the
+    same order), and tells the results in suggestion order, so the trial
+    records are deterministic for a deterministic objective.  The loop
+    stops after ``n_iters`` trials or when the optimizer runs out of
+    configs (an exhausted grid).
     """
-    from repro.parallel import effective_workers, parallel_map
-
-    workers = 1 if n_workers is None else effective_workers(n_workers)
     remaining = n_iters
     while remaining > 0:
         try:
@@ -117,89 +138,34 @@ def run_search(
             break
         if not configs:
             break
-        if workers <= 1 or len(configs) < 2:
-            outs = [objective(c) for c in configs]
-        else:
-            outs = parallel_map(
-                objective, configs, n_workers=workers, chunks_per_worker=1
-            )
-        for config, out in zip(configs, outs, strict=True):
+        for config, out in zip(configs, evaluate(configs), strict=True):
             value, meta = unpack_objective(out)
             record = optimizer.tell(config, value, **meta)
             if callback is not None:
                 callback(record)
         remaining -= len(configs)
-    return optimizer.best_record
 
 
-class BayesianOptimizer:
-    """GP-based minimizer over a :class:`SearchSpace`.
+class SearchOptimizer:
+    """Trial bookkeeping shared by the search optimizers.
 
-    Parameters
-    ----------
-    space:
-        The hyperparameter space (Table III ranges for LoadDynamics).
-    n_initial:
-        Random configurations evaluated before the GP takes over (the
-        workflow "starts with a randomly selected set", Fig. 6).
-    acquisition:
-        ``"ei"`` (paper), ``"pi"`` or ``"lcb"``.
-    xi / kappa:
-        Acquisition exploration parameters.
-    n_candidates:
-        Random candidates scored per suggestion.
-    seed:
-        Reproducibility seed for candidate sampling and the GP restarts.
+    Holds the trial history and the quarantine predicate, records told
+    values (:meth:`tell`), and drives a closed-loop search (:meth:`run`).
+    Subclasses provide ``suggest`` and ``suggest_batch``.
     """
 
-    def __init__(
-        self,
-        space: SearchSpace,
-        n_initial: int = 5,
-        acquisition: str = "ei",
-        xi: float = 0.01,
-        kappa: float = 2.0,
-        n_candidates: int = 1024,
-        gp_noise: float = 1e-4,
-        seed: int = 0,
-    ):
-        if acquisition not in ACQUISITIONS:
-            raise ValueError(
-                f"unknown acquisition {acquisition!r}; choose from {sorted(ACQUISITIONS)}"
-            )
-        if n_initial < 1:
-            raise ValueError("n_initial must be >= 1")
-        self.space = space
-        self.n_initial = int(n_initial)
-        self.acquisition_name = acquisition
-        self.xi = float(xi)
-        self.kappa = float(kappa)
-        self.n_candidates = int(n_candidates)
-        self.gp_noise = float(gp_noise)
-        self._rng = np.random.default_rng(seed)
-        self._seed = seed
-        self.history: list[TrialRecord] = []
-        self._X: list[np.ndarray] = []
-        self._y: list[float] = []
-        self._pending: dict | None = None
-        self._excluded: Callable[[dict], bool] | None = None
-        #: Timings of the most recent :meth:`suggest`, attached to the
-        #: next :meth:`tell`'s record so every trial carries the cost of
-        #: proposing it (surrogate fit + acquisition optimization).
-        self._suggest_timings: dict = {}
-        #: Configs suggested by an in-flight :meth:`suggest_batch` whose
-        #: objective values have not been told yet; the GP dedup treats
-        #: them as explored so one batch never proposes the same point
-        #: twice.
-        self._pending_batch: list[dict] = []
-        #: Per-suggestion timing dicts queued by :meth:`suggest_batch`,
-        #: consumed one per :meth:`tell` so batched trials carry their
-        #: own proposal costs just like serial ones.
-        self._batch_timings: deque[dict] = deque()
+    #: Optimizer label on the ``bo.trial`` telemetry events.
+    name = "search"
 
-    # ------------------------------------------------------------------
-    # state
-    # ------------------------------------------------------------------
+    def __init__(self, space: SearchSpace):
+        self.space = space
+        self.history: list[TrialRecord] = []
+        self._excluded: Callable[[dict], bool] | None = None
+        #: Configs suggested by an in-flight ``suggest_batch`` whose
+        #: values have not been told yet; deduplication treats them as
+        #: explored so one batch never proposes the same point twice.
+        self._pending_batch: list[dict] = []
+
     @property
     def n_trials(self) -> int:
         return len(self.history)
@@ -219,14 +185,130 @@ class BayesianOptimizer:
     def best_value(self) -> float:
         return self.best_record.value
 
-    # ------------------------------------------------------------------
-    # resilience hooks
-    # ------------------------------------------------------------------
     def set_excluded(self, predicate: Callable[[dict], bool] | None) -> None:
         """Ban configs for which ``predicate`` is true from being suggested
         (the quarantine hook — see :class:`repro.resilience.Quarantine`)."""
         self._excluded = predicate
 
+    def _explored(self, config: dict) -> bool:
+        """Whether ``config`` was told already or is pending in a batch."""
+        return any(p == config for p in self._pending_batch) or any(
+            r.config == config for r in self.history
+        )
+
+    def tell(self, config: dict, value: float, **metadata) -> TrialRecord:
+        """Record the objective value for a suggested (or external) config."""
+        self.space.validate(config)
+        if not np.isfinite(value):
+            # Failed trainings (diverged loss etc.) are recorded at a large
+            # finite penalty so the search steers away instead of crashing.
+            value = 1e6
+        if self._pending_batch:
+            try:
+                self._pending_batch.remove(config)
+            except ValueError:
+                pass
+        record = TrialRecord(
+            iteration=self.n_trials,
+            config=dict(config),
+            value=float(value),
+            metadata=metadata,
+        )
+        self.history.append(record)
+        record_trial(record, optimizer=self.name)
+        return record
+
+    def run(
+        self,
+        objective: Callable[[dict], float],
+        n_iters: int,
+        callback: Callable[[TrialRecord], None] | None = None,
+        n_workers: int | None = None,
+    ) -> TrialRecord:
+        """Evaluate ``objective`` for ``n_iters`` iterations; return the best.
+
+        ``n_iters`` is the paper's ``maxIters`` (100 in their runs).
+        The objective may return a bare value or ``(value, metadata)``;
+        metadata lands on the :class:`TrialRecord`.
+
+        With ``n_workers`` > 1, iterations are grouped into batches
+        (``suggest_batch``) evaluated through
+        :func:`repro.parallel.parallel_map`; the objective must then be
+        picklable.  Results are told in suggestion order, so the trial
+        history ordering is deterministic.
+        """
+        if n_iters < 1:
+            raise ValueError("n_iters must be >= 1")
+        workers = 1 if n_workers is None else effective_workers(n_workers)
+        run_search(
+            self, batch_evaluator(objective, workers), n_iters, callback, workers
+        )
+        return self.best_record
+
+
+class BayesianOptimizer(SearchOptimizer):
+    """GP-based minimizer over a :class:`SearchSpace`.
+
+    Parameters
+    ----------
+    space:
+        The hyperparameter space (Table III ranges for LoadDynamics).
+    n_initial:
+        Random configurations evaluated before the GP takes over (the
+        workflow "starts with a randomly selected set", Fig. 6).
+    acquisition:
+        ``"ei"`` (paper), ``"pi"`` or ``"lcb"``.
+    xi / kappa:
+        Acquisition exploration parameters.
+    n_candidates:
+        Random candidates scored per suggestion.
+    seed:
+        Reproducibility seed for candidate sampling and the GP restarts.
+    """
+
+    name = "bayesian"
+
+    def __init__(
+        self,
+        space: SearchSpace,
+        n_initial: int = 5,
+        acquisition: str = "ei",
+        xi: float = 0.01,
+        kappa: float = 2.0,
+        n_candidates: int = 1024,
+        gp_noise: float = 1e-4,
+        seed: int = 0,
+    ):
+        if acquisition not in ACQUISITIONS:
+            raise ValueError(
+                f"unknown acquisition {acquisition!r}; choose from {sorted(ACQUISITIONS)}"
+            )
+        if n_initial < 1:
+            raise ValueError("n_initial must be >= 1")
+        super().__init__(space)
+        self.n_initial = int(n_initial)
+        self.acquisition_name = acquisition
+        self.xi = float(xi)
+        self.kappa = float(kappa)
+        self.n_candidates = int(n_candidates)
+        self.gp_noise = float(gp_noise)
+        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._X: list[np.ndarray] = []
+        self._y: list[float] = []
+        self._pending: dict | None = None
+        #: Timings of the most recent :meth:`suggest`, attached to the
+        #: next :meth:`tell`'s record so every trial carries the cost of
+        #: proposing it (surrogate fit + acquisition optimization).
+        self._suggest_timings: dict = {}
+        #: Per-suggestion timing dicts queued by :meth:`suggest_batch`,
+        #: consumed one per :meth:`tell` so batched trials carry their
+        #: own proposal costs just like serial ones.
+        self._batch_timings: deque[dict] = deque()
+
+    # ------------------------------------------------------------------
+    # resilience hooks
+    # ------------------------------------------------------------------
     def search_state(self) -> dict:
         """Serializable state needed to resume suggesting deterministically.
 
@@ -339,29 +421,18 @@ class BayesianOptimizer:
         return configs
 
     def tell(self, config: dict, value: float, **metadata) -> TrialRecord:
-        """Record the objective value for a suggested (or external) config."""
+        """Record the objective value; the trial carries the timings of
+        the suggestion that proposed it."""
         t0 = time.perf_counter()
-        if not np.isfinite(value):
-            # Failed trainings (diverged loss etc.) are recorded at a large
-            # finite penalty so the GP steers away instead of crashing.
-            value = 1e6
-        self.space.validate(config)
         if not self._suggest_timings and self._batch_timings:
             self._suggest_timings = self._batch_timings.popleft()
         if self._suggest_timings:
             metadata = {**self._suggest_timings, **metadata}
             self._suggest_timings = {}
-        if self._pending_batch:
-            try:
-                self._pending_batch.remove(config)
-            except ValueError:
-                pass
-        record = TrialRecord(iteration=self.n_trials, config=dict(config), value=float(value), metadata=metadata)
-        self.history.append(record)
+        record = super().tell(config, value, **metadata)
         self._X.append(self.space.to_unit(config))
-        self._y.append(float(value))
+        self._y.append(record.value)
         self._pending = None
-        record_trial(record, optimizer="bayesian")
         logger.debug(
             "trial %d: value=%.4g config=%s", record.iteration, record.value, record.config
         )
@@ -461,32 +532,4 @@ class BayesianOptimizer:
     def _is_duplicate(self, config: dict) -> bool:
         if self._excluded is not None and self._excluded(config):
             return True
-        if any(p == config for p in self._pending_batch):
-            return True
-        return any(r.config == config for r in self.history)
-
-    # ------------------------------------------------------------------
-    # closed-loop driver
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        objective: Callable[[dict], float],
-        n_iters: int,
-        callback: Callable[[TrialRecord], None] | None = None,
-        n_workers: int | None = None,
-    ) -> TrialRecord:
-        """Evaluate ``objective`` for ``n_iters`` iterations; return the best.
-
-        ``n_iters`` is the paper's ``maxIters`` (100 in their runs).
-        The objective may return a bare value or ``(value, metadata)``;
-        metadata lands on the :class:`TrialRecord`.
-
-        With ``n_workers`` > 1, iterations are grouped into
-        constant-liar batches (:meth:`suggest_batch`) evaluated through
-        :func:`repro.parallel.parallel_map`; the objective must then be
-        picklable.  Results are told in suggestion order, so the trial
-        history ordering is deterministic.
-        """
-        if n_iters < 1:
-            raise ValueError("n_iters must be >= 1")
-        return run_search(self, objective, n_iters, callback, n_workers)
+        return self._explored(config)

@@ -1,64 +1,40 @@
 """Random search comparator (paper Section III-A).
 
 The paper found random search reaches similar accuracy to BO but needs
-more time; it shares the ask/tell/run interface of
+more time; it shares the ask/tell/run interface (and the
+:class:`~repro.bayesopt.optimizer.SearchOptimizer` bookkeeping) of
 :class:`~repro.bayesopt.optimizer.BayesianOptimizer` so the ablation
 bench can swap optimizers without touching the evaluation loop.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.bayesopt.optimizer import TrialRecord, record_trial, run_search
+from repro.bayesopt.optimizer import SearchOptimizer
 from repro.bayesopt.space import SearchSpace
 
 __all__ = ["RandomSearch"]
 
 
-class RandomSearch:
+class RandomSearch(SearchOptimizer):
     """Uniform random sampling over a :class:`SearchSpace`."""
 
+    name = "random"
+
     def __init__(self, space: SearchSpace, seed: int = 0, avoid_duplicates: bool = True):
-        self.space = space
+        super().__init__(space)
         self._rng = np.random.default_rng(seed)
         self.avoid_duplicates = bool(avoid_duplicates)
-        self.history: list[TrialRecord] = []
-        self._excluded = None
-        self._pending_batch: list[dict] = []
 
     # ------------------------------------------------------------------
     # resilience hooks (same contract as BayesianOptimizer)
     # ------------------------------------------------------------------
-    def set_excluded(self, predicate) -> None:
-        """Ban configs for which ``predicate`` is true (quarantine hook)."""
-        self._excluded = predicate
-
     def search_state(self) -> dict:
         return {"rng": self._rng.bit_generator.state}
 
     def restore_search_state(self, state: dict) -> None:
         self._rng.bit_generator.state = state["rng"]
-
-    @property
-    def n_trials(self) -> int:
-        return len(self.history)
-
-    @property
-    def best_record(self) -> TrialRecord:
-        if not self.history:
-            raise RuntimeError("no trials evaluated yet")
-        return min(self.history, key=lambda r: r.value)
-
-    @property
-    def best_config(self) -> dict:
-        return dict(self.best_record.config)
-
-    @property
-    def best_value(self) -> float:
-        return self.best_record.value
 
     def suggest(self) -> dict:
         """Draw a uniform config (retrying a few times to dodge repeats
@@ -68,13 +44,9 @@ class RandomSearch:
             config = self.space.sample(self._rng, 1)[0]
             if self._excluded is not None and self._excluded(config):
                 continue
-            if not self.avoid_duplicates or not (
-                any(r.config == config for r in self.history)
-                or any(p == config for p in self._pending_batch)
-            ):
+            if not self.avoid_duplicates or not self._explored(config):
                 return config
         return config
-
     def suggest_batch(self, q: int) -> list[dict]:
         """Draw ``q`` configs for concurrent evaluation.
 
@@ -96,30 +68,3 @@ class RandomSearch:
             configs.append(config)
             self._pending_batch.append(config)
         return configs
-
-    def tell(self, config: dict, value: float, **metadata) -> TrialRecord:
-        self.space.validate(config)
-        if not np.isfinite(value):
-            value = 1e6
-        record = TrialRecord(
-            iteration=self.n_trials, config=dict(config), value=float(value), metadata=metadata
-        )
-        self.history.append(record)
-        if self._pending_batch:
-            try:
-                self._pending_batch.remove(config)
-            except ValueError:
-                pass
-        record_trial(record, optimizer="random")
-        return record
-
-    def run(
-        self,
-        objective: Callable[[dict], float],
-        n_iters: int,
-        callback: Callable[[TrialRecord], None] | None = None,
-        n_workers: int | None = None,
-    ) -> TrialRecord:
-        if n_iters < 1:
-            raise ValueError("n_iters must be >= 1")
-        return run_search(self, objective, n_iters, callback, n_workers)

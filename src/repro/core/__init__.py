@@ -15,7 +15,9 @@ Public entry points:
 * the pipeline stages — :func:`~repro.core.data.prepare_data`,
   :class:`~repro.core.evaluation.TrialEvaluator`,
   :class:`~repro.core.driver.SearchDriver` — composable directly
-  (the brute-force baseline and Fig. 5 bench do);
+  (the Fig. 5 bench does); the brute-force baseline
+  (:mod:`~repro.core.bruteforce`) is a :class:`LoadDynamics` fit over a
+  shuffled grid search;
 * :mod:`~repro.core.windowing` / :mod:`~repro.core.scaling` — the data
   plumbing (Eq. 1 windows, leak-free min-max normalization).
 """

@@ -1,26 +1,29 @@
-"""Parallel brute-force LSTM search (the Fig. 9 "LSTMBruteForce" baseline).
+"""Brute-force LSTM search (the Fig. 9 "LSTMBruteForce" baseline).
 
 The paper's exhaustive search took "1-day to 6-weeks" per workload on a
 16-core Xeon — embarrassingly parallel over hyperparameter combinations.
-This module evaluates a grid of configurations with
-:func:`repro.parallel.parallel_map`: each worker process trains and
-validates one LSTM independently (everything it needs travels in a
-picklable payload), and results come back in deterministic input order,
-so serial and parallel runs select the same winner.
+Here it is :class:`~repro.core.framework.LoadDynamics` with a shuffled
+:class:`~repro.bayesopt.grid_search.GridSearch` in place of Bayesian
+Optimization: the same data preparation, trial evaluation (deadlines,
+retries, quarantine) and search loop as every other fit.  With
+``n_workers`` > 1 each round trains one grid point per worker process;
+trials are told in grid order, so serial and parallel sweeps select the
+same winner.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.bayesopt.grid_search import GridSearch
 from repro.bayesopt.space import SearchSpace
 from repro.core.config import FrameworkSettings, LSTMHyperparameters
 from repro.core.data import prepare_data
+from repro.core.framework import LoadDynamics
 from repro.core.predictor import LoadDynamicsPredictor
-from repro.core.scaling import MinMaxScaler
-from repro.parallel import parallel_map
 
 __all__ = ["brute_force_search", "BruteForceResult"]
 
@@ -39,22 +42,6 @@ class BruteForceResult:
         return len(self.evaluations)
 
 
-def _evaluate_payload(payload: tuple) -> tuple[dict, float]:
-    """Train+validate one configuration (runs in a worker process)."""
-    (scaled, raw, scaler_state, config, i_train_end, i_val_end, settings_kwargs) = payload
-    # Reconstruct the light objects locally; arrays arrived by pickling.
-    from repro.core.evaluation import TrialEvaluator
-    from repro.models import get_family
-
-    settings = FrameworkSettings(**settings_kwargs)
-    evaluator = TrialEvaluator(get_family("lstm"), settings)
-    scaler = MinMaxScaler.from_state(scaler_state)
-    value, _model, _meta = evaluator.evaluate(
-        scaled, raw, scaler, config, i_train_end, i_val_end
-    )
-    return config, float(value)
-
-
 def brute_force_search(
     series: np.ndarray,
     space: SearchSpace,
@@ -67,52 +54,42 @@ def brute_force_search(
     """Exhaustively evaluate a hyperparameter grid, in parallel.
 
     ``max_trials`` truncates the (shuffled) grid — the honest way to run
-    the paper's weeks-long search inside a time budget.  Returns every
-    evaluation so callers can study the error landscape (Fig. 5 style).
+    the paper's weeks-long search inside a time budget.  ``n_workers``
+    ``None`` uses every available CPU.  Returns every evaluation so
+    callers can study the error landscape (Fig. 5 style).
 
     The final predictor is *not* retrained here; call
     :func:`fit_best` to turn the winning configuration into a deployable
     :class:`LoadDynamicsPredictor`.
     """
+    from repro.parallel import effective_workers
+
     cfg = settings if settings is not None else FrameworkSettings.reduced()
-    # Workers rebuild their own windows, so skip the shared cache.
-    data = prepare_data(series, cfg, window_cache=False)
-    s, scaled, scaler = data.raw, data.scaled, data.scaler
-    i_train_end, i_val_end = data.i_train_end, data.i_val_end
-
-    grid = space.grid(points_per_dim)
-    rng = np.random.default_rng(shuffle_seed)
-    rng.shuffle(grid)
+    n_trials = len(space.grid(points_per_dim))
     if max_trials is not None:
-        grid = grid[:max_trials]
-    if not grid:
+        n_trials = min(n_trials, max_trials)
+    if n_trials < 1:
         raise ValueError("empty grid")
-
-    settings_kwargs = {
-        k: getattr(cfg, k)
-        for k in (
-            "max_iters", "n_initial", "train_frac", "val_frac", "epochs", "lr",
-            "patience", "clip_norm", "optimizer", "loss", "acquisition", "seed",
-            "min_train_windows", "max_train_windows",
-        )
-    }
-    payloads = [
-        (scaled, s, scaler.state(), config, i_train_end, i_val_end, settings_kwargs)
-        for config in grid
-    ]
-    results = parallel_map(_evaluate_payload, payloads, n_workers=n_workers)
-
-    evaluations = [(c, v) for c, v in results]
-    feasible = [(c, v) for c, v in evaluations if v < 1e5]
-    n_infeasible = len(evaluations) - len(feasible)
-    if not feasible:
+    ld = LoadDynamics(
+        space,
+        dataclasses.replace(cfg, max_iters=n_trials),
+        optimizer_cls=GridSearch,
+        optimizer_kwargs={
+            "points_per_dim": points_per_dim,
+            "shuffle": True,
+            "seed": shuffle_seed,
+        },
+    )
+    _predictor, report = ld.fit(
+        series, n_workers=effective_workers() if n_workers is None else n_workers
+    )
+    if report.degraded:
         raise RuntimeError("no feasible configuration in the grid")
-    best_config, best_value = min(feasible, key=lambda cv: cv[1])
     return BruteForceResult(
-        best_hyperparameters=LSTMHyperparameters.from_dict(best_config),
-        best_validation_mape=best_value,
-        evaluations=evaluations,
-        n_infeasible=n_infeasible,
+        best_hyperparameters=report.best_hyperparameters,
+        best_validation_mape=float(report.best_validation_mape),
+        evaluations=[(t.config, t.value) for t in report.trials],
+        n_infeasible=report.n_infeasible,
     )
 
 

@@ -1,8 +1,9 @@
 """Search-driver stage: Fig. 6 step 3 with the resilience semantics.
 
-The driver owns the suggest → evaluate → tell loop around any
-:mod:`repro.bayesopt` optimizer, replacing ``optimizer.run`` with the
-crash-safe variant the framework has always used:
+The driver runs any :mod:`repro.bayesopt` optimizer through the same
+suggest → evaluate → tell loop as ``optimizer.run``
+(:func:`~repro.bayesopt.optimizer.run_search`), with the crash-safe
+additions the framework has always used:
 
 * every completed trial is fsynced to the :class:`TrialJournal`
   (config, value, metadata, optimizer search state) before the next
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from repro.core.cache import TrialMemo
 from repro.core.constants import FAILURE_REASONS
-from repro.bayesopt.optimizer import unpack_objective
+from repro.bayesopt.optimizer import run_search
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
@@ -51,8 +52,8 @@ class SearchDriver:
     Parameters
     ----------
     optimizer:
-        Any :mod:`repro.bayesopt` optimizer (``suggest``/``tell``; the
-        parallel loop additionally uses ``suggest_batch``).
+        Any :mod:`repro.bayesopt` optimizer (``suggest``/``tell``;
+        batched rounds use ``suggest_batch``).
     journal:
         Optional open :class:`~repro.resilience.TrialJournal`; completed
         trials are appended (fsynced) as they finish.
@@ -67,49 +68,30 @@ class SearchDriver:
         self.quarantine = quarantine
 
     # ------------------------------------------------------------------
-    def run(self, objective, n_iters: int) -> None:
-        """Serial loop: one suggest → objective → tell per iteration."""
-        for _ in range(max(0, n_iters)):
-            try:
-                config = self.optimizer.suggest()
-            except StopIteration:  # grid exhausted
-                break
-            value, meta = unpack_objective(objective(config))
-            record = self.optimizer.tell(config, value, **meta)
-            self._after_trial(record, config)
-
-    def run_parallel(
+    def run(
         self,
-        raw_eval,
+        evaluate,
         settle,
         memo: TrialMemo,
         n_iters: int,
-        workers: int,
+        workers: int = 1,
     ) -> None:
-        """Batched variant of :meth:`run` for ``fit(n_workers > 1)``.
+        """Run ``n_iters`` trials through the shared ``run_search`` loop.
 
-        Each round asks the optimizer for up to ``workers`` candidates
-        (constant-liar batch for the GP, plain draws otherwise),
-        short-circuits memoized configs, trains the rest concurrently
-        through :func:`repro.parallel.parallel_map`, and tells/journals
-        the results in suggestion order — so the trial history layout
-        matches the serial driver's.
+        ``evaluate`` trains a batch of configs (a list of
+        ``(value, model, metadata)`` back, in order); ``workers`` > 1
+        asks the optimizer for batches of that size (constant-liar
+        batch for the GP, plain draws otherwise).  Before training, the
+        ``objective`` fault site fires once per config, in the parent so
+        injected failures hit the run deterministically, and memoized
+        configs are short-circuited.  ``settle`` folds each result into
+        the fit's bookkeeping, and every told trial is quarantined or
+        journaled by :meth:`_after_trial` before the next round.
         """
-        from repro.parallel import parallel_map
 
-        remaining = max(0, n_iters)
-        while remaining > 0:
-            try:
-                configs = self.optimizer.suggest_batch(min(workers, remaining))
-            except StopIteration:  # grid exhausted
-                break
-            if not configs:
-                break
+        def evaluate_batch(configs: list[dict]) -> list[tuple[float, dict]]:
             injector = _faults.active()
             if injector is not None:
-                # Fault injection stays in the parent so injected
-                # failures hit the run deterministically, not whichever
-                # worker happens to import the injector.
                 for _ in configs:
                     injector.maybe_fire("objective")
             results: list = [None] * len(configs)
@@ -121,27 +103,23 @@ class SearchDriver:
                     results[i] = (value, None, {**meta, "cache_hit": True})
                 else:
                     todo.append(i)
-            if len(todo) == 1:
-                results[todo[0]] = raw_eval(configs[todo[0]])
-            elif todo:
-                outs = parallel_map(
-                    raw_eval,
-                    [configs[i] for i in todo],
-                    n_workers=workers,
-                    chunks_per_worker=1,
-                )
-                for i, out in zip(todo, outs, strict=True):
-                    results[i] = out
-            for config, (value, model, meta) in zip(configs, results, strict=True):
-                value, meta = settle(config, value, model, meta)
-                record = self.optimizer.tell(config, value, **meta)
-                self._after_trial(record, config)
-            remaining -= len(configs)
+            trained = evaluate([configs[i] for i in todo])
+            for i, out in zip(todo, trained, strict=True):
+                results[i] = out
+            return [
+                settle(config, value, model, meta)
+                for config, (value, model, meta) in zip(configs, results, strict=True)
+            ]
+
+        run_search(
+            self.optimizer, evaluate_batch, n_iters, self._after_trial, workers
+        )
 
     # ------------------------------------------------------------------
-    def _after_trial(self, record, config) -> None:
-        """Post-``tell`` bookkeeping shared by both loops: quarantine
-        repeat offenders and fsync the trial to the journal."""
+    def _after_trial(self, record) -> None:
+        """Post-``tell`` bookkeeping: quarantine repeat offenders and
+        fsync the trial to the journal."""
+        config = record.config
         if (
             self.quarantine is not None
             and record.metadata.get("reason") in FAILURE_REASONS

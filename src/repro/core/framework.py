@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bayesopt.optimizer import BayesianOptimizer, TrialRecord
+from repro.bayesopt.optimizer import BayesianOptimizer, TrialRecord, batch_evaluator
 from repro.bayesopt.space import SearchSpace
 from repro.core.cache import TrialMemo
 from repro.core.config import FrameworkSettings
@@ -54,7 +54,6 @@ from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
 from repro.obs.tracing import span
-from repro.resilience import faults as _faults
 from repro.resilience.journal import TrialJournal
 from repro.resilience.retry import Quarantine
 
@@ -71,20 +70,22 @@ def _evaluate_trial(
     i_train_end: int,
     i_val_end: int,
     target_channel: int,
+    window_cache,
     config: dict,
 ):
-    """Picklable trial evaluator for the parallel search driver.
+    """One trial of the search: train and validate ``config``.
 
     Module-level (and with ``config`` last) so ``functools.partial``
-    over the fixed arguments produces the single-argument callable
-    :func:`repro.parallel.parallel_map` expects.  Runs in a worker
-    process: no shared window cache (each worker builds its own
-    windows), and the returned model travels back via pickle with its
-    inference scratch dropped.
+    over the fixed arguments is the single-argument, picklable callable
+    :func:`repro.parallel.parallel_map` expects.  A serial fit shares
+    the fit's window cache across trials; in worker processes
+    ``window_cache`` is ``None`` (each trial builds its own windows),
+    and the returned model travels back via pickle with its inference
+    scratch dropped.
     """
     return evaluator.evaluate(
         scaled, raw, scaler, config, i_train_end, i_val_end,
-        target_channel=target_channel,
+        window_cache=window_cache, target_channel=target_channel,
     )
 
 
@@ -283,20 +284,6 @@ class LoadDynamics:
                 best.update(mape=value, model=model, config=config)
             return value, meta
 
-        def objective(config: dict) -> tuple[float, dict]:
-            injector = _faults.active()
-            if injector is not None:
-                injector.maybe_fire("objective")
-            hit = memo.get(config)
-            if hit is not None:
-                value, meta = hit
-                return settle(config, value, None, {**meta, "cache_hit": True})
-            value, model, meta = evaluator.evaluate(
-                scaled, s, scaler, config, i_train_end, i_val_end,
-                window_cache=wcache, target_channel=target_channel,
-            )
-            return settle(config, value, model, meta)
-
         journal_obj = TrialJournal(journal) if isinstance(journal, (str, Path)) else journal
         if resume and journal_obj is None:
             raise ValueError("resume=True requires a journal path")
@@ -333,35 +320,33 @@ class LoadDynamics:
 
                 workers = 1 if n_workers is None else effective_workers(n_workers)
                 if n_workers is not None:
-                    # Record the clamp even when it forces the serial branch
-                    # below, where parallel_map (which normally sets these)
-                    # is never reached.
+                    # Record the clamp even when it forces the serial loop,
+                    # where parallel_map (which normally sets these) is
+                    # never reached.
                     _metrics.gauge("parallel.workers_requested").set(
                         float(n_workers)
                     )
                     _metrics.gauge("parallel.workers_effective").set(
                         float(workers)
                     )
-                if workers <= 1:
-                    driver.run(objective, cfg.max_iters - n_replayed)
-                else:
-                    raw_eval = functools.partial(
-                        _evaluate_trial,
-                        evaluator,
-                        scaled,
-                        s,
-                        scaler,
-                        i_train_end,
-                        i_val_end,
-                        target_channel,
-                    )
-                    driver.run_parallel(
-                        raw_eval,
-                        settle,
-                        memo,
-                        cfg.max_iters - n_replayed,
-                        workers,
-                    )
+                trial = functools.partial(
+                    _evaluate_trial,
+                    evaluator,
+                    scaled,
+                    s,
+                    scaler,
+                    i_train_end,
+                    i_val_end,
+                    target_channel,
+                    wcache if workers <= 1 else None,
+                )
+                driver.run(
+                    batch_evaluator(trial, workers),
+                    settle,
+                    memo,
+                    cfg.max_iters - n_replayed,
+                    workers,
+                )
             finally:
                 if journal_obj is not None:
                     journal_obj.close()
@@ -509,13 +494,7 @@ class LoadDynamics:
         if self.optimizer_cls is BayesianOptimizer:
             kwargs.setdefault("n_initial", self.settings.n_initial)
             kwargs.setdefault("acquisition", self.settings.acquisition)
-            kwargs.setdefault("seed", self.settings.seed)
-        elif "seed" not in kwargs and hasattr(self.optimizer_cls, "__init__"):
-            # Random search takes a seed; grid search takes none of ours.
-            try:
-                return self.optimizer_cls(self.space, seed=self.settings.seed, **kwargs)
-            except TypeError:
-                return self.optimizer_cls(self.space, **kwargs)
+        kwargs.setdefault("seed", self.settings.seed)
         return self.optimizer_cls(self.space, **kwargs)
 
     # ------------------------------------------------------------------

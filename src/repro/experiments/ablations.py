@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 from repro.bayesopt.grid_search import GridSearch
@@ -57,7 +58,7 @@ def run_search_ablation(
     if settings is None:
         settings = FrameworkSettings.reduced(max_iters=n_iters)
     else:
-        settings.max_iters = n_iters
+        settings = dataclasses.replace(settings, max_iters=n_iters)
     rows: list[dict] = []
     optimizers = [
         ("bayesian", BayesianOptimizer, {"n_initial": max(2, n_iters // 4), "seed": 0}),
@@ -101,9 +102,12 @@ def run_family_ablation(
     series = get_configuration(workload).load()
     trace = workload.split("-")[0]
     rows: list[dict] = []
+    s = (
+        FrameworkSettings.reduced(max_iters=n_iters)
+        if settings is None
+        else dataclasses.replace(settings, max_iters=n_iters)
+    )
     for family in families:
-        s = settings if settings is not None else FrameworkSettings.reduced(max_iters=n_iters)
-        s.max_iters = n_iters
         ld = LoadDynamics(
             settings=s, trace_name=trace, budget=budget, family=family
         )
@@ -131,10 +135,9 @@ def run_acquisition_ablation(
     series = get_configuration(workload).load()
     trace = workload.split("-")[0]
     rows: list[dict] = []
+    base = settings if settings is not None else FrameworkSettings.reduced()
     for acq in ("ei", "pi", "lcb"):
-        s = settings if settings is not None else FrameworkSettings.reduced(max_iters=n_iters)
-        s.acquisition = acq
-        s.max_iters = n_iters
+        s = dataclasses.replace(base, acquisition=acq, max_iters=n_iters)
         ld = LoadDynamics(space=search_space_for(trace, budget), settings=s)
         val, test, best_iter, secs = _fit_and_score(ld, series, max_eval)
         rows.append(

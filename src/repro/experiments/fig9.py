@@ -16,6 +16,7 @@ small-JAR traces (FB, Azure, LCG); Wikipedia easiest.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -70,17 +71,11 @@ def _brute_force_mape(
     space = search_space_for(trace, budget)
     ld = LoadDynamics(
         space=space,
-        settings=settings,
+        settings=dataclasses.replace(settings, max_iters=trials),
         optimizer_cls=GridSearch,
         optimizer_kwargs={"points_per_dim": 3, "shuffle": True, "seed": 1},
     )
-    # GridSearch.run caps at the grid size internally.
-    saved = settings.max_iters
-    settings.max_iters = trials
-    try:
-        predictor, _ = ld.fit(series)
-    finally:
-        settings.max_iters = saved
+    predictor, _ = ld.fit(series)
     start = test_start_index(len(series), max_eval)
     preds = predictor.predict_series(series, start)
     return evaluate_on_test(preds, series, start)

@@ -64,6 +64,23 @@ class TestBruteForce:
                 settings=FrameworkSettings.tiny(),
             )
 
+    def test_trial_deadline_applies_to_every_grid_point(self, sweep):
+        # The sweep runs the framework's own trial evaluation, so the
+        # settings' per-trial deadline holds: at 1 µs every grid point
+        # times out and no configuration is feasible.
+        series, _ = sweep
+        with pytest.raises(RuntimeError, match="no feasible configuration"):
+            brute_force_search(
+                series,
+                search_space_for("default", "tiny"),
+                settings=FrameworkSettings.tiny(
+                    epochs=8, trial_timeout_s=1e-6, max_retries=0
+                ),
+                points_per_dim=2,
+                max_trials=4,
+                n_workers=1,
+            )
+
     def test_result_dataclass(self):
         from repro.core import LSTMHyperparameters
 

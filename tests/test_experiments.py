@@ -7,6 +7,8 @@ checked by the benchmark harnesses.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from repro.experiments import (
     run_fig5,
     run_fig9,
     run_fig10,
+    run_acquisition_ablation,
+    run_family_ablation,
     run_search_ablation,
     run_table4,
 )
@@ -162,3 +166,35 @@ class TestAblation:
         assert [r["optimizer"] for r in rows] == ["bayesian", "random", "grid"]
         for r in rows:
             assert np.isfinite(r["val_mape"]) and r["seconds"] > 0
+
+
+def _brute_force_on_fb(settings):
+    from repro.experiments.fig9 import _brute_force_mape
+
+    series = get_configuration("fb-10m").load()
+    return _brute_force_mape(series, "fb", "tiny", settings, 2, 15)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda s: run_search_ablation(
+            workload="fb-10m", budget="tiny", n_iters=2, settings=s, max_eval=15
+        ),
+        lambda s: run_family_ablation(
+            workload="fb-10m", budget="tiny", n_iters=2, families=("lstm",),
+            settings=s, max_eval=15,
+        ),
+        lambda s: run_acquisition_ablation(
+            workload="fb-10m", budget="tiny", n_iters=2, settings=s, max_eval=15
+        ),
+        _brute_force_on_fb,
+    ],
+    ids=["search_ablation", "family_ablation", "acquisition_ablation",
+         "fig9_brute_force"],
+)
+def test_runner_leaves_caller_settings_unchanged(run):
+    settings = FrameworkSettings.tiny()
+    before = dataclasses.replace(settings)
+    run(settings)
+    assert settings == before

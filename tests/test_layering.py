@@ -42,6 +42,17 @@ class TestCheckLayering:
         assert len(violations) == 1
         assert "ml layer must not import repro.models" in violations[0]
 
+    def test_bayesopt_importing_core_is_flagged(self, tmp_path):
+        # The search loop sits below the pipeline that drives it.
+        _seed_tree(
+            tmp_path,
+            "bayesopt",
+            "def f():\n    from repro.core.driver import SearchDriver\n",
+        )
+        violations = check_layering(tmp_path)
+        assert len(violations) == 1
+        assert "bayesopt layer must not import repro.core" in violations[0]
+
     def test_models_importing_cli_is_flagged(self, tmp_path):
         _seed_tree(tmp_path, "models", "from repro.cli import main\n")
         violations = check_layering(tmp_path)
