@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,7 +37,7 @@ from repro.gp import GaussianProcessRegressor, Matern52
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
-from repro.parallel import effective_workers, parallel_map
+from repro.parallel import WorkerPool, effective_workers
 
 __all__ = [
     "BayesianOptimizer",
@@ -94,20 +95,26 @@ class TrialRecord:
     metadata: dict = field(default_factory=dict)
 
 
+@contextmanager
 def batch_evaluator(objective: Callable[[dict], object], workers: int):
-    """Turn a per-config ``objective`` into the batch evaluation
-    :func:`run_search` calls: a plain loop for one worker or a lone
-    config, otherwise :func:`repro.parallel.parallel_map` (one chunk per
-    worker, so the objective must be picklable)."""
+    """Context manager yielding the batch evaluation :func:`run_search`
+    calls for a per-config ``objective``: a plain loop for one worker or
+    a lone config, otherwise a map over one
+    :class:`repro.parallel.WorkerPool` (one chunk per worker, so the
+    objective must be picklable).  The pool starts with the first
+    parallel round and shuts down when the block exits, normally or by
+    an exception, so one search opens at most one pool."""
+    if workers <= 1:
+        yield lambda configs: [objective(config) for config in configs]
+        return
+    with WorkerPool(workers) as pool:
 
-    def evaluate(configs: list[dict]) -> list:
-        if workers <= 1 or len(configs) < 2:
-            return [objective(config) for config in configs]
-        return parallel_map(
-            objective, configs, n_workers=workers, chunks_per_worker=1
-        )
+        def evaluate(configs: list[dict]) -> list:
+            if len(configs) < 2:
+                return [objective(config) for config in configs]
+            return pool.map(objective, configs, chunks_per_worker=1)
 
-    return evaluate
+        yield evaluate
 
 
 def run_search(
@@ -232,17 +239,16 @@ class SearchOptimizer:
         metadata lands on the :class:`TrialRecord`.
 
         With ``n_workers`` > 1, iterations are grouped into batches
-        (``suggest_batch``) evaluated through
-        :func:`repro.parallel.parallel_map`; the objective must then be
+        (``suggest_batch``) evaluated on one
+        :class:`repro.parallel.WorkerPool`; the objective must then be
         picklable.  Results are told in suggestion order, so the trial
         history ordering is deterministic.
         """
         if n_iters < 1:
             raise ValueError("n_iters must be >= 1")
         workers = 1 if n_workers is None else effective_workers(n_workers)
-        run_search(
-            self, batch_evaluator(objective, workers), n_iters, callback, workers
-        )
+        with batch_evaluator(objective, workers) as evaluate:
+            run_search(self, evaluate, n_iters, callback, workers)
         return self.best_record
 
 

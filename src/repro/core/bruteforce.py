@@ -8,7 +8,8 @@ Optimization: the same data preparation, trial evaluation (deadlines,
 retries, quarantine) and search loop as every other fit.  With
 ``n_workers`` > 1 each round trains one grid point per worker process;
 trials are told in grid order, so serial and parallel sweeps select the
-same winner.
+same winner.  The result carries the predictor the fit built from the
+winning trial's model, so the winner is trained once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from repro.bayesopt.grid_search import GridSearch
 from repro.bayesopt.space import SearchSpace
 from repro.core.config import FrameworkSettings, LSTMHyperparameters
-from repro.core.data import prepare_data
 from repro.core.framework import LoadDynamics
 from repro.core.predictor import LoadDynamicsPredictor
 
@@ -36,6 +36,8 @@ class BruteForceResult:
     best_validation_mape: float
     evaluations: list[tuple[dict, float]] = field(default_factory=list)
     n_infeasible: int = 0
+    #: The deployable predictor wrapping the winning trial's model.
+    predictor: LoadDynamicsPredictor | None = None
 
     @property
     def n_evaluated(self) -> int:
@@ -56,11 +58,8 @@ def brute_force_search(
     ``max_trials`` truncates the (shuffled) grid — the honest way to run
     the paper's weeks-long search inside a time budget.  ``n_workers``
     ``None`` uses every available CPU.  Returns every evaluation so
-    callers can study the error landscape (Fig. 5 style).
-
-    The final predictor is *not* retrained here; call
-    :func:`fit_best` to turn the winning configuration into a deployable
-    :class:`LoadDynamicsPredictor`.
+    callers can study the error landscape (Fig. 5 style), and the
+    winner as a deployable :class:`LoadDynamicsPredictor`.
     """
     from repro.parallel import effective_workers
 
@@ -80,7 +79,7 @@ def brute_force_search(
             "seed": shuffle_seed,
         },
     )
-    _predictor, report = ld.fit(
+    predictor, report = ld.fit(
         series, n_workers=effective_workers() if n_workers is None else n_workers
     )
     if report.degraded:
@@ -90,29 +89,6 @@ def brute_force_search(
         best_validation_mape=float(report.best_validation_mape),
         evaluations=[(t.config, t.value) for t in report.trials],
         n_infeasible=report.n_infeasible,
+        predictor=predictor,
     )
 
-
-def fit_best(
-    series: np.ndarray,
-    result: BruteForceResult,
-    settings: FrameworkSettings | None = None,
-) -> LoadDynamicsPredictor:
-    """Retrain the sweep winner into a deployable predictor."""
-    from repro.core.evaluation import TrialEvaluator
-    from repro.models import get_family
-
-    cfg = settings if settings is not None else FrameworkSettings.reduced()
-    data = prepare_data(series, cfg, window_cache=False)
-    family = get_family("lstm")
-    evaluator = TrialEvaluator(family, cfg)
-    value, model, _meta = evaluator.evaluate(
-        data.scaled, data.raw, data.scaler,
-        result.best_hyperparameters.as_dict(),
-        data.i_train_end, data.i_val_end,
-    )
-    if model is None:
-        raise RuntimeError("winning configuration became infeasible on refit")
-    return family.wrap_predictor(
-        model, data.scaler, result.best_hyperparameters.as_dict(), value
-    )

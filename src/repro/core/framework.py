@@ -77,7 +77,7 @@ def _evaluate_trial(
 
     Module-level (and with ``config`` last) so ``functools.partial``
     over the fixed arguments is the single-argument, picklable callable
-    :func:`repro.parallel.parallel_map` expects.  A serial fit shares
+    :class:`repro.parallel.WorkerPool` maps.  A serial fit shares
     the fit's window cache across trials; in worker processes
     ``window_cache`` is ``None`` (each trial builds its own windows),
     and the returned model travels back via pickle with its inference
@@ -321,8 +321,8 @@ class LoadDynamics:
                 workers = 1 if n_workers is None else effective_workers(n_workers)
                 if n_workers is not None:
                     # Record the clamp even when it forces the serial loop,
-                    # where parallel_map (which normally sets these) is
-                    # never reached.
+                    # where the worker pool (which normally sets these)
+                    # is never reached.
                     _metrics.gauge("parallel.workers_requested").set(
                         float(n_workers)
                     )
@@ -340,13 +340,11 @@ class LoadDynamics:
                     target_channel,
                     wcache if workers <= 1 else None,
                 )
-                driver.run(
-                    batch_evaluator(trial, workers),
-                    settle,
-                    memo,
-                    cfg.max_iters - n_replayed,
-                    workers,
-                )
+                with batch_evaluator(trial, workers) as evaluate:
+                    driver.run(
+                        evaluate, settle, memo, cfg.max_iters - n_replayed,
+                        workers,
+                    )
             finally:
                 if journal_obj is not None:
                     journal_obj.close()

@@ -15,6 +15,13 @@ so each timestep costs two GEMMs instead of eight — the dominant cost, so
 this is the vectorization that matters (HPC guide: optimize the
 bottleneck, nothing else).  The batch dimension is fully vectorized; the
 time dimension is a Python loop, which is irreducible for a recurrence.
+
+The per-step gate buffers are gate-major: the activated sigmoid gates
+are (3, B, H) and the gate gradients (4, B, H), so every elementwise op
+in the step loops runs over one contiguous (B, H) block instead of a
+strided column block.  The GEMM operands (``z``, ``dz_all``) keep their
+row-major (B, 4H) layout: BLAS results depend on operand layout, and
+every output stays bit-identical (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -39,8 +46,9 @@ class _LSTMScratch:
     One instance per layer, sized for a (B, T) batch shape and reused
     across batches — inference allocates nothing per call once warm.
     ``zsig``/``zg`` alias the (B, 4H) pre-activation block ``z``;
-    the activated sigmoid gates live in the contiguous buffer ``a``
-    (views ``ai/af/ao``) and the candidate in ``g``.
+    the activated sigmoid gates live gate-major in the contiguous
+    (3, B, H) buffer ``a`` (contiguous (B, H) views ``ai/af/ao``) and
+    the candidate in ``g``.
     """
 
     __slots__ = ("B", "T", "xw", "xw_tm", "z", "zsig", "zg", "a", "ai", "af",
@@ -54,16 +62,15 @@ class _LSTMScratch:
         # computes straight into ``xw`` in time-major order).
         self.xw_tm: np.ndarray | None = None
         self.z = np.empty((B, 4 * H))
-        # Gate layout is [i, f, o, g]: the three sigmoid gates form one
-        # (B, 3H) block.  ``a`` is a dense copy of that block — ufunc
-        # passes over a contiguous buffer are 2-3x faster than over a
-        # strided slice of ``z``, and the activation is 4 more passes.
-        self.zsig = self.z[:, : 3 * H]
+        # Gate layout is [i, f, o, g].  ``zsig`` views the three
+        # sigmoid gates of ``z`` gate-major, as (3, B, H); ``a`` is a
+        # dense copy of it, so the four activation passes and every
+        # per-gate op run over contiguous memory (2-3x faster than over
+        # strided column blocks of ``z``).
+        self.zsig = self.z.reshape(B, 4, H)[:, :3].transpose(1, 0, 2)
         self.zg = self.z[:, 3 * H :]
-        self.a = np.empty((B, 3 * H))
-        self.ai = self.a[:, :H]
-        self.af = self.a[:, H : 2 * H]
-        self.ao = self.a[:, 2 * H : 3 * H]
+        self.a = np.empty((3, B, H))
+        self.ai, self.af, self.ao = self.a
         self.g = np.empty((B, H))
         self.h_prev = np.empty((B, H))
         self.c_prev = np.empty((B, H))
@@ -125,14 +132,16 @@ def _project_inputs(
 class LSTMCache:
     """Forward-pass intermediates needed by :meth:`LSTMLayer.backward`.
 
-    Stored as (T, B, ·) stacks; allocated once per forward call.
+    Stored as time-major stacks, allocated once per forward call.  The
+    sigmoid gates are gate-major, (T, 3, B, H), so each step's ``i``,
+    ``f`` and ``o`` are contiguous (B, H) blocks.
     """
 
     __slots__ = ("x", "sig", "g", "c", "tanh_c", "h", "h0", "c0")
 
     def __init__(self, x, sig, g, c, tanh_c, h, h0, c0):
         self.x = x          # (B, T, D) layer input
-        self.sig = sig      # (T, B, 3H) sigmoid gate values [i, f, o]
+        self.sig = sig      # (T, 3, B, H) sigmoid gate values [i, f, o]
         self.g = g          # (T, B, H) candidate tanh(·)
         self.c = c          # (T, B, H) cell states C_t
         self.tanh_c = tanh_c  # (T, B, H) tanh(C_t)
@@ -216,9 +225,10 @@ class LSTMLayer:
         The step kernel is :meth:`forward_inference`'s, writing into
         the cache stacks instead of reusable scratch: the stacks and two
         (B, ·) step buffers are allocated once per call, and each step
-        runs one sigmoid over the contiguous [i, f, o] block of
-        ``sig[t]``.  Every element sees the same IEEE operations on the
-        same operands as the per-gate formulation (DESIGN.md §8).
+        runs one sigmoid over the contiguous gate-major (3, B, H)
+        [i, f, o] block ``sig[t]``.  Every element sees the same IEEE
+        operations on the same operands as the per-gate formulation
+        (DESIGN.md §8).
         """
         if x.ndim != 3:
             raise ValueError(f"expected (batch, time, features) input, got {x.shape}")
@@ -235,33 +245,35 @@ class LSTMLayer:
 
         xw = np.empty((T, B, 4 * H))
         _project_inputs(x, self.W, self.b, xw)
-        sig = np.empty((T, B, 3 * H))
+        sig = np.empty((T, 3, B, H))
         gs = np.empty((T, B, H))
         cs = np.empty((T, B, H))
         tanh_cs = np.empty((T, B, H))
         hs = np.empty((T, B, H))
         z = np.empty((B, 4 * H))
-        zsig, zg = z[:, : 3 * H], z[:, 3 * H :]
+        zsig = z.reshape(B, 4, H)[:, :3].transpose(1, 0, 2)
+        zg = z[:, 3 * H :]
         tmp = np.empty((B, H))
 
         mul, mm, add, clip = np.multiply, np.matmul, np.add, clip_ufunc
         neg, exp, div, tanh = np.negative, np.exp, np.divide, np.tanh
         U = self.U
         h_prev, c_prev = h0, c0
-        # Iterating the (T, B, ·) stacks yields each step's views with
-        # no per-step slicing; i/f/o are the gate columns of ``sig``.
-        steps = zip(xw, sig, sig[..., :H], sig[..., H : 2 * H],
-                    sig[..., 2 * H :], gs, cs, tanh_cs, hs)
+        # Iterating the (T, ·) stacks yields each step's views with no
+        # per-step slicing; i/f/o are contiguous (B, H) blocks of sig[t].
+        steps = zip(xw, sig, sig[:, 0], sig[:, 1], sig[:, 2],
+                    gs, cs, tanh_cs, hs)
         for xwt, st, i, f, o, g, c, tc, h in steps:
             # z_t = h_{t-1} U + (x_t W + b): IEEE addition commutes.
             mm(h_prev, U, z)
             add(z, xwt, z)
             # sigmoid(v) = 1 / (1 + exp(-clip(v))) on [i, f, o] at once:
-            # the clip reads the strided slice of z and lands in the
-            # contiguous sig[t].  A transcendental's operand keeps its
-            # contiguity (numpy's SIMD loops need unit stride and need
-            # not round like the scalar loop): exp runs contiguous and
-            # tanh of the candidate reads the strided slice of z.
+            # the clip gathers the three strided gate blocks of z into
+            # the contiguous (3, B, H) sig[t].  A transcendental's
+            # operand keeps its contiguity (numpy's SIMD loops need unit
+            # stride and need not round like the scalar loop): exp runs
+            # contiguous and tanh of the candidate reads the strided
+            # slice of z.
             clip(zsig, -60.0, 60.0, st)
             neg(st, st)
             exp(st, st)
@@ -366,10 +378,10 @@ class LSTMLayer:
             # cached path exactly.
             mm(h_prev, U, z)
             add(z, xts[t], z)
-            # Fused sigmoid over [i, f, o]: the clip pass reads the
-            # strided (B, 3H) slice of z and lands in the contiguous
-            # buffer ``a``; the remaining four passes run contiguous
-            # (2-3x faster than strided — same values either way).
+            # Fused sigmoid over [i, f, o]: the clip pass gathers the
+            # strided gate blocks of z into the contiguous (3, B, H)
+            # buffer ``a``; the remaining four passes and the per-gate
+            # products run contiguous (same values either way).
             clip(zsig, -60.0, 60.0, a)
             neg(a, a)
             exp(a, a)
@@ -401,11 +413,13 @@ class LSTMLayer:
 
         The activation derivatives do not depend on the recurrence, so
         they are computed once over whole stacks before the loop; the
-        loop then writes each step's pre-activation gradients straight
-        into ``dz_all[t]`` (its gate columns zipped in as views), and
-        ``dU`` is taken out of the loop as stacked GEMMs summed in the
-        loop's order.  Each element keeps the per-gate formulation's
-        operation order (DESIGN.md §8), so gradients are bit-identical.
+        loop then writes each step's pre-activation gradients into one
+        reused gate-major (4, B, H) buffer, so every per-gate op runs
+        over contiguous memory, and copies it into the row-major
+        ``dz_all[t]`` the GEMMs read; ``dU`` is taken out of the loop as
+        stacked GEMMs summed in the loop's order.  Each element keeps
+        the per-gate formulation's operation order (DESIGN.md §8), so
+        gradients are bit-identical.
         """
         x, sig, gs, cs, tanh_cs, hs = (
             cache.x, cache.sig, cache.g, cache.c, cache.tanh_c, cache.h
@@ -429,25 +443,27 @@ class LSTMLayer:
         dU = np.zeros_like(self.U)
         db = np.zeros_like(self.b)
         dz_all = np.empty((T, B, 4 * H))  # pre-activation grads, for batched GEMMs
+        # One step's [di, df, do, dg], gate-major so every per-gate op
+        # runs over a contiguous (B, H) block.
+        dgate = np.empty((4, B, H))
+        dzi, dzf, dzo, dzg = dgate
+        dzifo = dgate[:3]
         dh = np.empty((B, H))
         dc = np.empty((B, H))
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))
 
-        mul, mm, add = np.multiply, np.matmul, np.add
+        mul, mm, add, copyto = np.multiply, np.matmul, np.add, np.copyto
         UT = self.U.T
         # Each step's views, in forward order; the loop walks them back.
-        # The gate columns of ``dz_all`` ([i, f, o], g, i, f, o) ride
-        # along as views, so no step slices anything.
+        # ``dz_all[t]`` rides along as its (B, 4, H) gate view.
         steps = list(zip(
-            d_h_seq.transpose(1, 0, 2), sig[..., :H], sig[..., H : 2 * H],
-            sig[..., 2 * H :], gs, [cache.c0, *cs[:-1]], tanh_cs,
-            dsig, dtanh_c, dtanh_g, dz_all, dz_all[..., : 3 * H],
-            dz_all[..., 3 * H :], dz_all[..., :H], dz_all[..., H : 2 * H],
-            dz_all[..., 2 * H : 3 * H],
+            d_h_seq.transpose(1, 0, 2), sig[:, 0], sig[:, 1], sig[:, 2],
+            gs, [cache.c0, *cs[:-1]], tanh_cs, dsig, dtanh_c, dtanh_g,
+            dz_all, dz_all.reshape(T, B, 4, H).transpose(0, 2, 1, 3),
         ))
         for (dht, i, f, o, g, c_prev, tc, dsig_t, dtc, dtg,
-             dz, dzifo, dzg, dzi, dzf, dzo) in reversed(steps):
+             dz, dz_gates) in reversed(steps):
             # Each element keeps the per-gate form's operation order:
             # float multiplication does not associate, so (dh ⊙ o) ⊙ tanh'
             # must not become dh ⊙ (o ⊙ tanh').
@@ -464,6 +480,9 @@ class LSTMLayer:
             # one pass, dg ⊙ tanh'.
             mul(dzifo, dsig_t, dzifo)
             mul(dzg, dtg, dzg)
+            # Scatter into the row-major (B, 4H) dz_t: the GEMMs keep
+            # their operand layout, which BLAS results depend on.
+            copyto(dz_gates, dgate)
             mm(dz, UT, dh_next)
 
         # dU = sum_t h_{t-1}^T dz_t needs no recurrence: stacked GEMMs over

@@ -8,7 +8,9 @@ module provides a tiny, dependency-free process-pool map with:
 * chunking so tiny tasks don't drown in IPC overhead,
 * a serial fallback (``n_workers<=1`` or inside an active pool / pytest-
   sensitive paths) so callers never need two code paths,
-* graceful degradation when the platform disallows forking.
+* graceful degradation when the platform disallows forking,
+* :class:`WorkerPool`, which keeps one pool open across many maps (a
+  search's rounds of trials) and shuts it down on close.
 
 Everything submitted must be picklable (top-level functions + plain data),
 per the usual multiprocessing contract.
@@ -29,7 +31,7 @@ logger = get_logger("parallel")
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["parallel_map", "effective_workers", "chunk_indices"]
+__all__ = ["parallel_map", "WorkerPool", "effective_workers", "chunk_indices"]
 
 #: Environment variable users can set to cap worker processes globally.
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
@@ -105,6 +107,71 @@ def _run_chunk(payload: tuple[Callable[..., Any], Sequence[Any]]) -> list[Any]:
     return [fn(item) for item in items]
 
 
+class WorkerPool:
+    """A process pool opened on first use and kept for every later map.
+
+    :meth:`map` is :func:`parallel_map` on one pool, so a caller that
+    maps round after round (a search evaluating one batch of trials at
+    a time) starts its worker processes once, not once per round.
+    Close it, or use it as a context manager, to shut the workers down.
+    If the pool cannot start or breaks, that map and every later one
+    run serially.
+    """
+
+    def __init__(self, n_workers: int | None = None):
+        self._requested = float(
+            n_workers if n_workers is not None else _available_cpus()
+        )
+        self._workers = effective_workers(n_workers)
+        self._serial = self._workers <= 1
+        self._pool: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the worker processes down (waiting for them to exit)."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def map(
+        self,
+        fn: Callable[[T], R],
+        items: Iterable[T],
+        *,
+        chunks_per_worker: int = 4,
+    ) -> list[R]:
+        """Map ``fn`` over ``items`` in order; see :func:`parallel_map`."""
+        data = list(items)
+        _metrics.gauge("parallel.workers_requested").set(self._requested)
+        if self._serial or len(data) < 2:
+            _metrics.gauge("parallel.workers_effective").set(1.0)
+            return [fn(item) for item in data]
+
+        spans = chunk_indices(len(data), self._workers * max(1, chunks_per_worker))
+        payloads = [(fn, data[a:b]) for a, b in spans]
+        try:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self._workers)
+            chunked = list(self._pool.map(_run_chunk, payloads))
+        except (OSError, PermissionError, RuntimeError):
+            # Sandboxes and some CI environments forbid fork/spawn; degrade
+            # quietly to serial execution, which is always correct.
+            self.close()
+            self._serial = True
+            _metrics.gauge("parallel.workers_effective").set(1.0)
+            return [fn(item) for item in data]
+        _metrics.gauge("parallel.workers_effective").set(float(self._workers))
+        out: list[R] = []
+        for chunk in chunked:
+            out.extend(chunk)
+        return out
+
+
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
@@ -125,27 +192,5 @@ def parallel_map(
     silently serializes the map) is visible in telemetry instead of
     masquerading as a slow parallel run.
     """
-    data = list(items)
-    workers = effective_workers(n_workers)
-    _metrics.gauge("parallel.workers_requested").set(
-        float(n_workers if n_workers is not None else _available_cpus())
-    )
-    if workers <= 1 or len(data) < 2:
-        _metrics.gauge("parallel.workers_effective").set(1.0)
-        return [fn(item) for item in data]
-
-    spans = chunk_indices(len(data), workers * max(1, chunks_per_worker))
-    payloads = [(fn, data[a:b]) for a, b in spans]
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunked = list(pool.map(_run_chunk, payloads))
-    except (OSError, PermissionError, RuntimeError):
-        # Sandboxes and some CI environments forbid fork/spawn; degrade
-        # quietly to serial execution, which is always correct.
-        _metrics.gauge("parallel.workers_effective").set(1.0)
-        return [fn(item) for item in data]
-    _metrics.gauge("parallel.workers_effective").set(float(workers))
-    out: list[R] = []
-    for chunk in chunked:
-        out.extend(chunk)
-    return out
+    with WorkerPool(n_workers) as pool:
+        return pool.map(fn, items, chunks_per_worker=chunks_per_worker)

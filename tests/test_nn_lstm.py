@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import lstm as lstm_module
@@ -202,6 +202,13 @@ class TestForward:
                 forward(x, **{name: np.zeros(bad)})
 
 
+def _assert_inference_bytes(layer, x, state, h_ref):
+    """``forward_inference`` in both output modes matches ``h_ref``."""
+    assert hex64(layer.forward_inference(x, **state)) == hex64(h_ref)
+    last = layer.forward_inference(x, return_sequences=False, **state)
+    assert hex64(last) == hex64(h_ref[:, -1])
+
+
 class TestReferenceOracle:
     """Hidden sequence and every gradient are byte-equal to the
     per-gate formulation, over random shapes and initial states."""
@@ -213,6 +220,18 @@ class TestReferenceOracle:
         scale=st.sampled_from([0.5, 3.0, 40.0]), seed=st.integers(0, 2**16),
         du_block=st.sampled_from([None, 1, 2, 4]),
     )
+    # The shapes perfbench trains and serves (history 24, 8 cells, batch
+    # 32; layer 2 reads D=8), a ragged last batch, and B = H = 1, where
+    # the gate-major (3, B, H) views degenerate.  BLAS may pick other
+    # kernels at these sizes than at the drawn ones.
+    @example(B=32, T=24, D=1, H=8, with_state=False, scale=3.0, seed=3,
+             du_block=None)
+    @example(B=32, T=24, D=8, H=8, with_state=False, scale=0.5, seed=4,
+             du_block=None)
+    @example(B=17, T=24, D=1, H=8, with_state=True, scale=3.0, seed=5,
+             du_block=2)
+    @example(B=1, T=3, D=1, H=1, with_state=True, scale=40.0, seed=6,
+             du_block=1)
     def test_forward_backward_bytes(
         self, B, T, D, H, with_state, scale, seed, du_block
     ):
@@ -229,6 +248,7 @@ class TestReferenceOracle:
         h, cache = layer.forward(x, **state)
         h_ref, cache_ref = reference_forward(layer, x, **state)
         assert hex64(h) == hex64(h_ref)
+        _assert_inference_bytes(layer, x, state, h_ref)
         # ``du_block`` steps per stacked dU GEMM (None: the default
         # budget, one block at these sizes) crosses block boundaries.
         budget = (nullcontext() if du_block is None else mock.patch.object(
@@ -239,6 +259,14 @@ class TestReferenceOracle:
         assert hex64(dx) == hex64(dx_ref)
         for name, got, want in zip("W U b".split(), grads, grads_ref, strict=True):
             assert hex64(got) == hex64(want), name
+
+        # A longer window, then a larger batch, each rebuild the layer's
+        # inference scratch; the first shape then rebuilds it again.
+        for shape in ((B, T + 1, D), (B + 1, T, D)):
+            x2 = scale * rng.standard_normal(shape)
+            _assert_inference_bytes(
+                layer, x2, {}, reference_forward(layer, x2)[0])
+        _assert_inference_bytes(layer, x, state, h_ref)
 
 
 class TestBackward:

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.parallel as parallel
+from repro.bayesopt import RandomSearch
+from repro.core import FrameworkSettings, LoadDynamics, search_space_for
+from repro.core.driver import SearchDriver
 from repro.obs import metrics as _metrics
 from repro.parallel import (
     MAX_WORKERS_ENV,
+    WorkerPool,
     chunk_indices,
     effective_workers,
     parallel_map,
@@ -135,3 +143,77 @@ class TestParallelMap:
         # The cpu clamp / fork availability decide what was delivered;
         # the point is that the two gauges make the gap observable.
         assert _metrics.gauge("parallel.workers_effective").value >= 1.0
+
+
+def _tiny_search():
+    return LoadDynamics(
+        space=search_space_for("gl", "tiny"),
+        settings=FrameworkSettings.tiny(max_iters=4, epochs=2),
+        optimizer_cls=RandomSearch,
+    )
+
+
+def _series():
+    rng = np.random.default_rng(3)
+    t = np.arange(200)
+    return 50 + 10 * np.sin(2 * np.pi * t / 24) + rng.normal(0, 1.0, t.size)
+
+
+class TestSearchPool:
+    """A parallel search runs every round on one worker pool and leaves
+    no worker process behind, whether it returns or raises."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: 2)
+        pools = []
+
+        class CountingPool(parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        return pools
+
+    def test_one_pool_per_fit_and_none_left_after_return(self, two_cpus):
+        _, report = _tiny_search().fit(_series(), n_workers=2)
+        assert report.n_trials == 4  # two rounds of two trials
+        assert len(two_cpus) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_left_after_raise(self, two_cpus):
+        alive = []
+
+        def fail_after_first_trial(self, record):
+            alive.append(len(multiprocessing.active_children()))
+            raise RuntimeError("search interrupted")
+
+        with mock.patch.object(SearchDriver, "_after_trial",
+                               fail_after_first_trial):
+            with pytest.raises(RuntimeError, match="search interrupted"):
+                _tiny_search().fit(_series(), n_workers=2)
+        assert alive == [2]  # the pool was up when the search raised
+        assert len(two_cpus) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_pool_serves_every_map_until_closed(self, two_cpus):
+        with WorkerPool(2) as pool:
+            assert pool.map(_square, range(6)) == [x * x for x in range(6)]
+            assert pool.map(_square, range(4)) == [x * x for x in range(4)]
+            assert len(multiprocessing.active_children()) == 2
+        assert len(two_cpus) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_failed_start_runs_serial_from_then_on(self, two_cpus, monkeypatch):
+        def no_fork(*args, **kwargs):
+            two_cpus.append(None)
+            raise OSError("fork forbidden")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_fork)
+        with WorkerPool(2) as pool:
+            assert pool.map(_square, range(5)) == [x * x for x in range(5)]
+            assert pool.map(_square, range(3)) == [0, 1, 4]
+        assert two_cpus == [None]  # no second start after the failure
+        assert _metrics.gauge("parallel.workers_effective").value == 1.0
