@@ -315,13 +315,14 @@ def check_replay_parity() -> None:
     with mock.patch.object(cloudsim, "effective_workers",
                            lambda: max(2, effective_workers())):
         split, spans = replay()
+    leaf_jobs = int(gauge("autoscale.replay_leaf_jobs").value)
     if serial_spans != 1 or spans < 2:
         raise AssertionError(
             f"replay parity: {serial_spans} serial and {spans} split spans"
         )
     if split != serial:
         raise AssertionError("replay parity: split replay differs from serial")
-    logger.info("replay parity: OK (%d spans)", spans)
+    logger.info("replay parity: OK (%d spans, %d-job leaves)", spans, leaf_jobs)
 
 
 def run_quick_benchmarks(artifact_dir: Path) -> None:

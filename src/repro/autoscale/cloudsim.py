@@ -22,13 +22,14 @@ are bit-for-bit those of the plain per-interval formula — one
 added to the cold tail, then ``mean``/``max``/``sum`` of the interval.
 ``tests/data/cloudsim_golden.json`` pins those bytes.  To get there
 with less work per job, :meth:`CloudSimulator.run` draws into a
-reusable float64 buffer of up to 2**16 jobs (512 KiB, so every pass
-stays in cache) and applies the duration formula in place.  Intervals
-that fit are packed into the buffer as blocks of consecutive whole
-intervals, and each interval's view is reduced once.  A larger interval
-is walked in leaves that fit, split exactly where numpy's pairwise sum
-splits a contiguous run, and the leaf sums are added back up that tree,
-so the interval total is the one ``ndarray.sum`` would return.
+reusable float64 buffer of up to 2**18 jobs (2 MiB, so every pass
+stays in cache) and applies the duration formula in place.
+Intervals that fit are packed into the buffer as blocks of consecutive
+whole intervals, and each interval's view is reduced once.  A larger
+interval is walked in leaves that fit, split exactly where numpy's
+pairwise sum splits a contiguous run, and the leaf sums are added back
+up that tree, so the interval total is the one ``ndarray.sum`` would
+return.
 
 A replay of many jobs is cut, at interval boundaries only, into spans
 of about equal job count, one per available core
@@ -37,11 +38,13 @@ keeps it serial), and the spans run on threads; numpy's draws, in-place
 passes and reductions release the GIL.  ``rng.random`` turns one PCG64
 output into one double, so a span starting at job ``k`` draws from a
 PCG64 advanced by ``k`` and gets exactly the serial run's draws.  The
-spans share the buffer budget, so memory is bounded by 2**16 jobs and
+spans share the buffer budget, so memory is bounded by 2**18 jobs and
 the largest cold tail on any core count, not by the size of an interval
-or the length of the replay.  Totals and peaks land in per-interval
-arrays; ``vm_seconds`` and the ``autoscale.step`` events are formed
-after the join, in interval order, on the calling thread.
+or the length of the replay.  Two spans walk leaves of 2**17 jobs,
+large enough that their numpy calls seldom wait on each other for the
+GIL.  Totals and peaks land in per-interval arrays; ``vm_seconds`` and
+the ``autoscale.step`` events are formed after the join, in interval
+order, on the calling thread.
 """
 
 from __future__ import annotations
@@ -59,14 +62,18 @@ from repro.parallel import effective_workers
 
 __all__ = ["VMSpec", "SimulationResult", "CloudSimulator"]
 
-# Jobs drawn and transformed at once: 512 KiB of float64, small enough
-# that the in-place passes and the reductions stay in cache.
-_BLOCK_JOBS = 1 << 16
+# Jobs drawn and transformed at once, shared by a replay's spans: 2 MiB
+# of float64.  Two spans walk 1 MiB leaves, which stay in a core's L2
+# (4 MiB on the 2-vCPU Xeon of DESIGN.md §15, where 2**21-job leaves
+# were as slow as 2**15).  Each leaf costs about seven numpy calls that
+# give up and retake the GIL, so smaller leaves make concurrent spans
+# trade the GIL more often per job.
+_BLOCK_JOBS = 1 << 18
 
-# Fewest jobs worth a span of their own: below this a replay stays on
-# the calling thread, since a thread's start and join would cost more
+# Fewest jobs worth a span of their own (~1M): below this a replay stays
+# on the calling thread, since a thread's start and join would cost more
 # than the overlap saves.
-_SPAN_MIN_JOBS = 16 * _BLOCK_JOBS
+_SPAN_MIN_JOBS = 1 << 20
 
 
 def _pairwise_reduce(lo: int, hi: int, leaf_jobs: int, leaf) -> tuple:
@@ -285,15 +292,15 @@ class CloudSimulator:
                 for k in range(1, n_spans)}
         bounds = [0, *sorted(c for c in cuts if 0 < c < n), n]
         spans = list(zip(bounds, bounds[1:]))
+        # Never below numpy's 128-element pairwise block, which the tree
+        # walk assumes of its leaves.
+        block_jobs = max(_BLOCK_JOBS // len(spans), 128)
         totals = np.zeros(n)
         makespan = np.zeros(n)
         replay = functools.partial(
             _replay_span, seed=self.seed, spec=spec, starts=starts,
             warm_at=np.minimum(a, p).tolist(), delays=delays,
-            # Never below numpy's 128-element pairwise block, which the
-            # tree walk assumes of its leaves.
-            block_jobs=max(_BLOCK_JOBS // len(spans), 128),
-            totals=totals, peaks=makespan,
+            block_jobs=block_jobs, totals=totals, peaks=makespan,
         )
         # The calling thread replays the first span; leaving the block
         # joins every worker, and a worker's exception re-raises here.
@@ -334,6 +341,7 @@ class CloudSimulator:
 
         m = _metrics
         m.gauge("autoscale.replay_spans").set(float(len(spans)))
+        m.gauge("autoscale.replay_leaf_jobs").set(float(block_jobs))
         m.counter("autoscale.intervals").inc(n)
         m.counter("autoscale.cold_starts").inc(float(np.sum(under)))
         m.counter("autoscale.idle_vm_intervals").inc(float(np.sum(over)))
