@@ -16,6 +16,38 @@ if [[ "${1:-}" == "--lint" ]]; then
     exit 0
 fi
 
+# Stream a workload three times: uninterrupted, killed at chunk 3, and
+# resumed from the killed run's checkpoints.  The killed run must crash
+# without a report, and the resumed --report-out JSON must equal the
+# uninterrupted one bit for bit.  Usage: stream_kill_resume DIR LABEL ARGS...
+stream_kill_resume() {
+    local dir=$1 label=$2
+    shift 2
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli \
+        "$@" --checkpoint-dir "$dir/ck-ref" --report-out "$dir/ref.json"
+    if REPRO_FAULTS="kill@stream.chunk:3" \
+        PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli \
+        "$@" --checkpoint-dir "$dir/ck" \
+        --report-out "$dir/crashed.json" 2>/dev/null; then
+        echo "$label FAILED: injected kill did not crash the stream"
+        exit 1
+    fi
+    [[ ! -e "$dir/crashed.json" ]] \
+        || { echo "$label FAILED: crashed run wrote a report"; exit 1; }
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli \
+        "$@" --checkpoint-dir "$dir/ck" --resume \
+        --report-out "$dir/resumed.json"
+    python - "$dir/ref.json" "$dir/resumed.json" "$label" <<'PYEOF'
+import json, sys
+ref, res = (json.load(open(p)) for p in sys.argv[1:3])
+assert ref["schedule_hex"] == res["schedule_hex"], \
+    "provisioning schedule diverged after resume"
+assert ref == res, "resumed ServingReport is not bit-for-bit identical"
+print(f"{sys.argv[3]} OK: resume bit-for-bit identical "
+      f"({len(ref['schedule_hex']) // 16} intervals)")
+PYEOF
+}
+
 echo "== tier-1 tests =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 
@@ -38,6 +70,8 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli fit mv-30m \
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli simulate mv-30m \
     --guarded --monitor --repair interpolate --target-channel 1 \
     --model-dir "$MV_DIR/model" --start-frac 0.9
+stream_kill_resume "$MV_DIR" "multivariate streaming" stream mv-30m \
+    --model-dir "$MV_DIR/model" --chunk-size 8 --checkpoint-every 1 --monitor
 rm -rf "$MV_DIR"
 
 echo "== serving chaos (guarded simulate must survive injected faults) =="
@@ -56,30 +90,7 @@ REPRO_FAULTS="corrupt@model.load:1" \
 echo "== streaming chaos (kill mid-stream; resume must be bit-for-bit) =="
 STREAM_ARGS=(stream fb-10m --model-dir "$SERVE_DIR/model" --chunk-size 8
     --checkpoint-every 1 --deadline-s 7200 --monitor)
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli \
-    "${STREAM_ARGS[@]}" --checkpoint-dir "$SERVE_DIR/ck-ref" \
-    --report-out "$SERVE_DIR/ref.json"
-if REPRO_FAULTS="kill@stream.chunk:3" \
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli \
-    "${STREAM_ARGS[@]}" --checkpoint-dir "$SERVE_DIR/ck" \
-    --report-out "$SERVE_DIR/crashed.json" 2>/dev/null; then
-    echo "streaming chaos FAILED: injected kill did not crash the stream"
-    exit 1
-fi
-[[ ! -e "$SERVE_DIR/crashed.json" ]] \
-    || { echo "streaming chaos FAILED: crashed run wrote a report"; exit 1; }
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli \
-    "${STREAM_ARGS[@]}" --checkpoint-dir "$SERVE_DIR/ck" --resume \
-    --report-out "$SERVE_DIR/resumed.json"
-python - "$SERVE_DIR/ref.json" "$SERVE_DIR/resumed.json" <<'PYEOF'
-import json, sys
-ref, res = (json.load(open(p)) for p in sys.argv[1:3])
-assert ref["schedule_hex"] == res["schedule_hex"], \
-    "provisioning schedule diverged after resume"
-assert ref == res, "resumed ServingReport is not bit-for-bit identical"
-print("streaming chaos OK: resume bit-for-bit identical "
-      f"({len(ref['schedule_hex']) // 16} intervals)")
-PYEOF
+stream_kill_resume "$SERVE_DIR" "streaming chaos" "${STREAM_ARGS[@]}"
 # A checkpoint missing a cursor field must be refused with a typed error
 # (exit 2, one `error:` line), never a traceback.
 cp -r "$SERVE_DIR/ck" "$SERVE_DIR/ck-bad"

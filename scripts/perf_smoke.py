@@ -14,7 +14,7 @@ Seven checks, all cheap enough for every CI run:
    at most 1% of intervals.
 3. **Controller parity** — the recorded default-config controller walks
    in ``tests/data/controller_golden.json``, replayed through
-   ``HybridPolicy`` (the ``serve_walk`` path), must give the identical
+   ``HybridPolicy`` (the server's direct entry), must give the identical
    schedule bytes and ``decided_by`` counts.
 4. **Fit-path parity** — one seeded ``LoadDynamics.fit`` of the
    perfbench model shape over a loss x optimizer space (4 trials, 2

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import state as _state
-from repro.baselines.base import Predictor, persistence_rescue, split_target
+from repro.baselines.base import Predictor, persistence_rescue
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
@@ -74,7 +74,6 @@ __all__ = [
     "HybridController",
     "HybridPolicy",
     "serve_step",
-    "serve_walk",
 ]
 
 logger = get_logger("autoscale.controller")
@@ -637,27 +636,14 @@ class HybridPolicy:
 
     def schedule(self, arrivals: np.ndarray, start: int) -> np.ndarray:
         """Decide VM counts for ``arrivals[start:]``, walking forward."""
-        return serve_walk(
+        # Imported here: repro.serving imports this package at module level.
+        from repro.serving.stream import StreamingServer
+
+        server, rest = StreamingServer.for_trace(
             self.predictor, arrivals, start,
             refit_every=self.refit_every, controller=self.controller,
         )
-
-
-def _guarded_refit(predictor: Predictor, history: np.ndarray) -> None:
-    """Refit that keeps the stale model when the fit fails.
-
-    Simulated process crashes
-    (:class:`~repro.resilience.faults.SimulatedCrash`) still propagate.
-    """
-    from repro.resilience import faults as _faults
-
-    try:
-        predictor.fit(history)
-    except _faults.SimulatedCrash:
-        raise
-    except Exception as exc:
-        _metrics.counter("autoscale.controller.fit_error").inc()
-        logger.warning("proactive fit failed (stale model serves): %s", exc)
+        return server.serve(rest)
 
 
 def _guarded_forecast(
@@ -731,51 +717,3 @@ def serve_step(
     if monitor is not None and math.isfinite(p):
         monitor.observe(max(p, 0.0), actual, latency_s=latency)
     return float(controller.step(p, target_history).vms)
-
-
-def serve_walk(
-    predictor: Predictor,
-    arrivals: np.ndarray,
-    start: int,
-    *,
-    refit_every: int = 1,
-    controller: HybridController | None = None,
-    monitor: "ForecastMonitor | None" = None,
-) -> np.ndarray:
-    """The batch driver of :func:`serve_step`: the schedule for
-    ``arrivals[start:]``.
-
-    Interval ``i`` sees the full prefix ``arrivals[:i]`` (no lookahead);
-    every ``refit_every``-th interval refits first — a failing refit
-    raises without a controller and keeps the stale model with one.  A
-    2-D ``(steps, D)`` trace walks the full multivariate history into the
-    predictor while the target channel (``predictor.target_channel``,
-    default 0) feeds the rescue, the monitor and the controller.  With a
-    monitor attached each forecast is timed.  A controller has its
-    breaker wired from the predictor and is reset, so every walk is a
-    fresh control loop.
-    """
-    a, target = split_target(predictor, arrivals)
-    n = int(a.shape[0])
-    if not 0 < start <= n:
-        raise ValueError(f"invalid start {start} for series of length {n}")
-    if refit_every < 1:
-        raise ValueError("refit_every must be >= 1")
-    if controller is not None:
-        if controller.breaker is None:
-            controller.breaker = getattr(predictor, "breaker", None)
-        controller.reset()
-    timed = monitor is not None
-    out = np.empty(n - start)
-    for j, i in enumerate(range(start, n)):
-        history = a[:i]
-        if j % refit_every == 0:
-            if controller is None:
-                predictor.fit(history)
-            else:
-                _guarded_refit(predictor, history)
-        out[j] = serve_step(
-            predictor, history, target[:i], float(target[i]),
-            controller, monitor, timed=timed,
-        )
-    return out

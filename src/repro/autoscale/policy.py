@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autoscale.controller import serve_walk
 from repro.baselines.base import Predictor
 
 __all__ = [
@@ -41,9 +40,16 @@ def provisioning_schedule(
     (walk-forward); results are rounded up to whole VMs.  A non-finite
     forecast is replaced by the last observed arrival (the persistence
     rescue), so the autoscaler never acts on one, whatever predictor
-    produced it.
+    produced it.  The schedule comes from the direct entry of a
+    :class:`~repro.serving.stream.StreamingServer`.
     """
-    return serve_walk(predictor, arrivals, start, refit_every=refit_every)
+    # Imported here: repro.serving imports this package at module level.
+    from repro.serving.stream import StreamingServer
+
+    server, rest = StreamingServer.for_trace(
+        predictor, arrivals, start, refit_every=refit_every
+    )
+    return server.serve(rest)
 
 
 class PredictivePolicy:

@@ -563,8 +563,6 @@ def _cmd_stream(args) -> int:
     if args.resume and not args.checkpoint_dir:
         raise _CliError("--resume requires --checkpoint-dir")
     cfg, series = _load_series(args)
-    if series.ndim != 1:
-        raise _CliError("streaming serving is univariate; pick a 1-D trace")
     start = int(len(series) * args.start_frac)
     # Without --model-dir the fallback chain alone serves — fast,
     # deterministic, and exactly what a corrupt-model degradation serves,

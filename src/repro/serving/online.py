@@ -1,29 +1,15 @@
 """The hardened online loop: guarded serving driven through the autoscaler.
 
 Glues the serving-robustness layer to the Section IV-C case study.
-:func:`serve_and_simulate` walks a (guarded) predictor forward over a
-trace with :func:`~repro.autoscale.controller.serve_walk`, the batch
-driver of the one per-interval serve step
-(:func:`~repro.autoscale.controller.serve_step`: forecast, rescue or
-guard, score, decide).  The :class:`~repro.autoscale.cloudsim.CloudSimulator`
-replays the schedule against the actual arrivals, and the serving
-telemetry (fallback counters, breaker transitions, served-by counts) is
-collected into a :class:`ServingReport`.  This is the path
-``repro simulate --guarded`` and the CI serving-chaos stage exercise end
-to end: with faults planted at every serving site the loop must
-complete the full trace and the autoscaler must never receive a
-non-finite or negative forecast.
-
-Optional parts ride along in the same walk.  A
-:class:`~repro.obs.monitor.monitor.ForecastMonitor` (``monitor=``)
-scores every forecast, with its timed latency, when its actual is
-revealed, and the report gains quality/drift/SLO/health sections; the
-monitor only observes, so the schedule is the same with or without it.
-A :class:`~repro.autoscale.controller.HybridController`
-(``controller=``) turns forecasts into closed-loop decisions.  A
-:class:`~repro.serving.stream.StreamConfig` (``stream=``) hands the
-trace to the chunked :class:`~repro.serving.stream.StreamingServer`
-instead, which drives the same serve step.
+:func:`serve_and_simulate` serves a (guarded) predictor over a trace
+through the one serve loop,
+:class:`~repro.serving.stream.StreamingServer`, replays the schedule in
+the :class:`~repro.autoscale.cloudsim.CloudSimulator`, and collects the
+serving telemetry (fallback counters, breaker transitions, served-by
+counts) into a :class:`ServingReport`.  ``repro simulate --guarded`` and
+the CI serving-chaos stage run it end to end: with faults planted at
+every serving site the loop must complete the trace and the autoscaler
+must never receive a non-finite or negative forecast.
 """
 
 from __future__ import annotations
@@ -33,9 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.autoscale import CloudSimulator, SimulationResult, VMSpec
-from repro.autoscale.controller import serve_walk
-from repro.baselines.base import Predictor, split_target
+from repro.autoscale import SimulationResult, VMSpec
+from repro.baselines.base import Predictor
 from repro.obs import metrics as _metrics
 from repro.serving.guard import GuardedPredictor
 
@@ -146,74 +131,55 @@ def serve_and_simulate(
     start: int,
     *,
     spec: VMSpec | None = None,
-    refit_every: int = 1,
+    refit_every: int | None = None,
     seed: int = 0,
     monitor: "ForecastMonitor | None" = None,
     controller: "HybridController | None" = None,
     stream: "StreamConfig | None" = None,
     sanitizer: "TraceSanitizer | None" = None,
 ) -> ServingReport:
-    """Walk ``predictor`` over ``arrivals[start:]`` and simulate the result.
+    """Serve ``predictor`` over ``arrivals[start:]`` and simulate the result.
 
     The predictor sees only the history prefix at each interval (no
-    lookahead).  Every forecast passes the persistence rescue (or, under
-    a controller, the reactive tier), so the simulator never replays a
-    non-finite or negative provisioning decision — with a
+    lookahead) and refits every ``refit_every`` served intervals
+    (``None``: never).  Every forecast passes the persistence rescue
+    (or, under a controller, the reactive tier), so the simulator never
+    replays a non-finite or negative provisioning decision — with a
     :class:`GuardedPredictor` in front this holds even under injected
     serving faults.
 
-    ``monitor`` attaches online forecast-quality monitoring: each
-    interval is scored as it is revealed and the report gains
-    quality/drift/SLO/health sections.  The schedule is the same with
-    and without it.
+    ``monitor`` scores each interval as it is revealed and adds the
+    quality/drift/SLO/health sections; the schedule is the same with and
+    without it.  ``controller`` closes the loop: the
+    :class:`~repro.autoscale.controller.HybridController`'s decisions
+    (correction, rails, burst, tiered degradation) become the schedule
+    and the report gains its snapshot.
 
-    ``controller`` closes the loop: instead of provisioning the raw
-    forecasts, each revealed arrival feeds the
-    :class:`~repro.autoscale.controller.HybridController` corrector and
-    the *controller's decisions* (correction, rails, burst, tiered
-    degradation) become the schedule; the report gains the controller
-    snapshot and the breaker state.
-
-    ``stream`` replaces the batch walk with the chunked
-    :class:`~repro.serving.stream.StreamingServer`: ``arrivals[start:]``
-    arrives as a deterministic chunk sequence with per-chunk
-    re-sanitation (``sanitizer``, default interpolate-policy), stall
-    watchdog, backpressure, and — with a ``checkpoint_dir`` configured —
-    crash-safe checkpoints the ``resume`` flag restores from.  The
-    streaming path is univariate (the feed is one metric).
+    ``stream`` feeds ``arrivals[start:]`` as a deterministic chunk
+    sequence with per-chunk re-sanitation (``sanitizer``, default
+    interpolate-policy), stall watchdog, backpressure, batched
+    forecasts, and — with a ``checkpoint_dir`` — crash-safe checkpoints
+    the ``resume`` flag restores from; the report gains its ``stream``
+    section.
 
     2-D ``(steps, D)`` arrivals drive a multivariate predictor: the
-    full history walks into the predictor while the target channel
+    full history reaches the predictor while the target channel
     (``predictor.target_channel``, default 0) feeds the rescue, the
     monitor, the controller, and the simulator's actual-arrival replay.
     """
-    a, target = split_target(predictor, arrivals)
-    if stream is not None:
-        if a.ndim != 1:
-            raise ValueError(
-                "streaming serving is univariate; pass a 1-D trace"
-            )
-        if not 0 < start <= a.size:
-            raise ValueError(
-                f"invalid start {start} for series of length {a.size}"
-            )
-        from repro.serving.stream import StreamingServer, chunk_stream
+    from repro.serving.stream import StreamingServer, chunk_stream
 
-        server = StreamingServer(
-            predictor,
-            a[:start],
-            config=stream,
-            sanitizer=sanitizer,
-            monitor=monitor,
-            controller=controller,
-            spec=spec,
-            seed=seed,
-            refit_every=refit_every,
-        )
-        return server.run(chunk_stream(a[start:], config=stream))
-    schedule = serve_walk(
-        predictor, a, start,
-        refit_every=refit_every, controller=controller, monitor=monitor,
+    server, rest = StreamingServer.for_trace(
+        predictor, arrivals, start,
+        config=stream,
+        sanitizer=sanitizer,
+        monitor=monitor,
+        controller=controller,
+        spec=spec,
+        seed=seed,
+        refit_every=refit_every,
     )
-    result = CloudSimulator(spec=spec, seed=seed).run(target[start:], schedule)
-    return ServingReport.collect(result, schedule, predictor, controller, monitor)
+    if stream is None:
+        server.serve(rest)
+        return server.finish()
+    return server.run(chunk_stream(rest, config=stream))

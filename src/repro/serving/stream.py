@@ -1,57 +1,51 @@
-"""Crash-safe streaming serving: chunked ingestion, checkpoints, resume.
+"""The one serve loop: chunked ingestion, direct serving, checkpoints.
 
-The batch loop in :mod:`repro.serving.online` sees the whole trace up
-front; a real metrics feed arrives as *chunks* — a scrape window at a
-time, late when the collector stalls, missing when a scraper restarts,
-and the serving process itself can be killed between any two of them.
-:class:`StreamingServer` is the runtime for that regime.  Each normally
-served interval runs the same
-:func:`~repro.autoscale.controller.serve_step` as the batch walk (so a
-clean trace fed as one chunk serves the batch schedule bit for bit);
-this module owns what surrounds it:
+:class:`StreamingServer` runs the Section IV-C loop — each interval one
+:func:`~repro.autoscale.controller.serve_step` — over a 1-D feed or
+the rows of a 2-D ``(steps, D)`` one, and owns the history, the refit
+cadence and the target channel.  It has two entries.
+
+:meth:`~StreamingServer.serve` is the direct entry the batch callers
+(:func:`~repro.serving.online.serve_and_simulate`,
+:func:`~repro.autoscale.policy.provisioning_schedule`,
+:class:`~repro.autoscale.controller.HybridPolicy`) use: every interval
+as given (no sanitizing, so NaN outage windows stay), the whole prefix
+as history, and one ``predict_next`` per interval, timed in wall-clock
+when a monitor is attached.
+
+:meth:`~StreamingServer.run` ingests a real metrics feed, which arrives
+as *chunks* — late when the collector stalls, missing when a scraper
+restarts, and the process can be killed between any two of them:
 
 * **chunked ingestion** — :func:`chunk_stream` turns a trace into a
-  deterministic arrival sequence (configurable chunk size/jitter) and is
-  instrumented at the ``stream.chunk`` fault site, so stalled feeds
-  (``stall@stream.chunk:at``), lost chunks (``drop@stream.chunk:at``)
-  and process kills (``kill@stream.chunk:at``) are exactly
-  reproducible;
-* **per-chunk sanitation** — every chunk passes through the
-  :class:`~repro.serving.sanitize.TraceSanitizer` again; a chunk the
-  active policy rejects is *quarantined* (ledger entry, intervals served
-  from the fallback chain over the clean history) instead of poisoning
-  the model's history;
-* **stall watchdog** — an arrival gap beyond ``deadline_s`` degrades
-  that chunk to hold-last provisioning and records a typed
-  :class:`StreamStalled` telemetry event; service recovers on the next
-  on-time chunk;
-* **backpressure accounting** — a deterministic queue model
+  deterministic chunk sequence, instrumented at the ``stream.chunk``
+  fault site (``stall``/``drop``/``kill@stream.chunk:at``);
+* **per-chunk sanitation** — a chunk the
+  :class:`~repro.serving.sanitize.TraceSanitizer` rejects is
+  *quarantined* and served from the fallback chain;
+* **stall watchdog** — an arrival gap beyond ``deadline_s`` holds the
+  last decision for that chunk (a :class:`StreamStalled` record);
+* **backpressure** — a deterministic queue model
   (``service_time_per_interval`` x backlog vs ``queue_capacity``) sheds
-  whole chunks when the server falls behind, with ``serving.stream.*``
-  load-shed counters;
-* **chunk-batched forecasting** — a guarded primary with
-  ``predict_series`` forecasts each chunk, between refit boundaries, in
-  one batched forward pass; guard, monitor and controller still run per
-  interval.  Batched forecasts match per-interval ``predict_next`` to
-  rtol 1e-12 (GEMM vs GEMV rounding), not bit for bit;
+  whole chunks when the server falls behind;
+* **chunk-batched forecasting** — between refit boundaries a guarded
+  primary with ``predict_series`` forecasts a chunk in one pass; the
+  forecasts match per-interval ``predict_next`` to rtol 1e-12 (GEMM vs
+  GEMV rounding), not bit for bit;
 * **crash-safe resume** — every ``checkpoint_every`` chunks the server
-  appends the new schedule/actual intervals to fsynced ``.f64`` sidecars
-  and atomically replaces ``checkpoint.json`` (tmp + fsync +
-  ``os.replace``, the :func:`repro.nn.serialization.save_regressor`
-  discipline) holding the ``state_dict()`` of every stateful component.
+  appends the new intervals to fsynced ``.f64`` sidecars and atomically
+  replaces ``checkpoint.json`` (tmp + fsync + ``os.replace``) holding
+  the bounded history and every stateful component's ``state_dict()``.
   After a kill, :meth:`StreamingServer.restore` + a replay of the same
-  chunk source produce a **bit-for-bit identical** provisioning schedule
-  and :class:`~repro.serving.online.ServingReport` — asserted by
-  ``tests/test_serving_stream.py`` and the CI streaming-chaos stage.
+  chunk source serve a **bit-for-bit identical** schedule and
+  :class:`~repro.serving.online.ServingReport`.
 
-Determinism contract: the stream runs on *logical* time (nominal chunk
-arrival clocks derived from ``interval_s``), monitors are scored with
-``latency_s=None``, and all degradation decisions are pure functions of
-the chunk sequence — wall-clock never leaks into the schedule, which is
-what makes the resume guarantee testable at all.  Resume replays the
-chunk source from the start (cheap: generation is pure) and skips
-chunks the checkpoint already covers; faults planted at sites other
-than ``stream.chunk`` re-count their invocation indices in the resumed
+Ingestion runs on *logical* time (chunk arrival clocks derived from
+``interval_s``), monitors are scored with ``latency_s=None``, and every
+degradation is a pure function of the chunk sequence, which is what
+makes the resume guarantee testable.  Resume replays the chunk source
+and skips the chunks the checkpoint covers; faults planted at sites
+other than ``stream.chunk`` re-count their invocations in the resumed
 process.
 """
 
@@ -68,12 +62,8 @@ import numpy as np
 
 from repro import state as _state
 from repro.autoscale import CloudSimulator, VMSpec
-from repro.autoscale.controller import (
-    HybridController,
-    _guarded_refit,
-    serve_step,
-)
-from repro.baselines.base import Predictor
+from repro.autoscale.controller import HybridController, serve_step
+from repro.baselines.base import Predictor, split_target
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
@@ -124,7 +114,8 @@ class CheckpointError(Exception):
 class StreamChunk:
     """One feed arrival: ``values`` covering ``[offset, offset+len)``.
 
-    ``arrival_s`` is the *logical* arrival clock (seconds since stream
+    ``values`` holds one entry (a scalar, or a row of a 2-D feed) per
+    interval.  ``arrival_s`` is the *logical* arrival clock (seconds since stream
     start) the stall watchdog and backpressure model read — derived from
     the chunk boundary and injected stalls, never from wall-clock.
     """
@@ -212,6 +203,10 @@ class StreamConfig:
     history_window: int = 4096
 
     def __post_init__(self):
+        for name in ("interval_s", "arrival_jitter_s", "deadline_s",
+                     "service_time_per_interval"):
+            if not math.isfinite(getattr(self, name) or 0.0):
+                raise ValueError(f"{name} must be finite")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         if self.size_jitter < 0 or self.size_jitter >= self.chunk_size:
@@ -285,19 +280,23 @@ def chunk_stream(
     raises :class:`~repro.resilience.faults.SimulatedCrash` mid-stream.
     The arrival clock is monotonic, so a stalled chunk makes its
     successors arrive back-to-back — exactly the burst that exercises
-    the backpressure model.
+    the backpressure model.  A 2-D ``(steps, D)`` trace is chunked by
+    rows: sizes, offsets and arrivals count intervals, not values.
     """
     cfg = config if config is not None else StreamConfig()
-    t = np.asarray(trace, dtype=np.float64).ravel()
+    t = np.asarray(trace, dtype=np.float64)
+    if t.ndim != 2:
+        t = t.ravel()
+    n = t.shape[0]
     rng = np.random.default_rng(cfg.seed)
     offset = 0
     index = 0
     last_arrival = 0.0
-    while offset < t.size:
+    while offset < n:
         size = cfg.chunk_size
         if cfg.size_jitter:
             size += int(rng.integers(-cfg.size_jitter, cfg.size_jitter + 1))
-        size = max(1, min(size, t.size - offset))
+        size = max(1, min(size, n - offset))
         end = offset + size
         arrival = end * cfg.interval_s
         if cfg.arrival_jitter_s:
@@ -330,8 +329,12 @@ class StreamingServer:
         :class:`~repro.serving.guard.GuardedPredictor`; its fallback
         chain also serves quarantined chunks.
     initial_history:
-        Clean 1-D warmup history the first predictions draw on (the
-        trace prefix before the served region).  Must be non-empty.
+        Clean warmup history the first predictions draw on (the trace
+        prefix before the served region).  Must be non-empty.  A 2-D
+        ``(steps, D)`` one makes a multivariate feed: its rows fill the
+        history and the chunks, while the target channel
+        (``predictor.target_channel``, default 0) feeds the rescue,
+        fallbacks, monitor, controller and simulator.
     config:
         A :class:`StreamConfig`; ``None`` takes the defaults.
     sanitizer:
@@ -339,9 +342,11 @@ class StreamingServer:
         ``None`` installs ``TraceSanitizer(policy="interpolate")`` —
         chunks it cannot repair are quarantined.
     monitor / controller / spec / seed / refit_every:
-        As in :func:`repro.serving.online.serve_and_simulate`; the
-        monitor is scored with ``latency_s=None`` (logical time only)
-        and ``refit_every=None`` disables in-stream refits.
+        As in :func:`repro.serving.online.serve_and_simulate`;
+        ``refit_every=None`` disables refits.
+
+    :meth:`run` ingests chunks (logical time; the monitor is scored
+    with ``latency_s=None``); :meth:`serve` is the direct entry.
     """
 
     def __init__(
@@ -357,9 +362,14 @@ class StreamingServer:
         seed: int = 0,
         refit_every: int | None = None,
     ):
-        init = np.asarray(initial_history, dtype=np.float64).ravel()
-        if init.size == 0:
+        init, target = split_target(predictor, initial_history)
+        if init.shape[0] == 0:
             raise ValueError("initial_history must be non-empty")
+        #: Target column of a 2-D feed's rows; ``None`` on a 1-D feed.
+        self._target = (
+            int(getattr(predictor, "target_channel", 0) or 0)
+            if init.ndim == 2 else None
+        )
         if refit_every is not None and refit_every < 1:
             raise ValueError("refit_every must be >= 1 (or None)")
         self.config = config if config is not None else StreamConfig()
@@ -380,10 +390,10 @@ class StreamingServer:
 
         window = self.config.history_window
         tail = init[-window:]
-        self._hbuf = np.empty(2 * window, dtype=np.float64)
-        self._hbuf[: tail.size] = tail
-        self._hlen = int(tail.size)
-        self._initial_len = int(init.size)
+        self._hbuf = np.empty((2 * window,) + init.shape[1:], dtype=np.float64)
+        self._hbuf[: tail.shape[0]] = tail
+        self._hlen = int(tail.shape[0])
+        self._initial_len = int(init.shape[0])
 
         # Served intervals (the schedule the simulator will replay).
         self._cap = 1024
@@ -393,7 +403,7 @@ class StreamingServer:
         #: Sidecar entries durably on disk (== entries the checkpoint covers).
         self._sidecar_n = 0
 
-        last = float(init[-1])
+        last = float(target[-1])
         self._last_clean = last if math.isfinite(last) else 0.0
         self._last_decision = float(np.ceil(max(self._last_clean, 0.0)))
 
@@ -401,18 +411,24 @@ class StreamingServer:
         _state.reset(self, _CURSOR)
         _state.reset(self, _DEGRADE)
         self._restored = False
+        #: ``serving.stream.*`` counter handles (:meth:`_counters`).
+        self._c: dict | None = None
 
-        # Hot-path metric handles resolved once, not per chunk.
-        self._c_chunks = _metrics.counter("serving.stream.chunks")
-        self._c_held = _metrics.counter("serving.stream.held_intervals")
-        self._c_gap = _metrics.counter("serving.stream.gap_intervals")
-        self._c_quar_chunks = _metrics.counter("serving.stream.quarantined_chunks")
-        self._c_quar = _metrics.counter("serving.stream.quarantined_intervals")
-        self._c_stalls = _metrics.counter("serving.stream.stalls")
-        self._c_shed = _metrics.counter("serving.stream.shed_chunks")
-        self._c_shed_iv = _metrics.counter("serving.stream.shed_intervals")
-        self._c_ckpt = _metrics.counter("serving.stream.checkpoints")
-        self._c_repaired = _metrics.counter("serving.stream.repaired_values")
+    def _counters(self) -> dict:
+        """The ``serving.stream.*`` counter handles, resolved once, on
+        the first ingested chunk or restore, so a direct serve reports
+        none of them."""
+        if self._c is None:
+            self._c = {
+                name: _metrics.counter(f"serving.stream.{name}")
+                for name in (
+                    "chunks", "held_intervals", "gap_intervals",
+                    "quarantined_chunks", "quarantined_intervals", "stalls",
+                    "shed_chunks", "shed_intervals", "checkpoints",
+                    "repaired_values",
+                )
+            }
+        return self._c
 
     # ------------------------------------------------------------------
     # bounded history + interval buffers
@@ -422,22 +438,36 @@ class StreamingServer:
         lo = self._hlen - w
         return self._hbuf[lo if lo > 0 else 0 : self._hlen]
 
-    def _append_history_scalar(self, value: float) -> None:
-        if self._hlen == self._hbuf.size:
+    def _target_of(self, rows: np.ndarray) -> np.ndarray:
+        """The target channel of ``rows`` (the rows themselves on a 1-D feed)."""
+        return rows if self._target is None else rows[:, self._target]
+
+    def _held_rows(self, n: int) -> np.ndarray:
+        """``n`` history rows for intervals whose actuals are unknown: the
+        last clean target value, with the other channels of a 2-D feed
+        held at the newest history row."""
+        if self._target is None:
+            return np.full(n, self._last_clean)
+        row = self._hbuf[self._hlen - 1].copy()
+        row[self._target] = self._last_clean
+        return np.tile(row, (n, 1))
+
+    def _append_history_row(self, row) -> None:
+        if self._hlen == self._hbuf.shape[0]:
             w = self.config.history_window
             self._hbuf[:w] = self._hbuf[self._hlen - w : self._hlen].copy()
             self._hlen = w
-        self._hbuf[self._hlen] = value
+        self._hbuf[self._hlen] = row
         self._hlen += 1
 
     def _append_history_block(self, values: np.ndarray) -> None:
         w = self.config.history_window
-        m = int(values.size)
+        m = int(values.shape[0])
         if m >= w:
             self._hbuf[:w] = values[-w:]
             self._hlen = w
             return
-        if self._hlen + m > self._hbuf.size:
+        if self._hlen + m > self._hbuf.shape[0]:
             self._hbuf[:w] = self._hbuf[self._hlen - w : self._hlen].copy()
             self._hlen = w
         self._hbuf[self._hlen : self._hlen + m] = values
@@ -496,7 +526,7 @@ class StreamingServer:
         series = np.concatenate((history, block))
         try:
             return primary.predict_series(
-                series, history.size, series.size
+                series, history.shape[0], series.shape[0]
             ).tolist()
         except _faults.SimulatedCrash:
             raise
@@ -507,45 +537,86 @@ class StreamingServer:
             )
             return None
 
-    def _serve_values(self, values: np.ndarray) -> None:
-        """Normal serving: the shared serve step, per interval.
+    def _refit(self) -> None:
+        """Refit on the history.  A failing fit raises without a
+        controller; with one the stale model keeps serving.  Simulated
+        process crashes always propagate."""
+        try:
+            self.predictor.fit(self._history_view())
+        except _faults.SimulatedCrash:
+            raise
+        except Exception as exc:
+            if self.controller is None:
+                raise
+            _metrics.counter("autoscale.controller.fit_error").inc()
+            logger.warning("proactive fit failed (stale model serves): %s", exc)
 
-        This driver owns the refit cadence and the batched forecasts:
-        blocks between refit boundaries are forecast in one pass
-        (:meth:`_primary_forecasts`), then each interval runs
-        :func:`~repro.autoscale.controller.serve_step` over the bounded
-        history, untimed (logical time only).
+    def _serve_values(self, values: np.ndarray, direct: bool = False) -> None:
+        """The serve loop: refit cadence, then
+        :func:`~repro.autoscale.controller.serve_step` per interval over
+        the bounded history.  Ingested blocks between refit boundaries
+        are forecast in one pass (:meth:`_primary_forecasts`) and served
+        untimed; ``direct`` ones per interval, timed under a monitor.
         """
         predictor = self.predictor
         monitor = self.monitor
         controller = self.controller
         refit_every = self.refit_every
+        tc = self._target
+        timed = direct and monitor is not None
+        m = values.shape[0]
         start = 0
-        while start < values.size:
-            stop = values.size
+        while start < m:
+            stop = m
             if refit_every is not None:
                 due = self._served_intervals % refit_every
                 stop = min(stop, start + refit_every - due)
                 if due == 0:
-                    history = self._history_view()
-                    if controller is not None:
-                        _guarded_refit(predictor, history)
-                    else:
-                        predictor.fit(history)
+                    self._refit()
             block = values[start:stop]
-            raws = self._primary_forecasts(block)
-            for j, v in enumerate(block.tolist()):
+            raws = None if direct else self._primary_forecasts(block)
+            actuals = block.tolist() if tc is None else block[:, tc].tolist()
+            for j, v in enumerate(actuals):
                 history = self._history_view()
                 decision = serve_step(
-                    predictor, history, history, v, controller, monitor,
-                    None if raws is None else raws[j],
+                    predictor, history,
+                    history if tc is None else history[:, tc], v,
+                    controller, monitor,
+                    None if raws is None else raws[j], timed,
                 )
                 self._served_intervals += 1
                 self._last_decision = decision
                 self._push(decision, v)
-                self._append_history_scalar(v)
+                self._append_history_row(v if tc is None else block[j])
                 self._last_clean = v
             start = stop
+
+    def serve(self, values: np.ndarray) -> np.ndarray:
+        """Direct entry: serve ``values`` (rows of the feed's shape) as
+        given and return their decisions.  No ingest (sanitizing, stall,
+        shed or quarantine), so NaN outage windows stay; each interval is
+        forecast with ``predict_next``, timed when a monitor is attached.
+        """
+        n0 = self._n
+        self._serve_values(np.asarray(values, dtype=np.float64), direct=True)
+        return self._sched_buf[n0 : self._n].copy()
+
+    @classmethod
+    def for_trace(
+        cls, predictor: Predictor, trace: np.ndarray, start: int, **kwargs
+    ) -> tuple["StreamingServer", np.ndarray]:
+        """A server warmed on ``trace[:start]``, and the rows left to serve.
+
+        Without a ``config`` the history window spans the whole trace, so
+        a direct serve shows interval ``i`` all of ``trace[:i]``.
+        """
+        a, _ = split_target(predictor, trace)
+        n = int(a.shape[0])
+        if not 0 < start <= n:
+            raise ValueError(f"invalid start {start} for series of length {n}")
+        if kwargs.get("config") is None:
+            kwargs["config"] = StreamConfig(history_window=n)
+        return cls(predictor, a[:start], **kwargs), a[start:]
 
     def _fallback_forecast(self, history: np.ndarray) -> float:
         """First finite answer from the predictor's fallback chain."""
@@ -570,42 +641,42 @@ class StreamingServer:
         monitor is not scored — unobserved actuals are not evidence.
         """
         held = self._last_clean
-        for _ in range(n):
-            history = self._history_view()
-            p = self._fallback_forecast(history)
+        rows = self._held_rows(n)
+        for k in range(n):
+            p = self._fallback_forecast(self._target_of(self._history_view()))
             decision = float(np.ceil(p))
             self._last_decision = decision
             self._push(decision, held)
-            self._append_history_scalar(held)
+            self._append_history_row(rows[k])
         self._quarantined_intervals += n
-        self._c_quar.inc(n)
+        self._counters()["quarantined_intervals"].inc(n)
 
     def _degrade_block(self, n: int) -> None:
         """Hold-last provisioning for ``n`` intervals with no data at all."""
-        held = self._last_clean
         self._push_block(
-            np.full(n, self._last_decision), np.full(n, held)
+            np.full(n, self._last_decision), np.full(n, self._last_clean)
         )
-        self._append_history_block(np.full(n, held))
+        self._append_history_block(self._held_rows(n))
         self._held_intervals += n
-        self._c_held.inc(n)
+        self._counters()["held_intervals"].inc(n)
 
     def _hold_block(self, values: np.ndarray) -> None:
         """Stalled chunk: hold-last decisions, but the (late) actuals are
         real — they enter the history so the model recovers immediately."""
-        m = int(values.size)
-        self._push_block(np.full(m, self._last_decision), values)
+        m = int(values.shape[0])
+        actuals = self._target_of(values)
+        self._push_block(np.full(m, self._last_decision), actuals)
         self._append_history_block(values)
-        self._last_clean = float(values[-1])
+        self._last_clean = float(actuals[-1])
         self._held_intervals += m
-        self._c_held.inc(m)
+        self._counters()["held_intervals"].inc(m)
 
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
     def _ingest(self, chunk: StreamChunk) -> None:
         cfg = self.config
-        n = int(chunk.values.size)
+        n = int(chunk.values.shape[0])
         end = chunk.offset + n
         if end <= self._next_offset:
             # Replay of an interval range the restored checkpoint already
@@ -619,7 +690,8 @@ class StreamingServer:
                 "chunking config"
             )
 
-        self._c_chunks.inc()
+        counters = self._counters()
+        counters["chunks"].inc()
         self._chunks_processed += 1
 
         if chunk.offset > self._next_offset:
@@ -634,7 +706,7 @@ class StreamingServer:
                 _events.emit("stream.gap", chunk=chunk.index, intervals=gap)
             self._degrade_block(gap)
             self._gap_intervals += gap
-            self._c_gap.inc(gap)
+            counters["gap_intervals"].inc(gap)
             self._next_offset = chunk.offset
 
         gap_s = chunk.arrival_s - self._last_arrival_s
@@ -663,8 +735,8 @@ class StreamingServer:
         if shed:
             self._shed_chunks += 1
             self._shed_intervals += n
-            self._c_shed.inc()
-            self._c_shed_iv.inc(n)
+            counters["shed_chunks"].inc()
+            counters["shed_intervals"].inc(n)
             logger.warning(
                 "load shed: chunk %d (%d intervals) dropped at backlog "
                 "%.1f intervals", chunk.index, n, self._queue_peak,
@@ -683,7 +755,7 @@ class StreamingServer:
                     "intervals": n,
                     "reason": str(exc),
                 })
-                self._c_quar_chunks.inc()
+                counters["quarantined_chunks"].inc()
                 logger.warning(
                     "chunk %d quarantined (%d intervals): %s",
                     chunk.index, n, exc,
@@ -695,11 +767,11 @@ class StreamingServer:
                 self._quarantine_block(n)
                 self._next_offset = end
             else:
-                clean = np.asarray(clean, dtype=np.float64).ravel()
+                clean = np.asarray(clean, dtype=np.float64)
                 repaired = int(report.n_repaired)
                 if repaired:
                     self._repaired_values += repaired
-                    self._c_repaired.inc(repaired)
+                    counters["repaired_values"].inc(repaired)
                 if stalled:
                     rec = StreamStalled(
                         chunk_index=chunk.index,
@@ -709,7 +781,7 @@ class StreamingServer:
                         intervals_held=n,
                     )
                     self.stalls.append(rec)
-                    self._c_stalls.inc()
+                    counters["stalls"].inc()
                     logger.warning(
                         "stream stalled: chunk %d arrived %.1fs late "
                         "(deadline %.1fs) — holding last decision",
@@ -735,7 +807,7 @@ class StreamingServer:
     def _identity(self) -> dict:
         """Config echo a checkpoint must match before it may restore."""
         cfg = self.config
-        return {
+        ident = {
             "predictor": getattr(
                 self.predictor, "name", type(self.predictor).__name__
             ),
@@ -754,6 +826,12 @@ class StreamingServer:
             "monitored": self.monitor is not None,
             "controlled": self.controller is not None,
         }
+        if self._target is not None:
+            # Only a 2-D feed names its shape, so a 1-D checkpoint keeps
+            # its bytes.
+            ident["channels"] = int(self._hbuf.shape[1])
+            ident["target_channel"] = self._target
+        return ident
 
     def _append_sidecar(self, path: Path, buf: np.ndarray) -> None:
         new = buf[self._sidecar_n : self._n]
@@ -776,7 +854,7 @@ class StreamingServer:
         self._sidecar_n = self._n
 
         self._checkpoints_written += 1
-        self._c_ckpt.inc()
+        self._counters()["checkpoints"].inc()
         state = {
             "schema": CHECKPOINT_SCHEMA,
             "identity": self._identity(),
@@ -829,9 +907,11 @@ class StreamingServer:
 
     def _decode_history(self, saved: dict) -> np.ndarray:
         hist = np.frombuffer(bytes.fromhex(saved["hex"]), dtype=np.float64)
-        if hist.size > self.config.history_window:
+        if self._target is not None:
+            hist = hist.reshape(-1, self._hbuf.shape[1])
+        if hist.shape[0] > self.config.history_window:
             raise ValueError(
-                f"{hist.size} history intervals exceed history_window "
+                f"{hist.shape[0]} history intervals exceed history_window "
                 f"{self.config.history_window}"
             )
         return hist
@@ -915,10 +995,12 @@ class StreamingServer:
         self._act_buf[:n] = actuals
         self._n = self._sidecar_n = n
         hist = decoded["history"]
-        self._hbuf[: hist.size] = hist
-        self._hlen = int(hist.size)
+        self._hbuf[: hist.shape[0]] = hist
+        self._hlen = int(hist.shape[0])
         for section in ("cursor", "degrade", "components"):
             decoded[section]()
+        # A restored server continues a stream and its counters.
+        self._counters()
         # Counters are monotonic, so restoration is by delta: in a fresh
         # process every counter starts at 0 and lands exactly on the
         # checkpointed value, keeping ServingReport.serving_counters
@@ -972,9 +1054,11 @@ class StreamingServer:
         result = CloudSimulator(spec=self.spec, seed=self.seed).run(
             actuals, schedule
         )
+        # Only ingested chunks have stream accounting; a direct serve
+        # reports none.
         return ServingReport.collect(
-            result, schedule, self.predictor,
-            self.controller, self.monitor, self.summary(),
+            result, schedule, self.predictor, self.controller, self.monitor,
+            self.summary() if self._chunks_processed else None,
         )
 
     def run(self, chunks: Iterable[StreamChunk]) -> ServingReport:

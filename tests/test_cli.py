@@ -135,8 +135,12 @@ class TestCommands:
         (["simulate", "gl-30m", "--slo-latency-ms", "0"], "--slo-latency-ms"),
         (["stream", "gl-30m", "--refit-every", "0"], "--refit-every"),
         (["simulate", "gl-30m", "--refit-every", "0"], "--refit-every"),
+        (["stream", "gl-30m", "--deadline-s", "nan"], "deadline_s"),
+        (["stream", "gl-30m", "--service-time", "nan"],
+         "service_time_per_interval"),
     ], ids=["stream-slo-mape", "simulate-slo-mape", "simulate-slo-latency",
-            "stream-refit-every", "simulate-refit-every"])
+            "stream-refit-every", "simulate-refit-every",
+            "stream-deadline-nan", "stream-service-time-nan"])
     def test_bad_serving_flag_is_one_error_line(
         self, capsys, monkeypatch, argv, flag
     ):

@@ -320,6 +320,31 @@ def _diurnal(n: int, seed: int = 0) -> np.ndarray:
     )
 
 
+def _mv(n: int, seed: int = 0) -> np.ndarray:
+    """Three correlated job-count channels around a diurnal target in
+    channel 1."""
+    base = _diurnal(n, seed)
+    rng = np.random.default_rng(seed + 1)
+    return np.round(np.clip(np.column_stack([
+        2.0 * base + rng.normal(0, 3, n),
+        base,
+        0.5 * base + rng.normal(0, 2, n),
+    ]), 0, None))
+
+
+class _Mixing(Predictor):
+    """Forecasts channel 1 from every channel of the last two rows, so a
+    feed that mixed up rows or channels would change the schedule."""
+
+    name = "mixing"
+    target_channel = 1
+    min_history = 2
+
+    def predict_next(self, history):
+        h = np.asarray(history)
+        return float(0.2 * h[-1, 0] + 0.5 * h[-1, 1] + 0.3 * h[-2, 2])
+
+
 def _stream_run(
     trace: np.ndarray,
     start: int,
@@ -330,11 +355,12 @@ def _stream_run(
     sanitizer: TraceSanitizer | None = None,
     monitor: bool = True,
     controller: bool = False,
+    primary: Predictor | None = None,
     **cfg_kwargs,
 ):
     """One full streamed run with a fresh metrics registry."""
     reset_metrics()
-    predictor = GuardedPredictor(None, fallbacks=default_fallbacks(48))
+    predictor = GuardedPredictor(primary, fallbacks=default_fallbacks(48))
     mon = (
         ForecastMonitor(slo=SLOTracker(accuracy_slo_mape=30.0))
         if monitor else None
@@ -394,6 +420,24 @@ class TestChunkStream:
         arrivals = [c.arrival_s for c in a]
         assert arrivals == sorted(arrivals)
 
+    def test_2d_trace_chunks_by_rows(self):
+        small = np.arange(12.0).reshape(6, 2)
+        chunks = list(chunk_stream(small, config=StreamConfig(chunk_size=4)))
+        assert [c.values.tolist() for c in chunks] == [
+            small[:4].tolist(), small[4:].tolist()
+        ]
+        trace = _mv(500)
+        cfg = StreamConfig(chunk_size=32, size_jitter=6, seed=9)
+        rows = list(chunk_stream(trace, config=cfg))
+        # Sizes, offsets and arrivals count intervals, as on a 1-D feed.
+        flat = list(chunk_stream(trace[:, 1], config=cfg))
+        assert [(c.offset, c.arrival_s) for c in rows] == [
+            (c.offset, c.arrival_s) for c in flat
+        ]
+        np.testing.assert_array_equal(
+            np.concatenate([c.values for c in rows]), trace
+        )
+
     def test_drop_fault_leaves_offset_gap(self):
         trace = _diurnal(300)
         cfg = StreamConfig(chunk_size=50, seed=1)
@@ -422,6 +466,13 @@ class TestChunkStream:
             StreamConfig(deadline_s=0.0)
         with pytest.raises(ValueError):
             StreamConfig(service_time_per_interval=-1.0)
+        # A NaN once slipped past every comparison, silently switching
+        # the stall watchdog or the backpressure model off.
+        for name in ("interval_s", "arrival_jitter_s", "deadline_s",
+                     "service_time_per_interval"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    StreamConfig(**{name: bad})
 
 
 class TestStreamingDegradation:
@@ -554,6 +605,44 @@ class TestCheckpointResume:
         resumed = _stream_run(trace, 1500, ckpt=str(tmp_path / "crash"),
                               controller=True, resume=True)
         assert _report_fingerprint(resumed) == _report_fingerprint(ref)
+
+    def test_multivariate_kill_midstream_resume_bit_for_bit(self, tmp_path):
+        trace = _mv(2500, seed=2)
+        trace[1500:1504, 2] = np.nan  # repaired in its own channel
+        kwargs = dict(
+            primary=_Mixing(), controller=True, deadline_s=120.0,
+        )
+        ref = _stream_run(
+            trace, 1000, ckpt=str(tmp_path / "ref"),
+            faults="drop@stream.chunk:4", **kwargs,
+        )
+        with pytest.raises(_faults.SimulatedCrash):
+            _stream_run(
+                trace, 1000, ckpt=str(tmp_path / "crash"),
+                faults="drop@stream.chunk:4,kill@stream.chunk:12", **kwargs,
+            )
+        resumed = _stream_run(
+            trace, 1000, ckpt=str(tmp_path / "crash"), resume=True,
+            faults="drop@stream.chunk:4", **kwargs,
+        )
+        assert _report_fingerprint(resumed) == _report_fingerprint(ref)
+        assert ref.stream["gap_intervals"] > 0
+        assert ref.stream["repaired_values"] == 4
+        served = ref.stream["served_intervals"]
+        assert served > 0 and ref.served_by["primary"] == served
+        # The simulator replays the target channel.
+        np.testing.assert_array_equal(
+            ref.result.arrivals[-100:], trace[-100:, 1]
+        )
+
+    def test_channel_count_mismatch_is_typed_error(self, tmp_path):
+        trace = _mv(1500)
+        ckpt = str(tmp_path / "ck")
+        _stream_run(trace, 1000, ckpt=ckpt, primary=_Mixing())
+        for other in (trace[:, :2], trace[:, 1]):
+            with pytest.raises(CheckpointError, match="channels"):
+                _stream_run(other, 1000, ckpt=ckpt, primary=_Mixing(),
+                            resume=True)
 
     def test_crash_before_first_checkpoint_restarts_fresh(self, tmp_path):
         trace = _diurnal(2000)
@@ -995,3 +1084,79 @@ class TestOneServeStep:
                 refit_every=refit_every,
             )
             assert policy.schedule(trace, start).tobytes() == batch.schedule.tobytes()
+
+    @pytest.mark.parametrize("refit_every", [1, 7, 10**9])
+    @pytest.mark.parametrize("controller", [False, True])
+    def test_multivariate_batch_equals_one_chunk_stream(
+        self, controller, refit_every
+    ):
+        trace = _mv(600, seed=4)
+        n, start = trace.shape[0], 400
+
+        def run(**extra):
+            reset_metrics()
+            return serve_and_simulate(
+                GuardedPredictor(_Mixing(), fallbacks=default_fallbacks(48)),
+                trace, start,
+                refit_every=refit_every, monitor=ForecastMonitor(),
+                controller=HybridController() if controller else None,
+                **extra,
+            )
+
+        batch = run()
+        streamed = run(
+            stream=StreamConfig(chunk_size=n - start, history_window=n)
+        )
+        assert batch.schedule.tobytes() == streamed.schedule.tobytes()
+        assert batch.served_by == streamed.served_by == {"primary": n - start}
+        assert batch.controller == streamed.controller
+        assert batch.result.vm_seconds == streamed.result.vm_seconds
+        assert batch.quality["cumulative"] == streamed.quality["cumulative"]
+        assert batch.stream is None and streamed.stream["chunks"] == 1
+        np.testing.assert_array_equal(batch.result.arrivals, trace[start:, 1])
+
+
+class TestBatchCallers:
+    """The batch callers serve through the direct entry."""
+
+    @pytest.mark.parametrize("start", [0, 51])
+    def test_invalid_start_is_refused(self, start):
+        from repro.autoscale import HybridPolicy
+        from repro.autoscale.policy import provisioning_schedule
+        from repro.baselines.naive import LastValuePredictor
+
+        trace = _diurnal(50)
+        calls = [
+            lambda: serve_and_simulate(LastValuePredictor(), trace, start),
+            lambda: serve_and_simulate(
+                LastValuePredictor(), trace, start, stream=StreamConfig()
+            ),
+            lambda: provisioning_schedule(LastValuePredictor(), trace, start),
+            lambda: HybridPolicy(LastValuePredictor()).schedule(trace, start),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="invalid start"):
+                call()
+
+    def test_default_refit_keeps_chunks_batched(self):
+        """Without ``refit_every`` a chunk is one ``predict_series`` call
+        (a refit every interval would cut each block to one interval)."""
+
+        class Counting(Predictor):
+            name = "counting"
+            calls = 0
+
+            def predict_next(self, history):
+                return float(history[-1])
+
+            def predict_series(self, series, start, end=None):
+                Counting.calls += 1
+                return np.asarray(series[start - 1 : end - 1], dtype=float)
+
+        trace = _diurnal(200)
+        rep = serve_and_simulate(
+            GuardedPredictor(Counting()), trace, 100,
+            stream=StreamConfig(chunk_size=50),
+        )
+        assert rep.stream["chunks"] == 2
+        assert Counting.calls == 2
