@@ -54,12 +54,22 @@ class Predictor:
 def split_target(predictor: Predictor, series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(series, target)`` as float64: a 2-D ``(steps, D)`` series stays
     2-D and ``target`` is its ``predictor.target_channel`` column
-    (default 0); anything else is flattened and is its own target."""
+    (default 0); anything else is flattened and is its own target.
+
+    Raises ``ValueError`` when the target channel is not a column of a
+    2-D series.
+    """
     series = np.asarray(series, dtype=np.float64)
-    if series.ndim == 2:
-        return series, series[:, int(getattr(predictor, "target_channel", 0) or 0)]
-    series = series.ravel()
-    return series, series
+    if series.ndim != 2:
+        series = series.ravel()
+        return series, series
+    channel = int(getattr(predictor, "target_channel", 0) or 0)
+    if not 0 <= channel < series.shape[1]:
+        raise ValueError(
+            f"target_channel {channel} out of range "
+            f"for {series.shape[1]}-channel history"
+        )
+    return series, series[:, channel]
 
 
 def persistence_rescue(forecast: float, target_history: np.ndarray) -> float:

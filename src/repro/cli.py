@@ -30,6 +30,7 @@ harness asserts on).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -359,15 +360,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from repro.baselines.base import split_target
     from repro.core import LoadDynamicsPredictor
 
     predictor = LoadDynamicsPredictor.load(args.model_dir)
     series = _resolve_configuration(args.config).load()
     value = predictor.predict_next(series)
-    last = (
-        series[-1, predictor.target_channel] if series.ndim == 2 else series[-1]
-    )
-    print(f"last observed JAR : {last:,.0f}")
+    _, target = split_target(predictor, series)
+    print(f"last observed JAR : {target[-1]:,.0f}")
     print(f"predicted next JAR: {value:,.0f}")
     return 0
 
@@ -551,6 +551,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+#: ``StreamConfig`` field -> the ``stream`` flag that sets it, so a
+#: refused value is reported by the flag the user typed.
+_STREAM_FLAGS = {
+    "chunk_size": "--chunk-size",
+    "size_jitter": "--size-jitter",
+    "seed": "--seed",
+    "deadline_s": "--deadline-s",
+    "queue_capacity": "--queue-capacity",
+    "service_time_per_interval": "--service-time",
+    "checkpoint_every": "--checkpoint-every",
+    "checkpoint_dir": "--checkpoint-dir",
+    "resume": "--resume",
+}
+
+
 def _cmd_stream(args) -> int:
     from repro.serving import (
         CheckpointError,
@@ -562,6 +577,16 @@ def _cmd_stream(args) -> int:
     monitor = _serving_monitor(args)
     if args.resume and not args.checkpoint_dir:
         raise _CliError("--resume requires --checkpoint-dir")
+    try:
+        stream_cfg = StreamConfig(**{
+            field: getattr(args, flag[2:].replace("-", "_"))
+            for field, flag in _STREAM_FLAGS.items()
+        })
+    except ValueError as exc:
+        msg = str(exc)
+        for field, flag in _STREAM_FLAGS.items():
+            msg = re.sub(rf"\b{field}\b", flag, msg)
+        raise _CliError(msg) from exc
     cfg, series = _load_series(args)
     start = int(len(series) * args.start_frac)
     # Without --model-dir the fallback chain alone serves — fast,
@@ -569,20 +594,6 @@ def _cmd_stream(args) -> int:
     # so it is the canonical parity-check predictor too.
     predictor = _guarded_predictor(cfg, model_dir=args.model_dir)
 
-    try:
-        stream_cfg = StreamConfig(
-            chunk_size=args.chunk_size,
-            size_jitter=args.size_jitter,
-            seed=args.seed,
-            deadline_s=args.deadline_s,
-            queue_capacity=args.queue_capacity,
-            service_time_per_interval=args.service_time,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-        )
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
     try:
         report = serve_and_simulate(
             predictor, series, start,

@@ -50,7 +50,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro import state as _state
-from repro.baselines.base import Predictor
+from repro.baselines.base import Predictor, split_target
 from repro.bayesopt.space import SearchSpace
 from repro.core.config import FrameworkSettings, search_space_for
 from repro.core.framework import LoadDynamics
@@ -344,9 +344,7 @@ class AdaptiveLoadDynamics(Predictor, _state.Persistent):
             )
 
     def fit(self, history: np.ndarray) -> "AdaptiveLoadDynamics":
-        h = np.asarray(history, dtype=np.float64)
-        if h.ndim != 2:
-            h = h.ravel()
+        h, target = split_target(self, history)
         n = int(h.shape[0])
         if n < self._last_len:
             # New series: start over.
@@ -358,10 +356,7 @@ class AdaptiveLoadDynamics(Predictor, _state.Persistent):
         # Score the cached forecast against every newly revealed value
         # (the target channel's value, for a multivariate history).
         if self.predictor is not None and self._last_pred is not None and n > self._last_len >= 0:
-            actual = float(
-                h[self._last_len, self.target_channel] if h.ndim == 2
-                else h[self._last_len]
-            )
+            actual = float(target[self._last_len])
             denom = max(abs(actual), 1e-9)
             err = 100.0 * abs(self._last_pred - actual) / denom
             self._recent_errors.append(err)
@@ -397,11 +392,9 @@ class AdaptiveLoadDynamics(Predictor, _state.Persistent):
         return self
 
     def predict_next(self, history: np.ndarray) -> float:
-        h = np.asarray(history, dtype=np.float64)
-        if h.ndim != 2:
-            h = h.ravel()
+        h, target = split_target(self, history)
         if self.predictor is None or self._last_len != int(h.shape[0]) or self._last_pred is None:
             self.fit(h)
         if self._last_pred is None:
-            return self._fallback(h[:, self.target_channel] if h.ndim == 2 else h)
+            return self._fallback(target)
         return float(self._last_pred)

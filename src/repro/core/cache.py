@@ -47,7 +47,7 @@ class WindowCache:
     ):
         s = np.asarray(scaled, dtype=np.float64)
         # A 2-D (N, D) series keeps its channels axis; anything else is
-        # the original univariate path, raveled exactly as before.
+        # one channel, flattened.
         self._scaled = s if s.ndim == 2 else s.ravel()
         self._i_train_end = int(i_train_end)
         self._i_val_end = int(i_val_end)
@@ -57,7 +57,7 @@ class WindowCache:
 
     @property
     def n_channels(self) -> int:
-        return self._scaled.shape[1] if self._scaled.ndim == 2 else 1
+        return int(np.prod(self._scaled.shape[1:]))
 
     @property
     def target_channel(self) -> int:

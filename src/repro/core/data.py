@@ -9,8 +9,8 @@ history length reuses the same window matrices.
 A 2-D ``(N, D)`` series flows through the same three steps: the split
 indices count time steps (rows), the scaler fits per-channel on the
 training rows only (same leakage guard), and the window cache hands out
-``(n_windows, n, D)`` tensors targeting ``target_channel``.  The 1-D
-path is byte-identical to the pre-multivariate implementation.
+``(n_windows, n, D)`` tensors targeting ``target_channel``.  A 1-D
+series is the one-channel case and its own target.
 """
 
 from __future__ import annotations
@@ -41,14 +41,7 @@ class PreparedData:
 
     @property
     def n_intervals(self) -> int:
-        return int(self.raw.shape[0]) if self.raw.ndim == 2 else int(self.raw.size)
-
-    @property
-    def target_scaler(self) -> MinMaxScaler:
-        """Scalar scaler for the target channel (the whole scaler if 1-D)."""
-        if self.scaler.n_channels_ is None:
-            return self.scaler
-        return self.scaler.channel(self.target_channel)
+        return int(self.raw.shape[0])
 
 
 def prepare_data(
@@ -67,20 +60,14 @@ def prepare_data(
     (ignored for 1-D input).
     """
     s = np.asarray(series, dtype=np.float64)
-    multivariate = s.ndim == 2
-    if multivariate:
-        n_channels = int(s.shape[1])
-        if not 0 <= target_channel < n_channels:
-            raise ValueError(
-                f"target_channel {target_channel} out of range for "
-                f"{n_channels}-channel series"
-            )
-        n_total = int(s.shape[0])
-    else:
-        s = s.ravel()
-        n_channels = 1
-        target_channel = 0
-        n_total = s.size
+    if s.ndim != 2:
+        s, target_channel = s.ravel(), 0  # one channel, its own target
+    n_total, n_channels = s.shape[0], int(np.prod(s.shape[1:]))
+    if not 0 <= target_channel < n_channels:
+        raise ValueError(
+            f"target_channel {target_channel} out of range for "
+            f"{n_channels}-channel series"
+        )
     cfg = settings
     i_train_end = int(round(cfg.train_frac * n_total))
     i_val_end = int(round((cfg.train_frac + cfg.val_frac) * n_total))

@@ -98,7 +98,6 @@ class TrialEvaluator:
         """
         cfg = self.settings
         n = int(config["history_len"])
-        n_channels = int(scaled.shape[1]) if scaled.ndim == 2 else 1
 
         def infeasible(reason: str, **extra) -> tuple[float, None, dict]:
             meta = {"infeasible": True, "reason": reason}
@@ -116,6 +115,13 @@ class TrialEvaluator:
         X_train, y_train, X_val, y_val_scaled = window_cache.get(n)
         if X_val.shape[0] < 1:
             return infeasible("empty_validation_window")
+        # Univariate fits keep the three-argument ``build`` call, which
+        # families written without channel support implement.
+        n_channels = window_cache.n_channels
+        channels = (
+            {} if n_channels == 1
+            else {"n_channels": n_channels, "target_channel": target_channel}
+        )
 
         # A diverged training is retried with a fresh weight seed and
         # backed-off epochs/patience (bounded); a timed-out one is not —
@@ -124,17 +130,9 @@ class TrialEvaluator:
         last_failure: dict = {}
         t_train = time.perf_counter()
         for attempt in range(policy.attempts):
-            # Univariate fits keep the original three-argument call, so
-            # pre-multivariate custom families stay drop-in compatible.
-            if n_channels == 1:
-                model = self.family.build(
-                    config, cfg, policy.seed_for(cfg.seed, attempt)
-                )
-            else:
-                model = self.family.build(
-                    config, cfg, policy.seed_for(cfg.seed, attempt),
-                    n_channels=n_channels, target_channel=target_channel,
-                )
+            model = self.family.build(
+                config, cfg, policy.seed_for(cfg.seed, attempt), **channels
+            )
             epoch_counter = EpochCounter()
             callbacks: list = [epoch_counter]
             if cfg.trial_timeout_s is not None:
@@ -189,13 +187,9 @@ class TrialEvaluator:
             "attempts": attempt + 1,
         }
 
-        # Validation error in *raw* JAR units (MAPE is scale-sensitive).
-        # Per-channel scalers invert through the target channel's scalar
-        # map; a scalar scaler is its own channel-0 view (bit-identical).
-        out_scaler = (
-            scaler if scaler.n_channels_ is None
-            else scaler.channel(target_channel)
-        )
+        # Validation error in *raw* JAR units (MAPE is scale-sensitive),
+        # inverted through the target channel's scalar map.
+        out_scaler = scaler.channel(target_channel)
         pred_scaled = _validation_forecast(model, history, X_val)
         pred = np.maximum(out_scaler.inverse_transform(pred_scaled), 0.0)
         actual = out_scaler.inverse_transform(y_val_scaled)

@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.baselines.base import split_target
 from repro.bayesopt.optimizer import BayesianOptimizer, TrialRecord, batch_evaluator
 from repro.bayesopt.space import SearchSpace
 from repro.core.cache import TrialMemo
@@ -387,18 +388,10 @@ class LoadDynamics:
             )
 
         hp = self.family.hyperparameters(best["config"])
-        # Univariate fits keep the original four-argument call, so
-        # custom families that override ``wrap_predictor`` with the
-        # pre-multivariate signature keep working.
-        if data.n_channels > 1:
-            predictor = self.family.wrap_predictor(
-                best["model"], scaler, best["config"], best["mape"],
-                target_channel=target_channel,
-            )
-        else:
-            predictor = self.family.wrap_predictor(
-                best["model"], scaler, best["config"], best["mape"]
-            )
+        predictor = self.family.wrap_predictor(
+            best["model"], scaler, best["config"], best["mape"],
+            target_channel=target_channel,
+        )
         report = FitReport(
             best_hyperparameters=hp,
             best_validation_mape=best["mape"],
@@ -441,7 +434,8 @@ class LoadDynamics:
         predictor is tagged with the ``naive`` family, which makes it
         persistable like any other (its save format is a marker file).
         """
-        tgt = s[:, target_channel] if s.ndim == 2 else s
+        model = NaiveLastValueModel(target_channel=target_channel)
+        _, tgt = split_target(model, s)
         val_pred = tgt[i_train_end - 1 : i_val_end - 1]
         val_actual = tgt[i_train_end:i_val_end]
         try:
@@ -451,7 +445,7 @@ class LoadDynamics:
         naive = get_family("naive")
         hp = naive.hyperparameters({})
         predictor = LoadDynamicsPredictor(
-            model=NaiveLastValueModel(target_channel=target_channel),
+            model=model,
             scaler=scaler,
             hyperparameters=hp,
             validation_mape=naive_mape,
@@ -502,13 +496,8 @@ class LoadDynamics:
         """Test MAPE on the last ``1 - train - val`` fraction of ``series``
         (the paper's accuracy number, Section IV-B).  Multivariate
         predictors are scored on their target channel."""
-        s = np.asarray(series, dtype=np.float64)
+        s, target = split_target(predictor, series)
         cfg = self.settings
-        if s.ndim == 2 and getattr(predictor, "n_channels", 1) > 1:
-            i_test = int(round((cfg.train_frac + cfg.val_frac) * s.shape[0]))
-            preds = predictor.predict_series(s, i_test)
-            return mape(preds, s[i_test:, predictor.target_channel])
-        s = s.ravel()
-        i_test = int(round((cfg.train_frac + cfg.val_frac) * s.size))
+        i_test = int(round((cfg.train_frac + cfg.val_frac) * s.shape[0]))
         preds = predictor.predict_series(s, i_test)
-        return mape(preds, s[i_test:])
+        return mape(preds, target[i_test:])

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.baselines.base import Predictor
+from repro.baselines.base import Predictor, split_target
 from repro.core.scaling import MinMaxScaler
 from repro.core.windowing import windows_for_range
 
@@ -103,41 +103,43 @@ class LoadDynamicsPredictor(Predictor):
                 f"target_channel {target_channel} out of range for "
                 f"{self.n_channels}-channel predictor"
             )
-        self._target_scaler = (
-            scaler if scaler.n_channels_ is None
-            else scaler.channel(self.target_channel)
-        )
+        self._target_scaler = scaler.channel(self.target_channel)
 
     # ------------------------------------------------------------------
     # Predictor protocol
     # ------------------------------------------------------------------
+    def _split(self, values: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(windowed, target)`` views of a raw history or series.
+
+        A D-channel predictor takes ``(steps, D)`` input and windows all
+        of it; a univariate one windows the flat target series itself
+        (its models see ``(batch, n)`` windows, no channels axis).
+        """
+        v = np.asarray(values, dtype=np.float64)
+        width = v.shape[1] if v.ndim == 2 else 1
+        if width != self.n_channels:
+            raise ValueError(
+                f"{self.n_channels}-channel predictor needs a "
+                f"(steps, {self.n_channels}) {what}, got shape {v.shape}"
+            )
+        v, target = split_target(self, v)
+        return (v if self.n_channels > 1 else target), target
+
     def predict_next(self, history: np.ndarray) -> float:
         """One-step-ahead prediction from the raw (unscaled) history.
 
         A multivariate predictor takes a 2-D ``(steps, D)`` history and
-        forecasts its target channel; the univariate path is unchanged.
+        forecasts its target channel.
         """
-        h = np.asarray(history, dtype=np.float64)
+        h, target = self._split(history, "history")
         n = self.hyperparameters.history_len
-        if self.n_channels > 1:
-            if h.ndim != 2 or h.shape[1] != self.n_channels:
-                raise ValueError(
-                    f"{self.n_channels}-channel predictor needs a "
-                    f"(steps, {self.n_channels}) history, got shape {h.shape}"
-                )
-            if h.shape[0] < n:
-                return self._fallback(h[:, self.target_channel])
-            window = self.scaler.transform(h[-n:])[None, :, :]
-            pred = float(self.model.predict(window)[0])
-            return float(
-                max(self._target_scaler.inverse_transform(np.array([pred]))[0], 0.0)
-            )
-        h = h.ravel()
-        if h.size < n:
-            return self._fallback(h)
-        window = self.scaler.transform(h[-n:])[None, :]
+        if h.shape[0] < n:
+            return self._fallback(target)
+        window = self.scaler.transform(h[-n:])[None]
         pred = float(self.model.predict(window)[0])
-        return float(max(self.scaler.inverse_transform(np.array([pred]))[0], 0.0))
+        return float(
+            max(self._target_scaler.inverse_transform(np.array([pred]))[0], 0.0)
+        )
 
     def predict_series(
         self, series: np.ndarray, start: int, end: int | None = None
@@ -148,51 +150,29 @@ class LoadDynamicsPredictor(Predictor):
         as one batched forward pass — this is the inference path whose
         latency the paper reports (<4.78 ms per prediction).
         """
+        s, target = self._split(series, "series")
         n = self.hyperparameters.history_len
-        if self.n_channels > 1:
-            s = np.asarray(series, dtype=np.float64)
-            if s.ndim != 2 or s.shape[1] != self.n_channels:
-                raise ValueError(
-                    f"{self.n_channels}-channel predictor needs a "
-                    f"(steps, {self.n_channels}) series, got shape {s.shape}"
-                )
-            end = s.shape[0] if end is None else end
-            X, _ = windows_for_range(
-                s, n, start, end, copy=False, target=self.target_channel
-            )
-            n_missing = (end - start) - X.shape[0]
-            preds = np.empty(end - start)
-            if X.shape[0]:
-                scaled = self.scaler.transform(X)
-                raw = self.model.predict(scaled)
-                np.maximum(
-                    self._target_scaler.inverse_transform(raw),
-                    0.0,
-                    out=preds[n_missing:],
-                )
-            if n_missing:
-                idx = start + np.arange(n_missing)
-                tgt = s[:, self.target_channel]
-                preds[:n_missing] = np.where(idx > 0, tgt[idx - 1], 0.0)
-            return preds
-        s = np.asarray(series, dtype=np.float64).ravel()
-        end = s.size if end is None else end
+        end = s.shape[0] if end is None else end
         # copy=False: the scaler transform below materializes a fresh
         # array anyway, so the contiguous window copy would be pure waste.
-        X, _ = windows_for_range(s, n, start, end, copy=False)
+        X, _ = windows_for_range(
+            s, n, start, end, copy=False, target=self.target_channel
+        )
         n_missing = (end - start) - X.shape[0]  # targets with short windows
         preds = np.empty(end - start)
         if X.shape[0]:
             scaled = self.scaler.transform(X)
             raw = self.model.predict(scaled)
             np.maximum(
-                self.scaler.inverse_transform(raw), 0.0, out=preds[n_missing:]
+                self._target_scaler.inverse_transform(raw),
+                0.0,
+                out=preds[n_missing:],
             )
         if n_missing:
             # Degenerate early targets fall back to persistence
             # (vectorized: target i gets s[i-1], target 0 gets 0).
             idx = start + np.arange(n_missing)
-            preds[:n_missing] = np.where(idx > 0, s[idx - 1], 0.0)
+            preds[:n_missing] = np.where(idx > 0, target[idx - 1], 0.0)
         return preds
 
     # ------------------------------------------------------------------

@@ -9,8 +9,8 @@ leakage guard is part of the tested contract.
 Fitting on a 2-D ``(N, D)`` series makes the scaler *per-channel*: each
 channel gets its own min/max, and transforms broadcast over the last
 axis (so both ``(N, D)`` series and ``(batch, n, D)`` window tensors
-scale channel-wise).  A 1-D fit keeps the original scalar state — and
-the original serialized form — bit-for-bit.
+scale channel-wise).  A 1-D fit keeps scalar state and a scalar
+serialized form, which saved univariate predictor directories carry.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ the training loop needs contiguous batches.
 
 A 2-D ``(N, D)`` series produces ``(n_windows, n, D)`` window tensors —
 each window carries all D channels — while the paired target ``y`` is
-the next value of the *target channel* only.  Windowing a multivariate
-series is exactly per-channel 1-D windowing stacked on the last axis
-(property-tested), and the 1-D code path is byte-identical to the
-pre-multivariate implementation.
+the next value of the *target channel* only.  A 1-D series is the
+one-channel case with no channels axis: ``(n_windows, n)`` windows.
+Windowing a multivariate series is exactly per-channel 1-D windowing
+stacked on the last axis (property-tested).
 """
 
 from __future__ import annotations
@@ -41,26 +41,11 @@ def make_windows(
     s = _as_series(series)
     if n < 1:
         raise ValueError("history length n must be >= 1")
-    if s.ndim == 2:
-        n_steps = s.shape[0]
-        if n_steps <= n:
-            raise ValueError(
-                f"series of length {n_steps} yields no windows of history length {n}"
-            )
-        # sliding_window_view over axis 0 appends the window axis last:
-        # (N, D, n) → transpose to (N, n, D).
-        X = np.lib.stride_tricks.sliding_window_view(
-            s[:-1], n, axis=0
-        ).transpose(0, 2, 1)
-        y = s[n:, target]
-        return np.ascontiguousarray(X), y.copy()
-    if s.size <= n:
+    if s.shape[0] <= n:
         raise ValueError(
-            f"series of length {s.size} yields no windows of history length {n}"
+            f"series of length {s.shape[0]} yields no windows of history length {n}"
         )
-    X = np.lib.stride_tricks.sliding_window_view(s[:-1], n)
-    y = s[n:]
-    return np.ascontiguousarray(X), y.copy()
+    return windows_for_range(s, n, n, target=target)
 
 
 def windows_for_range(
@@ -86,33 +71,22 @@ def windows_for_range(
     s = _as_series(series)
     if n < 1:
         raise ValueError("history length n must be >= 1")
-    if s.ndim == 2:
-        n_steps = s.shape[0]
-        end = n_steps if end is None else end
-        if not 0 <= start < end <= n_steps:
-            raise ValueError(
-                f"invalid target range [{start}, {end}) for length {n_steps}"
-            )
-        first = max(start, n)  # earliest target with a full window
-        if first >= end:
-            return np.empty((0, n, s.shape[1])), np.empty(0)
-        X = np.lib.stride_tricks.sliding_window_view(s, n, axis=0)[
-            first - n : end - n
-        ].transpose(0, 2, 1)
-        y = s[first:end, target]
-        if not copy:
-            return X, y
-        return np.ascontiguousarray(X), y.copy()
-    end = s.size if end is None else end
-    if not 0 <= start < end <= s.size:
-        raise ValueError(f"invalid target range [{start}, {end}) for length {s.size}")
+    n_steps = s.shape[0]
+    end = n_steps if end is None else end
+    if not 0 <= start < end <= n_steps:
+        raise ValueError(f"invalid target range [{start}, {end}) for length {n_steps}")
     first = max(start, n)  # earliest target with a full window
     if first >= end:
-        return np.empty((0, n)), np.empty(0)
+        return np.empty((0, n) + s.shape[1:]), np.empty(0)
     # The targets form a contiguous range, so a plain slice of the
-    # sliding view (one strided copy) beats a fancy-index gather.
-    X = np.lib.stride_tricks.sliding_window_view(s, n)[first - n : end - n]
-    y = s[first:end]
+    # sliding view (one strided copy) beats a fancy-index gather.  The
+    # view appends the window axis last; moving it next to the sample
+    # axis gives (W, n) for a 1-D series and (W, n, D) for a 2-D one.
+    X = np.moveaxis(
+        np.lib.stride_tricks.sliding_window_view(s, n, axis=0)[first - n : end - n],
+        -1, 1,
+    )
+    y = s.reshape(n_steps, -1)[first:end, target]
     if not copy:
         return X, y
     return np.ascontiguousarray(X), y.copy()

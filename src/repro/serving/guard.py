@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import state as _state
-from repro.baselines.base import Predictor
+from repro.baselines.base import Predictor, split_target
 from repro.baselines.naive import LastValuePredictor, SeasonalNaivePredictor
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
@@ -149,24 +149,6 @@ class GuardedPredictor(Predictor, _state.Persistent):
         self._c_shed = _metrics.counter("serving.breaker.short_circuit")
 
     # ------------------------------------------------------------------
-    def _split_history(self, history) -> tuple[np.ndarray, np.ndarray]:
-        """``(full, target)`` views of a raw history.
-
-        1-D histories return the same array twice (no copy, no change);
-        2-D ``(steps, D)`` histories pair the full matrix (for the
-        primary) with the target channel (for bound/fallbacks/baselines).
-        """
-        h = np.asarray(history, dtype=np.float64)
-        if h.ndim == 2:
-            if not 0 <= self.target_channel < h.shape[1]:
-                raise ValueError(
-                    f"target_channel {self.target_channel} out of range "
-                    f"for {h.shape[1]}-channel history"
-                )
-            return h, h[:, self.target_channel]
-        h = h.ravel()
-        return h, h
-
     def _bound(self, h: np.ndarray) -> float:
         """Sanity ceiling: guard_factor x max of the recent finite history."""
         tail = h[-self.rolling_window :]
@@ -247,7 +229,7 @@ class GuardedPredictor(Predictor, _state.Persistent):
     # ------------------------------------------------------------------
     def fit(self, history: np.ndarray) -> "GuardedPredictor":
         """Guarded refit: a failing primary fit keeps the stale model."""
-        h, tgt = self._split_history(history)
+        h, tgt = split_target(self, history)
         if self.primary is not None:
             try:
                 self.primary.fit(h)
@@ -282,7 +264,7 @@ class GuardedPredictor(Predictor, _state.Persistent):
         validation, breaker and fallback chain run exactly as without
         it, and an open breaker sheds the interval unused.
         """
-        h, tgt = self._split_history(history)
+        h, tgt = split_target(self, history)
         bound = self._bound(tgt)
         self._c_total.inc()
 

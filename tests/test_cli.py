@@ -135,21 +135,30 @@ class TestCommands:
         (["simulate", "gl-30m", "--slo-latency-ms", "0"], "--slo-latency-ms"),
         (["stream", "gl-30m", "--refit-every", "0"], "--refit-every"),
         (["simulate", "gl-30m", "--refit-every", "0"], "--refit-every"),
-        (["stream", "gl-30m", "--deadline-s", "nan"], "deadline_s"),
-        (["stream", "gl-30m", "--service-time", "nan"],
-         "service_time_per_interval"),
+        (["stream", "gl-30m", "--deadline-s", "nan"], "--deadline-s"),
+        (["stream", "gl-30m", "--service-time", "nan"], "--service-time"),
+        (["stream", "gl-30m", "--deadline-s", "0"], "--deadline-s"),
+        (["stream", "gl-30m", "--queue-capacity", "0"], "--queue-capacity"),
+        (["stream", "gl-30m", "--chunk-size", "0"], "--chunk-size"),
     ], ids=["stream-slo-mape", "simulate-slo-mape", "simulate-slo-latency",
             "stream-refit-every", "simulate-refit-every",
-            "stream-deadline-nan", "stream-service-time-nan"])
+            "stream-deadline-nan", "stream-service-time-nan",
+            "stream-deadline-zero", "stream-queue-capacity-zero",
+            "stream-chunk-size-zero"])
     def test_bad_serving_flag_is_one_error_line(
         self, capsys, monkeypatch, argv, flag
     ):
+        from repro import cli
         from repro.core import LoadDynamics
 
         def no_fit(*args, **kwargs):
             raise AssertionError("a bad flag must be refused before any fit")
 
+        def no_load(*args, **kwargs):
+            raise AssertionError("a bad flag must be refused before any load")
+
         monkeypatch.setattr(LoadDynamics, "fit", no_fit)
+        monkeypatch.setattr(cli, "_load_series", no_load)
         assert main(argv) == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]

@@ -176,6 +176,37 @@ class TestMultivariateProperties:
         )
 
 
+class TestUnivariateShapeAgnostic:
+    def test_flat_and_column_series_fit_and_predict_identically(self):
+        """A 1-D series and its ``(N, 1)`` reshape are one channel: the
+        same trials, weights and forecasts, whichever shape is served."""
+        flat = fixture_series()
+        column = flat.reshape(-1, 1)
+        fits = [
+            LoadDynamics(
+                space=search_space_for("default", "tiny"),
+                settings=FrameworkSettings.tiny(max_iters=2, epochs=3),
+            ).fit(s)
+            for s in (flat, column)
+        ]
+        (p_flat, r_flat), (p_col, r_col) = fits
+        assert hex64(r_flat.trial_values()) == hex64(r_col.trial_values())
+        assert p_flat.n_channels == p_col.n_channels == 1
+        weights = zip(p_flat.model.params, p_col.model.params, strict=True)
+        for w_flat, w_col in weights:
+            assert hex64(w_flat) == hex64(w_col)
+        i_test = 192
+        for start in (1, i_test):  # 1: early targets fall back to persistence
+            want = hex64(p_flat.predict_series(flat, start))
+            for p in (p_flat, p_col):
+                for s in (flat, column):
+                    assert hex64(p.predict_series(s, start)) == want
+        want = hex64(np.array([p_flat.predict_next(flat[:i_test])]))
+        for p in (p_flat, p_col):
+            for s in (flat, column):
+                assert hex64(np.array([p.predict_next(s[:i_test])])) == want
+
+
 # ----------------------------------------------------------------------
 # multivariate end to end
 # ----------------------------------------------------------------------
@@ -222,6 +253,8 @@ class TestMultivariateEndToEnd:
         predictor, _ = ld.fit(series)
         with pytest.raises(ValueError, match="channel"):
             predictor.predict_next(series[:, :2])
+        with pytest.raises(ValueError, match="channel"):
+            predictor.predict_series(series[:, :2], 150)
 
     def test_guarded_serving_multivariate(self):
         from repro.serving import GuardedPredictor, serve_and_simulate
@@ -239,6 +272,26 @@ class TestMultivariateEndToEnd:
         assert report.result.n_intervals == 20
         assert np.all(np.isfinite(report.schedule))
         assert report.served_by.get("primary", 0) > 0
+
+    @pytest.mark.parametrize("entry", ["walk_forward", "stream_for_trace"])
+    def test_out_of_range_target_channel_is_named(self, entry):
+        """Every 2-D entry refuses a target channel the series lacks."""
+        from repro.baselines.base import Predictor, walk_forward
+        from repro.serving import StreamingServer
+
+        class FifthChannel(Predictor):
+            name = "fifth"
+            target_channel = 4
+
+            def predict_next(self, history):
+                return 1.0
+
+        series = _mv_series(rows=40)
+        with pytest.raises(ValueError, match="target_channel 4 out of range"):
+            if entry == "walk_forward":
+                walk_forward(FifthChannel(), series, 30)
+            else:
+                StreamingServer.for_trace(FifthChannel(), series, 30)
 
     def test_guard_bound_uses_target_channel(self):
         """The rolling-max clamp binds against the target channel, not D=0."""
