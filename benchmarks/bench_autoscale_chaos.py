@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.autoscale import ControllerConfig, HybridPolicy, PredictivePolicy
+from repro.autoscale import ControllerConfig, HybridController, PredictivePolicy
 from repro.autoscale.scenarios import default_scenarios, run_matrix
 from repro.baselines.naive import SeasonalNaivePredictor
 
@@ -125,7 +125,8 @@ def test_zero_gain_passthrough():
         predictive = PredictivePolicy(SeasonalNaivePredictor(PERIOD)).schedule(
             scenario.observed, scenario.start
         )
-        hybrid = HybridPolicy(
-            SeasonalNaivePredictor(PERIOD), config=ControllerConfig.passthrough()
+        hybrid = PredictivePolicy(
+            SeasonalNaivePredictor(PERIOD),
+            controller=HybridController(ControllerConfig.passthrough()),
         ).schedule(scenario.observed, scenario.start)
         assert np.array_equal(predictive, hybrid), scenario.name

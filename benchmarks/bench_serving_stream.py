@@ -18,22 +18,16 @@ the monitoring PR must not regress:
    predictor behind the guard), measured as monitored vs unmonitored
    ``serve_and_simulate`` over the same trace.  Budget: **<= 10%**
    (asserted in full mode; quick mode only validates the harness).
-3. **Steady-state pipeline rate** (``test_pipeline_throughput``): the
-   trace arrives in chunks, as it would from a metrics scraper — each
-   chunk is sanitized on arrival, every revealed interval is served
-   through the guard and scored by the monitor, and the full schedule
-   replays through the cloud simulator at the end.  The headline
-   ``bench.serving.pipeline_intervals_per_s`` excludes the warmup chunk
-   (guard fit, cold caches) so it measures the rate a long-lived
-   deployment actually sustains.
-
-4. **Checkpoint overhead** (``test_chunked_checkpoint_overhead``): the
+3. **Checkpoint overhead** (``test_chunked_checkpoint_overhead``): the
    crash-safe streaming runtime (:class:`~repro.serving.stream.
    StreamingServer`) with atomic checkpoints every ``K=100`` chunks vs
    the same chunked run with checkpointing off.  The schedule must be
    bit-for-bit identical either way, and the durability tax is budgeted
    at **<= 10%** throughput (asserted in full mode).  Also records the
-   chunked runtime's own rate, ``bench.serving.chunked_intervals_per_s``.
+   chunked runtime's own rate, ``bench.serving.chunked_intervals_per_s``:
+   the trace arrives in chunks, as it would from a metrics scraper, and
+   each chunk is sanitized, served through the guard, scored by the
+   monitor and replayed through the simulator by the product path.
 
 Every measurement is recorded under ``bench.serving.*`` and dumped to
 ``BENCH_serving.json`` — the artifact future serving/monitoring PRs
@@ -52,8 +46,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.autoscale import CloudSimulator
-from repro.autoscale.controller import serve_step
 from repro.core import FrameworkSettings, LoadDynamics, search_space_for
 from repro.obs import metrics as _metrics
 from repro.obs.monitor import ForecastMonitor, SLOTracker
@@ -159,75 +151,6 @@ def test_stream_throughput():
     print(f"\n[serving-stream] {n_served:,} intervals in {total_s:.1f}s "
           f"= {ips:,.0f} intervals/s "
           f"(predict p50 {lat['p50']:.4f} ms, p99 {lat['p99']:.4f} ms)")
-
-
-def test_pipeline_throughput():
-    """Chunked streaming through the whole stack, steady-state rate.
-
-    Unlike ``test_stream_throughput`` (one bulk sanitize, then a serve
-    pass), this drives the pipeline the way an online deployment runs
-    it: per-chunk sanitization interleaved with the product serve step
-    (guarded forecast, rescue, timed monitor scoring, decision) per
-    interval, simulator replay at the end.  The first serving chunk is
-    warmup (guard fit, allocator and cache cold-start) and is excluded
-    from the steady-state rate.
-    """
-    raw = _synthetic_trace(N_STREAM, seed=23)
-    start = min(2_000, N_STREAM // 10)
-    chunk_size = max(N_STREAM // 32, start)
-    perf = time.perf_counter
-
-    sanitizer = TraceSanitizer(policy="interpolate")
-    guarded = GuardedPredictor(LastValuePredictor())
-    monitor = ForecastMonitor(
-        slo=SLOTracker(latency_slo_ms=5.0, accuracy_slo_mape=50.0)
-    )
-
-    clean = np.empty(N_STREAM)
-    schedule = np.empty(N_STREAM - start)
-    n_repaired = 0
-    j = 0
-    #: ``(intervals served, seconds)`` per chunk that served any.
-    serve_chunks: list[tuple[int, float]] = []
-    for c0 in range(0, N_STREAM, chunk_size):
-        c1 = min(c0 + chunk_size, N_STREAM)
-        t0 = perf()
-        part, rep = sanitizer.sanitize(raw[c0:c1])
-        clean[c0:c1] = part
-        n_repaired += rep.n_repaired
-        lo = max(c0, start)
-        for i in range(lo, c1):
-            history = clean[:i]
-            if j == 0:
-                guarded.fit(history)
-            schedule[j] = serve_step(
-                guarded, history, history, float(clean[i]),
-                monitor=monitor, timed=True,
-            )
-            j += 1
-        if c1 > lo:
-            serve_chunks.append((c1 - lo, perf() - t0))
-
-    assert n_repaired > 0, "the planted NaN gaps must be repaired"
-    assert j == N_STREAM - start
-    assert monitor.drifted, "the planted regime shift must latch a detector"
-
-    t_sim = perf()
-    result = CloudSimulator(seed=0).run(clean[start:], schedule)
-    simulate_s = perf() - t_sim
-    assert result.n_intervals == j
-    assert np.isfinite(result.underprovision_rate)
-
-    steady = serve_chunks[1:] if len(serve_chunks) > 1 else serve_chunks
-    steady_n = sum(n for n, _ in steady)
-    steady_s = sum(s for _, s in steady)
-    ips = steady_n / steady_s
-    obs.gauge("bench.serving.pipeline_intervals").set(float(j))
-    obs.gauge("bench.serving.pipeline_intervals_per_s").set(ips)
-    obs.gauge("bench.serving.pipeline_simulate_s").set(simulate_s)
-    print(f"\n[serving-stream] pipeline: {j:,} intervals, steady-state "
-          f"{ips:,.0f} intervals/s over {len(steady)} chunks "
-          f"(simulate {simulate_s:.2f}s)")
 
 
 def test_chunked_checkpoint_overhead(tmp_path):

@@ -26,7 +26,10 @@ call time, not just import time):
   or ``repro.experiments`` — they are library code, not entry points;
 * ``repro.traces`` is substrate too: no ``repro.core``/``repro.models``
   or entry points (its lazy hooks into ``repro.serving`` sanitization
-  and ``repro.resilience`` fault sites are the sanctioned exceptions).
+  and ``repro.resilience`` fault sites are the sanctioned exceptions);
+* ``repro.autoscale`` provisions from any predictor: no
+  ``repro.core``/``repro.models`` or entry points (its policies reach
+  the serve loop in ``repro.serving`` lazily, which is sanctioned).
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 Run directly or via ``scripts/ci.sh``.
@@ -48,6 +51,7 @@ _FORBIDDEN: dict[str, tuple[str, ...]] = {
     "models": ("repro.cli", "repro.experiments"),
     "serving": ("repro.cli", "repro.experiments"),
     "traces": ("repro.core", "repro.models", "repro.cli", "repro.experiments"),
+    "autoscale": ("repro.core", "repro.models", "repro.cli", "repro.experiments"),
     "obs": (
         "repro.core",
         "repro.models",

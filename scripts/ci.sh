@@ -149,7 +149,6 @@ python - "$BENCH_DIR/BENCH_serving.json" <<'PYEOF'
 import json, math, sys
 metrics = json.load(open(sys.argv[1]))["metrics"]
 for gauge in ("bench.serving.stream_intervals_per_s",
-              "bench.serving.pipeline_intervals_per_s",
               "bench.serving.chunked_intervals_per_s",
               "bench.serving.checkpoint_overhead_pct",
               "bench.serving.monitor_overhead_pct",

@@ -257,12 +257,12 @@ def smoke_corrupt_model(series) -> None:
 
 def smoke_controller_reactive_takeover(series) -> None:
     """Forecast outage: the hybrid controller must go reactive, not down."""
-    from repro.autoscale import HybridPolicy
+    from repro.autoscale import HybridController, PredictivePolicy
     from repro.baselines import LastValuePredictor
     from repro.serving import OPEN, GuardedPredictor
 
     guarded = GuardedPredictor(LastValuePredictor())
-    policy = HybridPolicy(guarded)
+    policy = PredictivePolicy(guarded, controller=HybridController())
     with faults.injected("boom@serve.predict:*"):
         schedule = policy.schedule(series, 200)
     assert np.all(np.isfinite(schedule)) and np.all(schedule >= 0), \

@@ -14,7 +14,8 @@ Seven checks, all cheap enough for every CI run:
    at most 1% of intervals.
 3. **Controller parity** — the recorded default-config controller walks
    in ``tests/data/controller_golden.json``, replayed through
-   ``HybridPolicy`` (the server's direct entry), must give the identical
+   ``PredictivePolicy`` with a ``HybridController`` (the server's direct
+   entry), must give the identical
    schedule bytes and ``decided_by`` counts.
 4. **Fit-path parity** — one seeded ``LoadDynamics.fit`` of the
    perfbench model shape over a loss x optimizer space (4 trials, 2
@@ -192,7 +193,7 @@ def check_stream_batch_parity() -> None:
 def check_controller_parity() -> None:
     from collections import Counter
 
-    from repro.autoscale import HybridPolicy
+    from repro.autoscale import HybridController, PredictivePolicy
     from repro.baselines.base import Predictor
 
     class Replay(Predictor):
@@ -217,7 +218,9 @@ def check_controller_parity() -> None:
         raise AssertionError("controller golden has no default-config case")
     for case in cases:
         arrivals = unhex(case["arrivals"])
-        policy = HybridPolicy(Replay(unhex(case["forecasts"])))
+        policy = PredictivePolicy(
+            Replay(unhex(case["forecasts"])), controller=HybridController()
+        )
         # From start 1, interval j sees arrivals[:j + 1], as the recorded
         # walk did; the appended value is never revealed to a decision.
         schedule = policy.schedule(np.append(arrivals, 0.0), 1)

@@ -13,7 +13,8 @@ Offline, we reproduce the *mechanics the measurement depends on*:
 Components:
 
 * :mod:`repro.autoscale.cloudsim` — the interval-driven simulator;
-* :mod:`repro.autoscale.policy` — predictive + reactive + oracle policies;
+* :mod:`repro.autoscale.policy` — predictive (optionally closed-loop) +
+  reactive + oracle policies;
 * :mod:`repro.autoscale.controller` — the collaborative proactive +
   reactive :class:`HybridController` with safety rails and burst mode;
 * :mod:`repro.autoscale.scenarios` — the adversarial scenario harness;
@@ -21,20 +22,10 @@ Components:
 """
 
 from repro.autoscale.cloudsim import CloudSimulator, SimulationResult, VMSpec
-from repro.autoscale.controller import (
-    ControllerConfig,
-    Decision,
-    HybridController,
-    HybridPolicy,
-)
+from repro.autoscale.controller import ControllerConfig, Decision, HybridController
 from repro.autoscale.cost import CostReport, PricingModel, price_run
 from repro.autoscale.metrics import AutoscaleSummary, summarize
-from repro.autoscale.policy import (
-    OraclePolicy,
-    PredictivePolicy,
-    ReactivePolicy,
-    provisioning_schedule,
-)
+from repro.autoscale.policy import OraclePolicy, PredictivePolicy, ReactivePolicy
 
 # Scenarios import last: the harness builds on every sibling above (and
 # lazily reaches into repro.serving, which itself imports this package).
@@ -51,11 +42,9 @@ __all__ = [
     "PredictivePolicy",
     "ReactivePolicy",
     "OraclePolicy",
-    "provisioning_schedule",
     "ControllerConfig",
     "Decision",
     "HybridController",
-    "HybridPolicy",
     "Scenario",
     "default_scenarios",
     "run_matrix",

@@ -50,30 +50,22 @@ controller only ever adds arithmetic when a non-zero correction exists
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from numbers import Integral
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import state as _state
-from repro.baselines.base import Predictor, persistence_rescue
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.monitor.monitor import ForecastMonitor
 
 __all__ = [
     "DECIDED_BY",
     "ControllerConfig",
     "Decision",
     "HybridController",
-    "HybridPolicy",
-    "serve_step",
 ]
 
 logger = get_logger("autoscale.controller")
@@ -258,8 +250,8 @@ class HybridController(_state.Persistent):
         Anything with a string ``state`` attribute (duck-typed so the
         autoscale layer needs no serving import); ``"open"`` routes
         decisions to the reactive tier.
-        :class:`HybridPolicy` wires a guarded predictor's breaker in
-        automatically.
+        :class:`~repro.serving.stream.StreamingServer` wires a guarded
+        predictor's breaker in automatically.
     """
 
     #: Breaker state that sheds the proactive path (matches
@@ -598,122 +590,3 @@ class HybridController(_state.Persistent):
             "integral": self._integral,
             "n_errors": len(self._errors),
         }
-
-
-class HybridPolicy:
-    """Offline policy wrapper: walk a predictor + controller over a trace.
-
-    Drop-in beside :class:`~repro.autoscale.policy.PredictivePolicy` for
-    the scenario harness and Fig. 10-style comparisons: ``schedule``
-    walks the predictor forward over the *observed* stream (which may
-    contain NaN outage windows — the controller degrades, it never
-    raises) and returns the decided whole-VM schedule.  A fresh control
-    loop runs per call, so schedules are deterministic and independent.
-
-    A :class:`~repro.serving.guard.GuardedPredictor` primary wires its
-    circuit breaker into the controller automatically (duck-typed via
-    the predictor's ``breaker`` attribute), so an open breaker visibly
-    shifts ``decided_by`` to the reactive tier.
-    """
-
-    def __init__(
-        self,
-        predictor: Predictor,
-        controller: HybridController | None = None,
-        config: ControllerConfig | None = None,
-        refit_every: int = 1,
-    ):
-        if controller is not None and config is not None:
-            raise ValueError("pass either controller or config, not both")
-        self.predictor = predictor
-        self.controller = (
-            controller if controller is not None else HybridController(config)
-        )
-        if self.controller.breaker is None:
-            self.controller.breaker = getattr(predictor, "breaker", None)
-        self.refit_every = int(refit_every)
-        self.name = f"hybrid[{predictor.name}]"
-
-    def schedule(self, arrivals: np.ndarray, start: int) -> np.ndarray:
-        """Decide VM counts for ``arrivals[start:]``, walking forward."""
-        # Imported here: repro.serving imports this package at module level.
-        from repro.serving.stream import StreamingServer
-
-        server, rest = StreamingServer.for_trace(
-            self.predictor, arrivals, start,
-            refit_every=self.refit_every, controller=self.controller,
-        )
-        return server.serve(rest)
-
-
-def _guarded_forecast(
-    predictor: Predictor,
-    history: np.ndarray,
-    raw: float | None = None,
-) -> float:
-    """One forecast that degrades instead of raising.
-
-    A failing/non-finite predict returns NaN, which the controller
-    treats as "forecast unavailable" and routes to the reactive tier.
-    Simulated process crashes
-    (:class:`~repro.resilience.faults.SimulatedCrash`) still propagate.
-    ``raw`` hands a :class:`~repro.serving.guard.GuardedPredictor` its
-    primary's precomputed forecast (see its ``predict_next``).
-    """
-    from repro.resilience import faults as _faults
-
-    try:
-        if raw is None:
-            return float(predictor.predict_next(history))
-        return float(predictor.predict_next(history, raw=raw))
-    except _faults.SimulatedCrash:
-        raise
-    except Exception as exc:
-        _metrics.counter("autoscale.controller.forecast_error").inc()
-        logger.warning("proactive forecast failed (reactive tier serves): %s", exc)
-        return math.nan
-
-
-def serve_step(
-    predictor: Predictor,
-    history: np.ndarray,
-    target_history: np.ndarray,
-    actual: float,
-    controller: HybridController | None = None,
-    monitor: "ForecastMonitor | None" = None,
-    raw: float | None = None,
-    timed: bool = False,
-) -> float:
-    """One interval of the Section IV-C loop: forecast, rescue or guard,
-    score, decide.  Returns the VM count provisioned ahead of it.
-
-    ``history`` is what the predictor sees (2-D when multivariate) and
-    ``target_history`` its target channel, whose last value is the
-    newest revealed actual; ``actual`` is the value this interval will
-    reveal, which ``monitor`` scores the forecast against.  ``raw`` is a
-    guarded primary's precomputed forecast; ``timed`` hands the monitor
-    the forecast's wall-clock latency (``latency_s=None`` otherwise).
-
-    Without a controller a non-finite forecast gets the
-    :func:`~repro.baselines.base.persistence_rescue`, is clipped at 0,
-    and ``ceil`` of it is provisioned.  With one the forecast is
-    :func:`_guarded_forecast` — NaN routes the decision to the reactive
-    tier — the monitor scores only finite forecasts (decisions are not
-    forecasts), and the controller decides.
-    """
-    t0 = time.perf_counter() if timed else 0.0
-    if controller is not None:
-        p = _guarded_forecast(predictor, history, raw)
-    elif raw is None:
-        p = predictor.predict_next(history)
-    else:
-        p = predictor.predict_next(history, raw=raw)
-    latency = time.perf_counter() - t0 if timed else None
-    if controller is None:
-        p = max(0.0, persistence_rescue(p, target_history))
-        if monitor is not None:
-            monitor.observe(p, actual, latency_s=latency)
-        return float(np.ceil(p))
-    if monitor is not None and math.isfinite(p):
-        monitor.observe(max(p, 0.0), actual, latency_s=latency)
-    return float(controller.step(p, target_history).vms)

@@ -2,9 +2,12 @@
 
 The paper's algorithm (Section IV-C): "At each interval, the JAR for the
 next interval is predicted.  Right after the prediction, P_i VMs are
-created in advance."  :func:`provisioning_schedule` walks any
+created in advance."  :class:`PredictivePolicy` serves any
 :class:`~repro.baselines.base.Predictor` over the actual arrivals to
-produce that schedule with no lookahead.
+produce that schedule with no lookahead; given a
+:class:`~repro.autoscale.controller.HybridController` it corrects the
+forecast in closed loop (OptScaler's collaborative policy) instead of
+provisioning it as is.
 
 Two reference policies bound the comparison:
 
@@ -16,54 +19,62 @@ Two reference policies bound the comparison:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.baselines.base import Predictor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.autoscale.controller import HybridController
 
 __all__ = [
     "PredictivePolicy",
     "ReactivePolicy",
     "OraclePolicy",
-    "provisioning_schedule",
 ]
 
 
-def provisioning_schedule(
-    predictor: Predictor,
-    arrivals: np.ndarray,
-    start: int,
-    refit_every: int = 1,
-) -> np.ndarray:
-    """Predicted VM counts for intervals ``start..end`` of ``arrivals``.
-
-    Each prediction uses only arrivals before the target interval
-    (walk-forward); results are rounded up to whole VMs.  A non-finite
-    forecast is replaced by the last observed arrival (the persistence
-    rescue), so the autoscaler never acts on one, whatever predictor
-    produced it.  The schedule comes from the direct entry of a
-    :class:`~repro.serving.stream.StreamingServer`.
-    """
-    # Imported here: repro.serving imports this package at module level.
-    from repro.serving.stream import StreamingServer
-
-    server, rest = StreamingServer.for_trace(
-        predictor, arrivals, start, refit_every=refit_every
-    )
-    return server.serve(rest)
-
-
 class PredictivePolicy:
-    """Provision ceil(P_i) VMs ahead of each interval using a predictor."""
+    """Provision ahead of each interval from a predictor's forecast.
 
-    def __init__(self, predictor: Predictor, refit_every: int = 1):
+    Without a ``controller`` the policy provisions ``ceil(P_i)``; a
+    non-finite forecast gets the persistence rescue (the last observed
+    arrival), so the autoscaler never acts on one.  With a
+    :class:`~repro.autoscale.controller.HybridController` the controller
+    decides from the forecast (correction, rails, burst, reactive tier)
+    over the *observed* stream, which may hold NaN outage windows, and a
+    guarded predictor's circuit breaker is wired into it.  Each
+    :meth:`schedule` call starts a fresh control loop, so schedules are
+    deterministic and independent.
+
+    The schedule comes from the direct entry of a
+    :class:`~repro.serving.stream.StreamingServer`, the one serve loop.
+    """
+
+    def __init__(
+        self,
+        predictor: Predictor,
+        controller: "HybridController | None" = None,
+        refit_every: int = 1,
+    ):
         self.predictor = predictor
+        self.controller = controller
         self.refit_every = int(refit_every)
-        self.name = f"predictive[{predictor.name}]"
+        kind = "predictive" if controller is None else "hybrid"
+        self.name = f"{kind}[{predictor.name}]"
 
     def schedule(self, arrivals: np.ndarray, start: int) -> np.ndarray:
-        return provisioning_schedule(
-            self.predictor, arrivals, start, refit_every=self.refit_every
+        """VM counts for ``arrivals[start:]``, each decided from the
+        arrivals before it."""
+        # Imported here: repro.serving imports this package at module level.
+        from repro.serving.stream import StreamingServer
+
+        server, rest = StreamingServer.for_trace(
+            self.predictor, arrivals, start,
+            refit_every=self.refit_every, controller=self.controller,
         )
+        return server.serve(rest)
 
 
 class ReactivePolicy:

@@ -44,11 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.autoscale.cloudsim import CloudSimulator, VMSpec
-from repro.autoscale.controller import (
-    ControllerConfig,
-    HybridController,
-    HybridPolicy,
-)
+from repro.autoscale.controller import ControllerConfig, HybridController
 from repro.autoscale.cost import PricingModel, price_run
 from repro.autoscale.metrics import summarize
 from repro.autoscale.policy import PredictivePolicy, ReactivePolicy
@@ -270,7 +266,7 @@ def make_policy(
         # degradations too well-corrected to build an underprovision
         # streak.
         controller = HybridController(cfg, drift_detector=PageHinkleyDetector())
-        return HybridPolicy(_guarded_seasonal(period), controller=controller)
+        return PredictivePolicy(_guarded_seasonal(period), controller=controller)
     raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
 
 
@@ -311,9 +307,10 @@ def run_scenario(
     row["sla_violation_rate_pct"] = (
         100.0 * cost.sla_violations / busy if busy else 0.0
     )
-    if isinstance(policy, HybridPolicy):
-        row["controller"] = policy.controller.snapshot()
-        breaker = policy.controller.breaker
+    controller = getattr(policy, "controller", None)
+    if controller is not None:
+        row["controller"] = controller.snapshot()
+        breaker = controller.breaker
         if breaker is not None:
             row["breaker_state"] = breaker.state
     return row

@@ -304,7 +304,10 @@ def _load_series(args):
         kwargs["channels"] = tuple(
             s.strip() for s in channels.split(",") if s.strip()
         )
-    return cfg, cfg.load(**kwargs)
+    series = cfg.load(**kwargs)
+    if series.ndim != 2 and getattr(args, "target_channel", 0):
+        raise _CliError("--target-channel must be 0 for a 1-D trace")
+    return cfg, series
 
 
 def _cmd_fit(args) -> int:
@@ -629,29 +632,8 @@ def _cmd_stream(args) -> int:
     if args.report_out:
         import json
 
-        doc = {
-            "schema": 1,
-            "schedule_hex": report.schedule.tobytes().hex(),
-            "result": {
-                "n_intervals": res.n_intervals,
-                "mean_turnaround": res.mean_turnaround,
-                "underprovision_rate": res.underprovision_rate,
-                "overprovision_rate": res.overprovision_rate,
-                "vm_seconds": res.vm_seconds,
-            },
-            "serving_counters": report.serving_counters,
-            "served_by": report.served_by,
-            "breaker_state": report.breaker_state,
-            "breaker_transitions": report.breaker_transitions,
-            "quality": report.quality,
-            "drift": report.drift,
-            "slo": report.slo,
-            "health": report.health,
-            "controller": report.controller,
-            "stream": report.stream,
-        }
         with open(args.report_out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         print(f"report written to : {args.report_out}")
     return 0
 

@@ -282,7 +282,9 @@ class AdaptiveLoadDynamics(Predictor, _state.Persistent):
                 if inj is not None:
                     inj.maybe_fire("adaptive.refit")
                 ld = LoadDynamics(space=self._space, settings=settings)
-                predictor, _report = ld.fit(h, target_channel=self.target_channel)
+                predictor, _report = ld.fit(
+                    h, target_channel=self.target_channel if np.ndim(h) == 2 else 0
+                )
             except _faults.SimulatedCrash:
                 raise
             except Exception as exc:

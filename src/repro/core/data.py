@@ -56,12 +56,14 @@ def prepare_data(
     Raises ``ValueError`` when the series is too short for the
     configured train/val fractions.  ``window_cache=False`` skips
     building the cross-trial cache (single-evaluation callers).
-    ``target_channel`` selects the predicted channel of a 2-D series
-    (ignored for 1-D input).
+    ``target_channel`` selects the predicted channel of a 2-D series;
+    a 1-D series is its own target, so it takes only 0.
     """
     s = np.asarray(series, dtype=np.float64)
     if s.ndim != 2:
-        s, target_channel = s.ravel(), 0  # one channel, its own target
+        if target_channel != 0:
+            raise ValueError("target_channel must be 0 for a 1-D trace")
+        s = s.ravel()
     n_total, n_channels = s.shape[0], int(np.prod(s.shape[1:]))
     if not 0 <= target_channel < n_channels:
         raise ValueError(

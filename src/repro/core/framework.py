@@ -253,14 +253,13 @@ class LoadDynamics:
 
         A 2-D ``(N, D)`` series runs the identical workflow per-channel
         scaled, training on (N, n, D) window tensors that predict
-        ``target_channel`` (ignored for 1-D input).
+        ``target_channel`` (which must be 0 for 1-D input).
         """
         t_start = time.perf_counter()
         cfg = self.settings
         data = prepare_data(series, cfg, target_channel=target_channel)
         s, scaled, scaler = data.raw, data.scaled, data.scaler
         i_train_end, i_val_end = data.i_train_end, data.i_val_end
-        target_channel = data.target_channel  # normalized (0 for 1-D input)
 
         best: dict = {"mape": np.inf, "model": None, "config": None}
         n_infeasible = 0

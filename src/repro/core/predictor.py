@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.baselines.base import Predictor, split_target
 from repro.core.scaling import MinMaxScaler
+from repro.state import write_atomic
 from repro.core.windowing import windows_for_range
 
 __all__ = ["LoadDynamicsPredictor", "NaiveLastValueModel"]
@@ -199,7 +200,7 @@ class LoadDynamicsPredictor(Predictor):
             "n_channels": self.n_channels,
             "target_channel": self.target_channel,
         }
-        (directory / "predictor.json").write_text(json.dumps(meta, indent=2))
+        write_atomic(directory / "predictor.json", json.dumps(meta, indent=2))
         return directory
 
     @classmethod

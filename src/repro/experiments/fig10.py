@@ -17,9 +17,9 @@ import numpy as np
 from repro.autoscale import (
     CloudSimulator,
     OraclePolicy,
+    PredictivePolicy,
     ReactivePolicy,
     VMSpec,
-    provisioning_schedule,
     summarize,
 )
 from repro.baselines import make_baseline
@@ -67,7 +67,7 @@ def run_fig10(
     for name in baselines:
         pred = make_baseline(name)
         refit = 1 if name == "cloudinsight" else 5
-        schedule = provisioning_schedule(pred, arrivals, start, refit_every=refit)
+        schedule = PredictivePolicy(pred, refit_every=refit).schedule(arrivals, start)
         rows.append(summarize(name, sim.run(actual, schedule)).as_dict())
 
     if include_reference_policies:

@@ -152,7 +152,8 @@ class ModelFamily(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def save_model(self, model, directory: Path) -> None:
-        """Persist the model's weights/state into a predictor directory."""
+        """Persist the model's weights/state into a predictor directory,
+        each file through :func:`repro.state.write_atomic`."""
 
     @abc.abstractmethod
     def load_model(self, directory: Path):

@@ -31,6 +31,7 @@ from repro.bayesopt.space import FloatParam, IntParam, SearchSpace
 from repro.core.config import GenericHyperparameters, history_range
 from repro.ml import GradientBoostingRegressor, KernelSVR
 from repro.models.base import ModelFamily
+from repro.state import write_atomic
 
 __all__ = ["GBRFamily", "SVRFamily", "FlattenedLagRegressor"]
 
@@ -102,7 +103,7 @@ class _WindowedRegressorFamily(ModelFamily):
         return GenericHyperparameters.from_dict(config)
 
     def save_model(self, model, directory: Path) -> None:
-        (directory / _MODEL_FILE).write_bytes(pickle.dumps(model))
+        write_atomic(directory / _MODEL_FILE, pickle.dumps(model))
 
     def load_model(self, directory: Path):
         return pickle.loads((directory / _MODEL_FILE).read_bytes())

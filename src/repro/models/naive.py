@@ -20,6 +20,7 @@ from repro.bayesopt.space import IntParam, SearchSpace
 from repro.core.config import LSTMHyperparameters
 from repro.core.predictor import NaiveLastValueModel
 from repro.models.base import ModelFamily
+from repro.state import write_atomic
 
 __all__ = ["NaiveFamily"]
 
@@ -75,8 +76,9 @@ class NaiveFamily(ModelFamily):
 
     def save_model(self, model: NaiveLastValueModel, directory: Path) -> None:
         target = int(getattr(model, "target_channel", 0))
-        (directory / _MODEL_FILE).write_text(
-            '{"type": "naive-last-value", "target_channel": %d}\n' % target
+        write_atomic(
+            directory / _MODEL_FILE,
+            '{"type": "naive-last-value", "target_channel": %d}\n' % target,
         )
 
     def load_model(self, directory: Path) -> NaiveLastValueModel:

@@ -6,7 +6,7 @@ re-running the (hours-long, per the paper) optimization.  Format: a
 single ``.npz`` holding the architecture config plus every weight array
 in :attr:`LSTMRegressor.params` order.
 
-Writes are atomic (temp file + fsync + ``os.replace``), so a crash
+Writes are atomic (:func:`repro.state.write_atomic`), so a crash
 mid-save never leaves a half-written model where the serving process
 expects a good one; a truncated or garbage file raises
 :class:`CorruptModelError` with a usable message instead of a raw
@@ -15,14 +15,15 @@ numpy/zipfile exception.
 
 from __future__ import annotations
 
+import io
 import json
-import os
 import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from repro.nn.network import LSTMRegressor
+from repro.state import write_atomic
 
 __all__ = ["save_regressor", "load_regressor", "CorruptModelError"]
 
@@ -30,35 +31,37 @@ _FORMAT_VERSION = 1
 
 
 class CorruptModelError(ValueError):
-    """The model file is truncated, garbage, or structurally inconsistent."""
+    """A saved model is truncated, garbage, or structurally inconsistent.
+
+    Raised by :func:`load_regressor` for a bad ``.npz``, and by
+    :meth:`repro.serving.guard.GuardedPredictor.load` for any predictor
+    directory that cannot be loaded back, which also sets
+    ``directory``.
+    """
+
+    def __init__(self, message: str, directory: str | Path | None = None):
+        super().__init__(message)
+        self.directory = str(directory) if directory is not None else None
 
 
 def save_regressor(model: LSTMRegressor, path: str | Path) -> Path:
     """Atomically write ``model`` to ``path`` (``.npz`` appended if missing).
 
-    The archive is staged at ``path + ".tmp"``, flushed and fsynced, then
-    renamed over the target — readers see either the old file or the new
-    one, never a torn write.
+    Readers see either the old file or the new one, never a torn write.
     """
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
     meta = {"version": _FORMAT_VERSION, "config": model.config()}
     arrays = {f"param_{i}": p for i, p in enumerate(model.params)}
+    buf = io.BytesIO()
+    np.savez(
+        buf,
+        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        **arrays,
+    )
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                **arrays,
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(path, buf.getvalue())
     return path
 
 

@@ -15,7 +15,7 @@ Tracked per view: MAE, MAPE, sMAPE, signed bias (mean of
 ``prediction - actual``; positive = systematic over-forecast), and the
 over-/under-provision rates (fraction of intervals whose *provisioned*
 VM count — ``ceil`` of the forecast, matching
-:func:`repro.autoscale.policy.provisioning_schedule` — lands above or
+:class:`repro.autoscale.policy.PredictivePolicy` — lands above or
 below the required count).
 
 Every update is O(1): the window is a deque with running sums,

@@ -25,8 +25,9 @@ The chaos path is ``repro simulate --guarded`` under ``REPRO_FAULTS``
 DESIGN.md §10.
 """
 
+from repro.nn.serialization import CorruptModelError
 from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.serving.guard import CorruptModelError, GuardedPredictor, default_fallbacks
+from repro.serving.guard import GuardedPredictor, default_fallbacks
 from repro.serving.online import ServingReport, daily_period, serve_and_simulate
 from repro.serving.sanitize import REPAIR_POLICIES, DataQualityReport, TraceSanitizer
 from repro.serving.stream import (

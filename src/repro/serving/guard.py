@@ -35,29 +35,16 @@ import numpy as np
 from repro import state as _state
 from repro.baselines.base import Predictor, split_target
 from repro.baselines.naive import LastValuePredictor, SeasonalNaivePredictor
+from repro.nn.serialization import CorruptModelError
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
 from repro.resilience import faults as _faults
 from repro.serving.breaker import CircuitBreaker
 
-__all__ = ["CorruptModelError", "GuardedPredictor", "default_fallbacks"]
+__all__ = ["GuardedPredictor", "default_fallbacks"]
 
 logger = get_logger("serving.guard")
-
-
-class CorruptModelError(Exception):
-    """A saved predictor directory could not be loaded back.
-
-    Raised by :meth:`GuardedPredictor.load` for truncated/corrupted
-    ``predictor.json`` or model-weight files (and for injected
-    ``corrupt@model.load`` faults) so serving code has one typed error
-    to handle instead of the zoo of JSON/zipfile/OS errors underneath.
-    """
-
-    def __init__(self, message: str, directory: str | Path | None = None):
-        super().__init__(message)
-        self.directory = str(directory) if directory is not None else None
 
 
 def default_fallbacks(period: int | None = None) -> list[Predictor]:
@@ -306,8 +293,10 @@ class GuardedPredictor(Predictor, _state.Persistent):
 
         Any failure to reconstruct the model — truncated
         ``predictor.json``, corrupted weight files, injected
-        ``corrupt@model.load`` faults — surfaces as
-        :class:`CorruptModelError` (``on_corrupt="raise"``) or degrades
+        ``corrupt@model.load`` faults — surfaces as one typed
+        :class:`~repro.nn.serialization.CorruptModelError` carrying
+        ``directory`` (``on_corrupt="raise"``) instead of the JSON,
+        zipfile and OS errors underneath, or degrades
         to a guarded predictor without a primary
         (``on_corrupt="fallback"``), which serves from the fallback
         chain.  Extra ``kwargs`` go to the constructor.

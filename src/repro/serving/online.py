@@ -115,6 +115,34 @@ class ServingReport:
             report.health = sections["health"]
         return report
 
+    def to_dict(self) -> dict:
+        """The canonical JSON document of the run (``schema`` 1): the
+        schedule's float64 bytes as hex, the simulation result, and every
+        telemetry section.  ``repro stream --report-out`` writes it, and
+        a resumed run's document equals the uninterrupted one's."""
+        res = self.result
+        return {
+            "schema": 1,
+            "schedule_hex": self.schedule.tobytes().hex(),
+            "result": {
+                "n_intervals": res.n_intervals,
+                "mean_turnaround": res.mean_turnaround,
+                "underprovision_rate": res.underprovision_rate,
+                "overprovision_rate": res.overprovision_rate,
+                "vm_seconds": res.vm_seconds,
+            },
+            "serving_counters": self.serving_counters,
+            "served_by": self.served_by,
+            "breaker_state": self.breaker_state,
+            "breaker_transitions": self.breaker_transitions,
+            "quality": self.quality,
+            "drift": self.drift,
+            "slo": self.slo,
+            "health": self.health,
+            "controller": self.controller,
+            "stream": self.stream,
+        }
+
 
 def serving_counters() -> dict[str, float]:
     """Current values of the ``serving.*`` counters."""

@@ -1,17 +1,17 @@
 """The one serve loop: chunked ingestion, direct serving, checkpoints.
 
 :class:`StreamingServer` runs the Section IV-C loop — each interval one
-:func:`~repro.autoscale.controller.serve_step` — over a 1-D feed or
-the rows of a 2-D ``(steps, D)`` one, and owns the history, the refit
-cadence and the target channel.  It has two entries.
+serve step: forecast, rescue or guard, score, and decide, by ``ceil``
+or a :class:`~repro.autoscale.controller.HybridController` — over a
+1-D feed or the rows of a 2-D ``(steps, D)`` one, and owns the
+history, the refit cadence and the target channel.  It has two entries.
 
 :meth:`~StreamingServer.serve` is the direct entry the batch callers
-(:func:`~repro.serving.online.serve_and_simulate`,
-:func:`~repro.autoscale.policy.provisioning_schedule`,
-:class:`~repro.autoscale.controller.HybridPolicy`) use: every interval
-as given (no sanitizing, so NaN outage windows stay), the whole prefix
-as history, and one ``predict_next`` per interval, timed in wall-clock
-when a monitor is attached.
+(:func:`~repro.serving.online.serve_and_simulate` and
+:class:`~repro.autoscale.policy.PredictivePolicy`, with or without a
+controller) use: every interval as given (no sanitizing, so NaN outage
+windows stay), the whole prefix as history, and one ``predict_next``
+per interval, timed in wall-clock when a monitor is attached.
 
 :meth:`~StreamingServer.run` ingests a real metrics feed, which arrives
 as *chunks* — late when the collector stalls, missing when a scraper
@@ -34,7 +34,7 @@ restarts, and the process can be killed between any two of them:
   GEMV rounding), not bit for bit;
 * **crash-safe resume** — every ``checkpoint_every`` chunks the server
   appends the new intervals to fsynced ``.f64`` sidecars and atomically
-  replaces ``checkpoint.json`` (tmp + fsync + ``os.replace``) holding
+  replaces ``checkpoint.json`` (:func:`repro.state.write_atomic`) holding
   the bounded history and every stateful component's ``state_dict()``.
   After a kill, :meth:`StreamingServer.restore` + a replay of the same
   chunk source serve a **bit-for-bit identical** schedule and
@@ -54,6 +54,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -62,8 +63,8 @@ import numpy as np
 
 from repro import state as _state
 from repro.autoscale import CloudSimulator, VMSpec
-from repro.autoscale.controller import HybridController, serve_step
-from repro.baselines.base import Predictor, split_target
+from repro.autoscale.controller import HybridController
+from repro.baselines.base import Predictor, persistence_rescue, split_target
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
@@ -319,6 +320,75 @@ def chunk_stream(
         offset = end
 
 
+def _guarded_forecast(
+    predictor: Predictor, history: np.ndarray, raw: float | None
+) -> float:
+    """One forecast that degrades instead of raising.
+
+    A failing/non-finite predict returns NaN, which the controller
+    treats as "forecast unavailable" and routes to the reactive tier.
+    Simulated process crashes
+    (:class:`~repro.resilience.faults.SimulatedCrash`) still propagate.
+    ``raw`` hands a :class:`~repro.serving.guard.GuardedPredictor` its
+    primary's precomputed forecast (see its ``predict_next``).
+    """
+    try:
+        if raw is None:
+            return float(predictor.predict_next(history))
+        return float(predictor.predict_next(history, raw=raw))
+    except _faults.SimulatedCrash:
+        raise
+    except Exception as exc:
+        _metrics.counter("autoscale.controller.forecast_error").inc()
+        logger.warning("proactive forecast failed (reactive tier serves): %s", exc)
+        return math.nan
+
+
+def _serve_step(
+    predictor: Predictor,
+    history: np.ndarray,
+    target_history: np.ndarray,
+    actual: float,
+    controller: HybridController | None,
+    monitor: ForecastMonitor | None,
+    raw: float | None,
+    timed: bool,
+) -> float:
+    """One interval of the Section IV-C loop: forecast, rescue or guard,
+    score, decide.  Returns the VM count provisioned ahead of it.
+
+    ``history`` is what the predictor sees (2-D when multivariate) and
+    ``target_history`` its target channel, whose last value is the
+    newest revealed actual; ``actual`` is the value this interval will
+    reveal, which ``monitor`` scores the forecast against.  ``raw`` is a
+    guarded primary's precomputed forecast; ``timed`` hands the monitor
+    the forecast's wall-clock latency (``latency_s=None`` otherwise).
+
+    Without a controller a non-finite forecast gets the
+    :func:`~repro.baselines.base.persistence_rescue`, is clipped at 0,
+    and ``ceil`` of it is provisioned.  With one the forecast is
+    :func:`_guarded_forecast` — NaN routes the decision to the reactive
+    tier — the monitor scores only finite forecasts (decisions are not
+    forecasts), and the controller decides.
+    """
+    t0 = time.perf_counter() if timed else 0.0
+    if controller is not None:
+        p = _guarded_forecast(predictor, history, raw)
+    elif raw is None:
+        p = predictor.predict_next(history)
+    else:
+        p = predictor.predict_next(history, raw=raw)
+    latency = time.perf_counter() - t0 if timed else None
+    if controller is None:
+        p = max(0.0, persistence_rescue(p, target_history))
+        if monitor is not None:
+            monitor.observe(p, actual, latency_s=latency)
+        return float(np.ceil(p))
+    if monitor is not None and math.isfinite(p):
+        monitor.observe(max(p, 0.0), actual, latency_s=latency)
+    return float(controller.step(p, target_history).vms)
+
+
 class StreamingServer:
     """Serve a chunked feed with quarantine, degradation, and checkpoints.
 
@@ -552,11 +622,11 @@ class StreamingServer:
             logger.warning("proactive fit failed (stale model serves): %s", exc)
 
     def _serve_values(self, values: np.ndarray, direct: bool = False) -> None:
-        """The serve loop: refit cadence, then
-        :func:`~repro.autoscale.controller.serve_step` per interval over
-        the bounded history.  Ingested blocks between refit boundaries
-        are forecast in one pass (:meth:`_primary_forecasts`) and served
-        untimed; ``direct`` ones per interval, timed under a monitor.
+        """The serve loop: refit cadence, then :func:`_serve_step` per
+        interval over the bounded history.  Ingested blocks between
+        refit boundaries are forecast in one pass
+        (:meth:`_primary_forecasts`) and served untimed; ``direct`` ones
+        per interval, timed under a monitor.
         """
         predictor = self.predictor
         monitor = self.monitor
@@ -578,7 +648,7 @@ class StreamingServer:
             actuals = block.tolist() if tc is None else block[:, tc].tolist()
             for j, v in enumerate(actuals):
                 history = self._history_view()
-                decision = serve_step(
+                decision = _serve_step(
                     predictor, history,
                     history if tc is None else history[:, tc], v,
                     controller, monitor,
@@ -865,19 +935,10 @@ class StreamingServer:
             "counters": serving_counters(),
             "sidecar": {"n": self._n},
         }
-        path = d / _CHECKPOINT_FILE
-        tmp = d / (_CHECKPOINT_FILE + ".tmp")
-        try:
-            with open(tmp, "w") as fh:
-                # One ``dumps`` call takes the C encoder; ``dump`` would
-                # stream through the pure-Python one (same bytes, ~3x
-                # slower on a 150 KB checkpoint).
-                fh.write(json.dumps(state))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        # One ``dumps`` call takes the C encoder; ``dump`` would stream
+        # through the pure-Python one (same bytes, ~3x slower on a 150 KB
+        # checkpoint).
+        _state.write_atomic(d / _CHECKPOINT_FILE, json.dumps(state))
         if _events.enabled():
             _events.emit(
                 "stream.checkpoint",

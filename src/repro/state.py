@@ -14,18 +14,23 @@ scalar codecs store values as they are and coerce on load, and a decode
 may return :data:`KEEP` to check a key without assigning.  Child
 components take :data:`CHILD` or :data:`OPTIONAL_CHILD` in place of a
 codec.
+
+:func:`write_atomic` is the one way a file of persisted state (a
+checkpoint, a predictor manifest, model weights) reaches the disk.
 """
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from operator import attrgetter
+from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 __all__ = [
     "BOOL", "CHILD", "COUNTS", "Codec", "FLOAT", "INT", "KEEP",
     "OPTIONAL_CHILD", "Persistent", "STR", "encode", "listed", "optional",
-    "prepare", "reset", "scalars", "window",
+    "prepare", "reset", "scalars", "window", "write_atomic",
 ]
 
 
@@ -206,3 +211,23 @@ class Persistent:
 
     def _loaded(self, state: dict) -> None:
         """Hook run once a load has assigned every entry."""
+
+
+def write_atomic(path: str | Path, data: bytes | str) -> None:
+    """Replace ``path`` with ``data`` (``str`` is written as UTF-8).
+
+    The bytes are staged at ``path + ".tmp"``, flushed and fsynced, then
+    renamed over ``path``: readers see the old file or the new one,
+    never a torn write, and the stage file is gone whether or not the
+    write succeeds.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -22,7 +22,6 @@ from repro.autoscale import (
     PredictivePolicy,
     ReactivePolicy,
     VMSpec,
-    provisioning_schedule,
     summarize,
 )
 from repro.autoscale import cloudsim
@@ -589,7 +588,7 @@ class TestPolicies:
     def test_provisioning_schedule_nonnegative_integERS(self):
         rng = np.random.default_rng(0)
         arrivals = rng.uniform(0, 20, 40)
-        sched = provisioning_schedule(MeanPredictor(), arrivals, 30)
+        sched = PredictivePolicy(MeanPredictor()).schedule(arrivals, 30)
         assert np.all(sched >= 0)
         np.testing.assert_array_equal(sched, np.round(sched))
 

@@ -27,12 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.autoscale import (
-    ControllerConfig,
-    HybridController,
-    HybridPolicy,
-    PredictivePolicy,
-)
+from repro.autoscale import ControllerConfig, HybridController, PredictivePolicy
 from repro.baselines.naive import LastValuePredictor, SeasonalNaivePredictor
 from repro.obs.monitor import PageHinkleyDetector
 from repro.resilience import faults
@@ -365,8 +360,9 @@ class TestZeroOverhead:
     @settings(max_examples=30, deadline=None)
     def test_passthrough_matches_predictive_bit_for_bit(self, arrivals):
         predictive = PredictivePolicy(LastValuePredictor()).schedule(arrivals, 30)
-        hybrid = HybridPolicy(
-            LastValuePredictor(), config=ControllerConfig.passthrough()
+        hybrid = PredictivePolicy(
+            LastValuePredictor(),
+            controller=HybridController(ControllerConfig.passthrough()),
         ).schedule(arrivals, 30)
         np.testing.assert_array_equal(predictive, hybrid)
 
@@ -376,16 +372,18 @@ class TestZeroOverhead:
         predictive = PredictivePolicy(SeasonalNaivePredictor(48)).schedule(
             arrivals, 150
         )
-        hybrid = HybridPolicy(
-            SeasonalNaivePredictor(48), config=ControllerConfig.passthrough()
+        hybrid = PredictivePolicy(
+            SeasonalNaivePredictor(48),
+            controller=HybridController(ControllerConfig.passthrough()),
         ).schedule(arrivals, 150)
         np.testing.assert_array_equal(predictive, hybrid)
 
     def test_passthrough_decisions_are_proactive(self):
         rng = np.random.default_rng(2)
         arrivals = rng.uniform(0, 50, 40)
-        policy = HybridPolicy(
-            LastValuePredictor(), config=ControllerConfig.passthrough()
+        policy = PredictivePolicy(
+            LastValuePredictor(),
+            controller=HybridController(ControllerConfig.passthrough()),
         )
         policy.schedule(arrivals, 20)
         assert set(policy.controller.decided_by) == {"proactive"}
@@ -394,7 +392,7 @@ class TestZeroOverhead:
 class TestHybridPolicy:
     def test_schedule_survives_nan_stream(self):
         arrivals = np.array([10.0] * 20 + [np.nan] * 5 + [12.0] * 15)
-        policy = HybridPolicy(LastValuePredictor())
+        policy = PredictivePolicy(LastValuePredictor(), controller=HybridController())
         schedule = policy.schedule(arrivals, 10)
         assert np.all(np.isfinite(schedule)) and np.all(schedule >= 0)
 
@@ -402,14 +400,15 @@ class TestHybridPolicy:
         from repro.serving import GuardedPredictor
 
         guarded = GuardedPredictor(LastValuePredictor())
-        policy = HybridPolicy(guarded)
+        policy = PredictivePolicy(guarded, controller=HybridController())
+        policy.schedule(np.full(30, 10.0), 20)
         assert policy.controller.breaker is guarded.breaker
 
     def test_forecast_outage_shifts_provenance(self):
         from repro.serving import OPEN, GuardedPredictor
 
         guarded = GuardedPredictor(LastValuePredictor())
-        policy = HybridPolicy(guarded)
+        policy = PredictivePolicy(guarded, controller=HybridController())
         arrivals = np.full(60, 30.0)
         with faults.injected("boom@serve.predict:*"):
             schedule = policy.schedule(arrivals, 20)
@@ -420,7 +419,7 @@ class TestHybridPolicy:
     def test_fresh_loop_per_schedule_call(self):
         rng = np.random.default_rng(4)
         arrivals = rng.uniform(10, 60, 50)
-        policy = HybridPolicy(LastValuePredictor())
+        policy = PredictivePolicy(LastValuePredictor(), controller=HybridController())
         s1 = policy.schedule(arrivals, 25)
         s2 = policy.schedule(arrivals, 25)
         np.testing.assert_array_equal(s1, s2)
@@ -445,22 +444,20 @@ class TestHybridPolicy:
         # Channels besides the target that must not leak into decisions.
         noise = rng.uniform(1e4, 1e5, (n, width - 1))
         both = np.column_stack([noise[:, 0], target, noise[:, 1:]])
-        schedule = HybridPolicy(TargetLastValue()).schedule(both, start)
+        schedule = PredictivePolicy(
+            TargetLastValue(), controller=HybridController()
+        ).schedule(both, start)
         assert schedule.shape == (n - start,)
-        univariate = HybridPolicy(TargetLastValue()).schedule(target, start)
+        univariate = PredictivePolicy(
+            TargetLastValue(), controller=HybridController()
+        ).schedule(target, start)
         assert schedule.tobytes() == univariate.tobytes()
-
-    def test_controller_and_config_exclusive(self):
-        with pytest.raises(ValueError):
-            HybridPolicy(
-                LastValuePredictor(),
-                controller=HybridController(),
-                config=ControllerConfig(),
-            )
 
     def test_start_validation(self):
         with pytest.raises(ValueError):
-            HybridPolicy(LastValuePredictor()).schedule(np.ones(5), 0)
+            PredictivePolicy(
+                LastValuePredictor(), controller=HybridController()
+            ).schedule(np.ones(5), 0)
 
 
 class TestConfigValidation:

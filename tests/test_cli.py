@@ -165,6 +165,15 @@ class TestCommands:
         assert len(errors) == 1 and flag in errors[0], err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_target_channel_of_univariate_trace_is_one_error_line(
+        self, capsys, command
+    ):
+        assert main([command, "fb-10m", "--target-channel", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --target-channel must be 0"), err
+        assert "Traceback" not in err
+
     def test_simulate_conflicting_flags(self, capsys, tmp_path):
         rc = main(["simulate", "fb-10m", "--adaptive", "--model-dir", "x"])
         assert rc == 2

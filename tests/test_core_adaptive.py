@@ -101,6 +101,18 @@ class TestAdaptive:
         v = adaptive.predict_next(sine_series[:100])
         assert np.isfinite(v)
 
+    def test_univariate_history_refits_any_target_channel(self, sine_series):
+        """A 1-D history is its own target, so a multivariate
+        ``target_channel`` setting still refits on it."""
+        adaptive = AdaptiveLoadDynamics(
+            space=search_space_for("default", "tiny"),
+            settings=FrameworkSettings.tiny(max_iters=2, epochs=5),
+            target_channel=2,
+        )
+        adaptive.fit(sine_series[:100])
+        assert adaptive.predictor is not None
+        assert adaptive.predictor.target_channel == 0
+
     def test_short_history_fallback(self, adaptive):
         assert adaptive.predict_next(np.array([5.0, 6.0])) == 6.0
 

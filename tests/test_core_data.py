@@ -11,11 +11,13 @@ from hypothesis.extra.numpy import arrays
 from repro.core import (
     LSTMHyperparameters,
     FrameworkSettings,
+    LoadDynamics,
     MinMaxScaler,
     make_windows,
     search_space_for,
     windows_for_range,
 )
+from repro.core.data import prepare_data
 
 
 class TestMinMaxScaler:
@@ -178,3 +180,14 @@ class TestConfig:
         assert t.max_iters < r.max_iters < FrameworkSettings().max_iters
         custom = FrameworkSettings.reduced(max_iters=3)
         assert custom.max_iters == 3
+
+
+class TestPrepareData:
+    def test_univariate_series_refuses_other_target_channel(self, sine_series):
+        """A 1-D series is its own target, as ``traces.load`` says."""
+        with pytest.raises(ValueError, match="must be 0 for a 1-D trace"):
+            prepare_data(sine_series, FrameworkSettings.tiny(), target_channel=3)
+        with pytest.raises(ValueError, match="must be 0 for a 1-D trace"):
+            LoadDynamics(settings=FrameworkSettings.tiny()).fit(
+                sine_series, target_channel=3
+            )

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autoscale import CloudSimulator, VMSpec, provisioning_schedule
+from repro.autoscale import CloudSimulator, PredictivePolicy, VMSpec
 from repro.baselines import CloudInsight, make_baseline, walk_forward
 from repro.core import FrameworkSettings, LoadDynamics, LoadDynamicsPredictor, search_space_for
 from repro.metrics import mape
@@ -102,9 +102,8 @@ class TestCouncilIntegration:
 
     def test_schedule_from_named_baselines(self, sine_series):
         for name in ("wood", "cloudscale"):
-            sched = provisioning_schedule(
-                make_baseline(name), sine_series, len(sine_series) - 10,
-                refit_every=5,
+            sched = PredictivePolicy(make_baseline(name), refit_every=5).schedule(
+                sine_series, len(sine_series) - 10
             )
             assert sched.shape == (10,)
             assert np.all(sched >= 0)

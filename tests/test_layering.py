@@ -59,6 +59,18 @@ class TestCheckLayering:
         assert len(violations) == 1
         assert "models layer must not import repro.cli" in violations[0]
 
+    def test_autoscale_importing_core_is_flagged(self, tmp_path):
+        # Policies serve any predictor; they never reach into the pipeline.
+        _seed_tree(
+            tmp_path,
+            "autoscale",
+            "def f():\n    from repro.core import LoadDynamics\n"
+            "from repro.serving.stream import StreamingServer\n",
+        )
+        violations = check_layering(tmp_path)
+        assert len(violations) == 1
+        assert "autoscale layer must not import repro.core" in violations[0]
+
     def test_models_may_import_core_and_substrate(self, tmp_path):
         _seed_tree(
             tmp_path,

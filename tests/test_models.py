@@ -130,6 +130,40 @@ class TestNaiveLastValueModel:
         assert predictor.predict_next(np.array([42.0])) == pytest.approx(42.0)
 
 
+class TestAtomicSave:
+    def test_failed_save_keeps_previous_manifest(self, monkeypatch, tmp_path):
+        """A save that dies after staging ``predictor.json`` leaves the
+        previous manifest in place, loadable, and no stage file behind."""
+        import os
+
+        from repro.core.scaling import MinMaxScaler
+
+        predictor = LoadDynamicsPredictor(
+            model=NaiveLastValueModel(),
+            scaler=MinMaxScaler().fit(np.array([1.0, 2.0, 3.0])),
+            hyperparameters=get_family("naive").hyperparameters({}),
+            validation_mape=12.5,
+            family="naive",
+        )
+        directory = predictor.save(tmp_path / "model")
+        predictor.validation_mape = 99.0
+
+        replace = os.replace
+
+        def fail_on_manifest(src, dst):
+            if os.path.basename(dst) == "predictor.json":
+                raise OSError("disk gone")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_manifest)
+        with pytest.raises(OSError, match="disk gone"):
+            predictor.save(directory)
+        monkeypatch.undo()
+
+        assert LoadDynamicsPredictor.load(directory).validation_mape == 12.5
+        assert list(directory.glob("*.tmp")) == []
+
+
 class TestCustomFamilyRegistration:
     def test_third_party_family_plugs_into_fit(self, sine_series):
         """The extension point works end to end: a family defined outside

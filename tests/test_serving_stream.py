@@ -1052,7 +1052,7 @@ class TestOneServeStep:
     @pytest.mark.parametrize("refit_every", [1, 7, 10**9])
     @pytest.mark.parametrize("controller", [False, True])
     def test_batch_equals_one_chunk_stream(self, controller, refit_every):
-        from repro.autoscale import HybridPolicy
+        from repro.autoscale import PredictivePolicy
         from repro.baselines.naive import SeasonalNaivePredictor
 
         trace = _diurnal(600, seed=4)
@@ -1079,8 +1079,9 @@ class TestOneServeStep:
         assert batch.stream is None and streamed.stream["chunks"] == 1
 
         if controller:
-            policy = HybridPolicy(
+            policy = PredictivePolicy(
                 GuardedPredictor(SeasonalNaivePredictor(48)),
+                controller=HybridController(),
                 refit_every=refit_every,
             )
             assert policy.schedule(trace, start).tobytes() == batch.schedule.tobytes()
@@ -1121,8 +1122,7 @@ class TestBatchCallers:
 
     @pytest.mark.parametrize("start", [0, 51])
     def test_invalid_start_is_refused(self, start):
-        from repro.autoscale import HybridPolicy
-        from repro.autoscale.policy import provisioning_schedule
+        from repro.autoscale import PredictivePolicy
         from repro.baselines.naive import LastValuePredictor
 
         trace = _diurnal(50)
@@ -1131,8 +1131,10 @@ class TestBatchCallers:
             lambda: serve_and_simulate(
                 LastValuePredictor(), trace, start, stream=StreamConfig()
             ),
-            lambda: provisioning_schedule(LastValuePredictor(), trace, start),
-            lambda: HybridPolicy(LastValuePredictor()).schedule(trace, start),
+            lambda: PredictivePolicy(LastValuePredictor()).schedule(trace, start),
+            lambda: PredictivePolicy(
+                LastValuePredictor(), controller=HybridController()
+            ).schedule(trace, start),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="invalid start"):
