@@ -119,7 +119,7 @@ def check_stream_batch_parity() -> None:
     from repro.baselines.base import Predictor
     from repro.bayesopt import IntParam, SearchSpace
     from repro.core import FrameworkSettings, LoadDynamics
-    from repro.obs.metrics import reset_metrics
+    from repro.obs.metrics import counter, reset_metrics
     from repro.serving import (
         GuardedPredictor,
         StreamConfig,
@@ -142,6 +142,12 @@ def check_stream_batch_parity() -> None:
             value = super().predict_next(history, raw=raw)
             self.forecasts.append(value)
             return value
+
+        def serve_block(self, raws, target, first, history_window):
+            reason = super().serve_block(raws, target, first, history_window)
+            if reason is None:
+                self.forecasts.extend(raws.tolist())
+            return reason
 
     rng = np.random.default_rng(0)
     t = np.arange(800, dtype=np.float64)
@@ -173,6 +179,12 @@ def check_stream_batch_parity() -> None:
 
     for controller in (False, True):
         rep_b, fc_b = serve(model, controller)
+        blocked = counter("stream.block_intervals").value
+        if blocked != rep_b.stream["served_intervals"]:
+            raise AssertionError(
+                f"batched stream served {blocked:.0f} of "
+                f"{rep_b.stream['served_intervals']} intervals by block"
+            )
         rep_s, fc_s = serve(SequentialOnly(model), controller)
         for field in ("served_by", "breaker_transitions",
                       "serving_counters", "stream"):

@@ -53,6 +53,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,13 +198,13 @@ class ControllerConfig:
         )
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One provisioning decision with full provenance.
 
     ``vms`` is the final (post-rail) whole-VM count; ``target`` the
     continuous pre-rail target; ``rails`` names every rail that clipped
-    it, in application order.
+    it, in application order.  A named tuple: immutable, and under half
+    a frozen dataclass's construction cost, once per interval.
     """
 
     vms: int

@@ -10,12 +10,15 @@ Persistence is family-dispatched: the predictor directory's
 ``predictor.json`` records which :mod:`repro.models` family wrote the
 model, and that family's ``save_model``/``load_model`` own the weight
 format (npz for the recurrent families, pickle for the classical ones,
-a marker file for the naive fallback).  Directories written before the
-family tag existed load as ``lstm`` — the only family that existed.
+a marker file for the naive fallback), and the sha256 of each file the
+family wrote, which :meth:`LoadDynamicsPredictor.load` checks.
+Directories written before the family tag existed load as ``lstm`` —
+the only family that existed — and ones without digests load unchecked.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -27,6 +30,10 @@ from repro.state import write_atomic
 from repro.core.windowing import windows_for_range
 
 __all__ = ["LoadDynamicsPredictor", "NaiveLastValueModel"]
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class NaiveLastValueModel:
@@ -184,14 +191,18 @@ class LoadDynamicsPredictor(Predictor):
 
         The model's weight format is owned by its family's
         ``save_model``; ``predictor.json`` records the family so
-        :meth:`load` can dispatch back.  Degraded (naive-fallback)
+        :meth:`load` can dispatch back, and the sha256 of every file the
+        family wrote.  Each file is replaced atomically, but not all of
+        them at once: a save that dies between the model file and the
+        manifest leaves new weights beside the old manifest, which the
+        digests let :meth:`load` refuse.  Degraded (naive-fallback)
         predictors persist too — their family writes a marker file.
         """
         from repro.models import get_family
 
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        get_family(self.family).save_model(self.model, directory)
+        written = get_family(self.family).save_model(self.model, directory)
         meta = {
             "family": self.family,
             "hyperparameters": self.hyperparameters.as_dict(),
@@ -199,6 +210,9 @@ class LoadDynamicsPredictor(Predictor):
             "validation_mape": self.validation_mape,
             "n_channels": self.n_channels,
             "target_channel": self.target_channel,
+            "sha256": {
+                name: _sha256(directory / name) for name in written or ()
+            },
         }
         write_atomic(directory / "predictor.json", json.dumps(meta, indent=2))
         return directory
@@ -207,7 +221,9 @@ class LoadDynamicsPredictor(Predictor):
     def load(cls, directory: str | Path) -> "LoadDynamicsPredictor":
         """Reload a saved predictor directory.
 
-        Corruption surfaces as ordinary exceptions (JSON/zip/OS/KeyError);
+        Corruption surfaces as ordinary exceptions (JSON/zip/OS/KeyError,
+        or a ValueError when a model file's sha256 differs from the one
+        the manifest recorded);
         serving code that must survive a bad model on disk loads through
         :meth:`repro.serving.guard.GuardedPredictor.load`, which maps
         them all to a typed ``CorruptModelError``.  The ``model.load``
@@ -226,6 +242,14 @@ class LoadDynamicsPredictor(Predictor):
                 f"predictor.json in {directory} is not a predictor manifest "
                 "(missing scaler/hyperparameters)"
             )
+        # Manifests written before the digests existed carry none.
+        for name, digest in meta.get("sha256", {}).items():
+            if _sha256(directory / name) != digest:
+                raise ValueError(
+                    f"{name} in {directory} does not match the sha256 "
+                    "predictor.json recorded for it (a save interrupted "
+                    "between the model file and the manifest?)"
+                )
         # Pre-family directories carry no tag; they were all LSTM.
         family = get_family(meta.get("family", "lstm"))
         model = family.load_model(directory)

@@ -151,9 +151,11 @@ class ModelFamily(abc.ABC):
     # persistence
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def save_model(self, model, directory: Path) -> None:
+    def save_model(self, model, directory: Path) -> list[str]:
         """Persist the model's weights/state into a predictor directory,
-        each file through :func:`repro.state.write_atomic`."""
+        each file through :func:`repro.state.write_atomic`, and return
+        the names of the files written (``predictor.json`` records
+        their digests)."""
 
     @abc.abstractmethod
     def load_model(self, directory: Path):

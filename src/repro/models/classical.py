@@ -102,8 +102,9 @@ class _WindowedRegressorFamily(ModelFamily):
     def hyperparameters(self, config: dict) -> GenericHyperparameters:
         return GenericHyperparameters.from_dict(config)
 
-    def save_model(self, model, directory: Path) -> None:
+    def save_model(self, model, directory: Path) -> list[str]:
         write_atomic(directory / _MODEL_FILE, pickle.dumps(model))
+        return [_MODEL_FILE]
 
     def load_model(self, directory: Path):
         return pickle.loads((directory / _MODEL_FILE).read_bytes())

@@ -74,12 +74,13 @@ class NaiveFamily(ModelFamily):
         d.update(config)
         return LSTMHyperparameters.from_dict(d)
 
-    def save_model(self, model: NaiveLastValueModel, directory: Path) -> None:
+    def save_model(self, model: NaiveLastValueModel, directory: Path) -> list[str]:
         target = int(getattr(model, "target_channel", 0))
         write_atomic(
             directory / _MODEL_FILE,
             '{"type": "naive-last-value", "target_channel": %d}\n' % target,
         )
+        return [_MODEL_FILE]
 
     def load_model(self, directory: Path) -> NaiveLastValueModel:
         meta = json.loads((directory / _MODEL_FILE).read_text())

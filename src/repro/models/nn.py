@@ -93,8 +93,9 @@ class _RecurrentFamily(ModelFamily):
     def hyperparameters(self, config: dict) -> LSTMHyperparameters:
         return LSTMHyperparameters.from_dict(config)
 
-    def save_model(self, model: LSTMRegressor, directory: Path) -> None:
+    def save_model(self, model: LSTMRegressor, directory: Path) -> list[str]:
         save_regressor(model, directory / "model.npz")
+        return ["model.npz"]
 
     def load_model(self, directory: Path) -> LSTMRegressor:
         return load_regressor(directory / "model.npz")

@@ -124,13 +124,15 @@ class CircuitBreaker(_state.Persistent):
             return False
         return True
 
-    def record_success(self) -> None:
-        if self._state == HALF_OPEN:
+    def record_success(self, n: int = 1) -> None:
+        """Record ``n`` consecutive successful calls."""
+        while n > 0 and self._state == HALF_OPEN:
+            n -= 1
             self._probe_successes += 1
             if self._probe_successes >= self.probes:
                 self._transition(CLOSED, "probes_passed")
-        elif self._state == CLOSED:
-            self._outcomes.append(False)
+        if n > 0 and self._state == CLOSED:
+            self._outcomes.extend([False] * n)
 
     def record_failure(self) -> None:
         if self._state == HALF_OPEN:

@@ -22,7 +22,9 @@ variant, or any baseline — for online use in front of the autoscaler:
 Zero-overhead guarantee: on a healthy model and in-range forecast the
 served value is *bit-for-bit* the primary's own output — validation
 uses comparisons only, never arithmetic (regression-tested in
-``tests/test_serving_guard.py``).
+``tests/test_serving_guard.py``).  That is also why
+:meth:`GuardedPredictor.serve_block` may check and book a whole block
+of precomputed forecasts in one array pass.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
 from repro.resilience import faults as _faults
-from repro.serving.breaker import CircuitBreaker
+from repro.serving.breaker import CLOSED, CircuitBreaker
 
 __all__ = ["GuardedPredictor", "default_fallbacks"]
 
@@ -59,6 +61,20 @@ def default_fallbacks(period: int | None = None) -> list[Predictor]:
         chain.append(SeasonalNaivePredictor(period))
     chain.append(LastValuePredictor())
     return chain
+
+
+def _rolling_max(x: np.ndarray, window: int) -> np.ndarray:
+    """``x[j : j + window].max()`` for every ``j``, by doubling: after
+    the loop ``m[i]`` is the max of ``x[i : i + span]``, and two spans
+    that overlap cover each window."""
+    if x.shape[0] == window:
+        return x.max(keepdims=True)
+    m, span = x, 1
+    while 2 * span <= window:
+        m = np.maximum(m[:-span], m[span:])
+        span *= 2
+    n = x.shape[0] - window + 1
+    return np.maximum(m[:n], m[window - span : window - span + n])
 
 
 class GuardedPredictor(Predictor, _state.Persistent):
@@ -136,13 +152,29 @@ class GuardedPredictor(Predictor, _state.Persistent):
         self._c_shed = _metrics.counter("serving.breaker.short_circuit")
 
     # ------------------------------------------------------------------
+    def _bounds(self, target: np.ndarray, first: int, window: int) -> list[float]:
+        """Sanity ceilings for the histories ``target[:e]``, ``e`` from
+        ``first`` to ``len(target)``: ``guard_factor`` x the largest
+        finite value among the last ``window`` entries (a negative peak
+        counts as 0), or ``inf`` when none of them is finite."""
+        lo = max(first - window, 0)
+        x = target[lo:]
+        # A sum is finite only if every entry is (one that overflows
+        # just takes the masking path).
+        if not math.isfinite(x.sum()):
+            x = np.where(np.isfinite(x), x, -math.inf)
+        short = window - (first - lo)
+        if short:
+            x = np.concatenate((np.full(short, -math.inf), x))
+        factor = self.guard_factor
+        return [
+            math.inf if p == -math.inf else factor * max(p, 0.0)
+            for p in _rolling_max(x, window).tolist()
+        ]
+
     def _bound(self, h: np.ndarray) -> float:
-        """Sanity ceiling: guard_factor x max of the recent finite history."""
-        tail = h[-self.rolling_window :]
-        finite = tail[np.isfinite(tail)]
-        if finite.size == 0:
-            return math.inf
-        return self.guard_factor * max(float(finite.max()), 0.0)
+        """Sanity ceiling for a forecast from the target history ``h``."""
+        return self._bounds(h, h.shape[0], self.rolling_window)[0]
 
     def _served(self, stage: str) -> None:
         self.served_by[stage] = self.served_by.get(stage, 0) + 1
@@ -279,6 +311,54 @@ class GuardedPredictor(Predictor, _state.Persistent):
         self._served("zero")
         _metrics.counter("serving.fallback.zero").inc()
         return 0.0
+
+    def serve_block(
+        self,
+        raws: np.ndarray,
+        target: np.ndarray,
+        first: int,
+        history_window: int,
+    ) -> str | None:
+        """Serve a block of the primary's precomputed forecasts in one pass.
+
+        ``raws[j]`` is the primary's forecast from the history whose
+        target channel is ``target[:first + j]``, of which the caller
+        keeps at most the last ``history_window`` entries.  When
+        :meth:`predict_next` would serve every one of them unchanged —
+        a primary, no fault injector, a closed breaker, no latched drift
+        shift, each raw finite and inside ``[0, bound]`` — the block is
+        booked as those calls book it (the primary's serve count,
+        ``serving.predictions``, one breaker success each), the raws
+        stand as the served forecasts, and ``None`` is returned.
+
+        Otherwise nothing is booked and the reason is returned:
+        ``"no_primary"``, ``"faults"``, ``"breaker"``, ``"drift"``,
+        ``"nonfinite"``, ``"negative"`` or ``"above_bound"``; the caller
+        then serves the block with :meth:`predict_next` per interval.
+        The pass is exact because, with none of those, ``predict_next``
+        only compares, emits no event, finds ``allow()`` true and
+        appends successes to the breaker's window.
+        """
+        if self.primary is None:
+            return "no_primary"
+        if _faults.active() is not None:
+            return "faults"
+        if self.breaker.state != CLOSED:
+            return "breaker"
+        if self._drift_shift is not None:
+            return "drift"
+        if not np.isfinite(raws).all():
+            return "nonfinite"
+        if (raws < 0.0).any():
+            return "negative"
+        m = raws.shape[0]
+        window = min(self.rolling_window, history_window)
+        if (raws > self._bounds(target[: first + m - 1], first, window)).any():
+            return "above_bound"
+        self._c_total.inc(m)
+        self.served_by["primary"] = self.served_by.get("primary", 0) + m
+        self.breaker.record_success(m)
+        return None
 
     # ------------------------------------------------------------------
     @classmethod

@@ -32,6 +32,12 @@ restarts, and the process can be killed between any two of them:
   primary with ``predict_series`` forecasts a chunk in one pass; the
   forecasts match per-interval ``predict_next`` to rtol 1e-12 (GEMM vs
   GEMV rounding), not bit for bit;
+* **block serving** — the guard then checks such a block's forecasts in
+  one array pass and books it at once
+  (:meth:`~repro.serving.guard.GuardedPredictor.serve_block`), and the
+  history and schedule take the block in one append; a block the guard
+  declines (faults, breaker, drift, an out-of-range forecast) is served
+  per interval instead, to the same bytes;
 * **crash-safe resume** — every ``checkpoint_every`` chunks the server
   appends the new intervals to fsynced ``.f64`` sidecars and atomically
   replaces ``checkpoint.json`` (:func:`repro.state.write_atomic`) holding
@@ -363,13 +369,8 @@ def _serve_step(
     reveal, which ``monitor`` scores the forecast against.  ``raw`` is a
     guarded primary's precomputed forecast; ``timed`` hands the monitor
     the forecast's wall-clock latency (``latency_s=None`` otherwise).
-
-    Without a controller a non-finite forecast gets the
-    :func:`~repro.baselines.base.persistence_rescue`, is clipped at 0,
-    and ``ceil`` of it is provisioned.  With one the forecast is
-    :func:`_guarded_forecast` — NaN routes the decision to the reactive
-    tier — the monitor scores only finite forecasts (decisions are not
-    forecasts), and the controller decides.
+    With a controller the forecast is :func:`_guarded_forecast` — NaN
+    routes the decision to the reactive tier.
     """
     t0 = time.perf_counter() if timed else 0.0
     if controller is not None:
@@ -379,6 +380,25 @@ def _serve_step(
     else:
         p = predictor.predict_next(history, raw=raw)
     latency = time.perf_counter() - t0 if timed else None
+    return _decide(p, target_history, actual, controller, monitor, latency)
+
+
+def _decide(
+    p: float,
+    target_history: np.ndarray,
+    actual: float,
+    controller: HybridController | None,
+    monitor: ForecastMonitor | None,
+    latency: float | None,
+) -> float:
+    """Score the served forecast ``p`` of one interval and decide it.
+
+    Without a controller a non-finite forecast gets the
+    :func:`~repro.baselines.base.persistence_rescue`, is clipped at 0,
+    and ``ceil`` of it is provisioned.  With one the monitor scores only
+    finite forecasts (decisions are not forecasts), and the controller
+    decides.
+    """
     if controller is None:
         p = max(0.0, persistence_rescue(p, target_history))
         if monitor is not None:
@@ -561,8 +581,8 @@ class StreamingServer:
         self._act_buf[self._n] = actual
         self._n += 1
 
-    def _push_block(self, decisions: np.ndarray, actuals: np.ndarray) -> None:
-        m = int(decisions.size)
+    def _push_block(self, decisions, actuals: np.ndarray) -> None:
+        m = len(decisions)
         self._reserve(m)
         self._sched_buf[self._n : self._n + m] = decisions
         self._act_buf[self._n : self._n + m] = actuals
@@ -571,9 +591,12 @@ class StreamingServer:
     # ------------------------------------------------------------------
     # serving modes
     # ------------------------------------------------------------------
-    def _primary_forecasts(self, block: np.ndarray) -> list[float] | None:
-        """The guarded primary's raw forecasts for every interval of
-        ``block``, from one batched ``predict_series`` pass.
+    def _primary_forecasts(
+        self, block: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The bounded history followed by ``block``, and the guarded
+        primary's raw forecasts for every interval of ``block`` from one
+        batched ``predict_series`` pass over it.
 
         Forecasts do not depend on decisions, so the whole block can be
         forecast before the first of its intervals is served.  ``None``
@@ -595,9 +618,9 @@ class StreamingServer:
         history = self._history_view()
         series = np.concatenate((history, block))
         try:
-            return primary.predict_series(
+            raws = primary.predict_series(
                 series, history.shape[0], series.shape[0]
-            ).tolist()
+            )
         except _faults.SimulatedCrash:
             raise
         except Exception as exc:
@@ -606,6 +629,7 @@ class StreamingServer:
                 exc_info=True,
             )
             return None
+        return series, np.asarray(raws, dtype=np.float64)
 
     def _refit(self) -> None:
         """Refit on the history.  A failing fit raises without a
@@ -622,18 +646,14 @@ class StreamingServer:
             logger.warning("proactive fit failed (stale model serves): %s", exc)
 
     def _serve_values(self, values: np.ndarray, direct: bool = False) -> None:
-        """The serve loop: refit cadence, then :func:`_serve_step` per
-        interval over the bounded history.  Ingested blocks between
-        refit boundaries are forecast in one pass
-        (:meth:`_primary_forecasts`) and served untimed; ``direct`` ones
-        per interval, timed under a monitor.
+        """The serve loop: refit cadence, then each block between refit
+        boundaries.  An ingested block the primary forecasts in one pass
+        (:meth:`_primary_forecasts`) is served by :meth:`_serve_block`
+        unless the guard declines it; every other block by
+        :meth:`_serve_intervals`, ``direct`` ones timed under a monitor.
         """
-        predictor = self.predictor
-        monitor = self.monitor
-        controller = self.controller
         refit_every = self.refit_every
-        tc = self._target
-        timed = direct and monitor is not None
+        timed = direct and self.monitor is not None
         m = values.shape[0]
         start = 0
         while start < m:
@@ -644,22 +664,80 @@ class StreamingServer:
                 if due == 0:
                     self._refit()
             block = values[start:stop]
-            raws = None if direct else self._primary_forecasts(block)
-            actuals = block.tolist() if tc is None else block[:, tc].tolist()
-            for j, v in enumerate(actuals):
-                history = self._history_view()
-                decision = _serve_step(
-                    predictor, history,
-                    history if tc is None else history[:, tc], v,
-                    controller, monitor,
-                    None if raws is None else raws[j], timed,
-                )
-                self._served_intervals += 1
-                self._last_decision = decision
-                self._push(decision, v)
-                self._append_history_row(v if tc is None else block[j])
-                self._last_clean = v
+            batch = None if direct else self._primary_forecasts(block)
+            if batch is None:
+                self._serve_intervals(block, None, timed)
+            elif not self._serve_block(block, *batch):
+                self._serve_intervals(block, batch[1].tolist(), False)
             start = stop
+
+    def _serve_intervals(
+        self, block: np.ndarray, raws: list[float] | None, timed: bool
+    ) -> None:
+        """:func:`_serve_step` per interval over the bounded history,
+        ``raws`` being the primary's forecasts for ``block`` if known."""
+        predictor = self.predictor
+        monitor = self.monitor
+        controller = self.controller
+        tc = self._target
+        actuals = block.tolist() if tc is None else block[:, tc].tolist()
+        for j, v in enumerate(actuals):
+            history = self._history_view()
+            decision = _serve_step(
+                predictor, history,
+                history if tc is None else history[:, tc], v,
+                controller, monitor,
+                None if raws is None else raws[j], timed,
+            )
+            self._served_intervals += 1
+            self._last_decision = decision
+            self._push(decision, v)
+            self._append_history_row(v if tc is None else block[j])
+            self._last_clean = v
+
+    def _serve_block(
+        self, block: np.ndarray, series: np.ndarray, raws: np.ndarray
+    ) -> bool:
+        """Serve ``block`` from its raw forecasts in one guard pass, or
+        return ``False`` when the guard declines it (counted per reason
+        in ``stream.block_declined.*``) and nothing was served.
+
+        ``series`` is the bounded history followed by ``block``.  The
+        guard books the block at once
+        (:meth:`~repro.serving.guard.GuardedPredictor.serve_block`), its
+        raws stand as the served forecasts, and the monitor and the
+        controller then walk views of ``series``: interval ``j`` sees
+        the same bounded target history :meth:`_serve_intervals` would
+        show it, so the decisions are the same bit for bit.  History and
+        schedule are appended once for the whole block.
+        """
+        w = self.config.history_window
+        first = series.shape[0] - block.shape[0]
+        target = self._target_of(series)
+        if self._target is not None:
+            target = np.ascontiguousarray(target)
+        reason = self.predictor.serve_block(raws, target, first, w)
+        if reason is not None:
+            _metrics.counter(f"stream.block_declined.{reason}").inc()
+            return False
+        controller = self.controller
+        monitor = self.monitor
+        served = target[first:]
+        actuals = served.tolist()
+        decisions = []
+        for j, p in enumerate(raws.tolist()):
+            end = first + j
+            decisions.append(_decide(
+                p, target[end - w if end > w else 0 : end], actuals[j],
+                controller, monitor, None,
+            ))
+        self._push_block(decisions, served)
+        self._append_history_block(block)
+        self._served_intervals += len(decisions)
+        self._last_decision = decisions[-1]
+        self._last_clean = actuals[-1]
+        _metrics.counter("stream.block_intervals").inc(len(decisions))
+        return True
 
     def serve(self, values: np.ndarray) -> np.ndarray:
         """Direct entry: serve ``values`` (rows of the feed's shape) as

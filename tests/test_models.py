@@ -163,6 +163,65 @@ class TestAtomicSave:
         assert LoadDynamicsPredictor.load(directory).validation_mape == 12.5
         assert list(directory.glob("*.tmp")) == []
 
+    def test_weights_without_their_manifest_are_refused(self, monkeypatch, tmp_path):
+        """Predictor A is saved; B's save over it replaces the weights,
+        then dies at the manifest.  The directory now pairs B's weights
+        with A's scaler and hyperparameters, and must not load."""
+        import os
+
+        from repro.core import LSTMHyperparameters
+        from repro.core.scaling import MinMaxScaler
+        from repro.nn.network import LSTMRegressor
+        from repro.serving import CorruptModelError, GuardedPredictor
+
+        def predictor(seed, trace):
+            return LoadDynamicsPredictor(
+                model=LSTMRegressor(hidden_size=4, seed=seed),
+                scaler=MinMaxScaler().fit(trace),
+                hyperparameters=LSTMHyperparameters(
+                    history_len=6, cell_size=4, num_layers=1, batch_size=8,
+                ),
+            )
+
+        trace = np.linspace(10.0, 50.0, 40)
+        directory = predictor(0, trace).save(tmp_path / "model")
+        assert LoadDynamicsPredictor.load(directory).predict_next(trace) >= 0.0
+
+        replace = os.replace
+
+        def fail_on_manifest(src, dst):
+            if os.path.basename(dst) == "predictor.json":
+                raise OSError("disk gone")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_manifest)
+        with pytest.raises(OSError, match="disk gone"):
+            predictor(1, 100.0 * trace).save(directory)
+        monkeypatch.undo()
+
+        with pytest.raises(ValueError, match="model.npz .* sha256"):
+            LoadDynamicsPredictor.load(directory)
+        with pytest.raises(CorruptModelError, match="sha256"):
+            GuardedPredictor.load(directory)
+
+    def test_manifest_without_digests_loads(self, tmp_path):
+        """Directories saved before the manifest recorded digests load."""
+        import json
+
+        from repro.core.scaling import MinMaxScaler
+
+        directory = LoadDynamicsPredictor(
+            model=NaiveLastValueModel(),
+            scaler=MinMaxScaler().fit(np.array([1.0, 2.0, 3.0])),
+            hyperparameters=get_family("naive").hyperparameters({}),
+            family="naive",
+        ).save(tmp_path / "model")
+        manifest = directory / "predictor.json"
+        meta = json.loads(manifest.read_text())
+        assert set(meta.pop("sha256")) == {"model.json"}
+        manifest.write_text(json.dumps(meta))
+        assert LoadDynamicsPredictor.load(directory).family == "naive"
+
 
 class TestCustomFamilyRegistration:
     def test_third_party_family_plugs_into_fit(self, sine_series):

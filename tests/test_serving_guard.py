@@ -159,6 +159,85 @@ class TestBreaker:
         assert ("half_open", "open", "probe_failed") in breaker.transitions
 
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_counted_successes_equal_single_ones(self, n):
+        """``record_success(n)`` lands where ``n`` single calls do, from
+        every state, including a half-open probe run that closes."""
+        def fresh():
+            breaker = CircuitBreaker(min_calls=2, window=4, cooldown=1, probes=3)
+            breaker.record_failure()
+            breaker.record_failure()
+            return breaker
+
+        for steps in (0, 1):  # open, then half-open after one allow()
+            counted, single = fresh(), fresh()
+            for b in (counted, single):
+                for _ in range(steps):
+                    b.allow()
+            counted.record_success(n)
+            for _ in range(n):
+                single.record_success()
+            assert counted.state_dict() == single.state_dict()
+
+
+class TestBlockPass:
+    @staticmethod
+    def reference_bound(h, window, factor):
+        """The guard's ceiling as ``predict_next`` defines it."""
+        tail = h[-window:]
+        finite = tail[np.isfinite(tail)]
+        if finite.size == 0:
+            return float("inf")
+        return factor * max(float(finite.max()), 0.0)
+
+    @pytest.mark.parametrize("window", [1, 3, 17, 256])
+    def test_block_bounds_match_each_history(self, window):
+        rng = np.random.default_rng(window)
+        target = rng.normal(50.0, 40.0, 400)
+        target[rng.integers(0, 400, 60)] = np.nan
+        target[[7, 99]] = np.inf
+        target[[8, 150]] = -np.inf
+        target[200:230] = -3.0
+        target[300:320] = -0.0
+        guard = GuardedPredictor(None, guard_factor=2.5)
+        for first in (0, 1, 5, 100, 255, 256, 390):
+            got = guard._bounds(target, first, window)
+            want = [
+                self.reference_bound(target[:e], window, 2.5)
+                for e in range(first, 401)
+            ]
+            assert [b.hex() for b in got] == [b.hex() for b in want]
+
+    def test_serve_block_books_what_predict_next_books(self):
+        s = series()
+        raws = np.array([120.0, 0.0, 333.5])
+        block = GuardedPredictor(naive_predictor(s))
+        single = GuardedPredictor(naive_predictor(s))
+        assert block.serve_block(raws, s, 200, 4096) is None
+        served = [single.predict_next(s[: 200 + j], raw=r)
+                  for j, r in enumerate(raws.tolist())]
+        assert served == raws.tolist()
+        assert block.state_dict() == single.state_dict()
+
+    @pytest.mark.parametrize("raw, reason", [
+        (float("nan"), "nonfinite"), (-1.0, "negative"), (1e9, "above_bound"),
+    ])
+    def test_serve_block_declines_and_books_nothing(self, raw, reason):
+        s = series()
+        guard = GuardedPredictor(naive_predictor(s))
+        before = guard.state_dict()
+        assert guard.serve_block(np.array([100.0, raw]), s, 200, 4096) == reason
+        assert guard.state_dict() == before
+
+    def test_serve_block_declines_under_an_injector(self):
+        guard = GuardedPredictor(naive_predictor(series()))
+        with faults.injected("boom@never.fires:1"):
+            assert guard.serve_block(
+                np.array([1.0]), series(), 200, 4096) == "faults"
+        assert GuardedPredictor(None).serve_block(
+            np.array([1.0]), series(), 200, 4096) == "no_primary"
+
+
 class TestCorruptModel:
     def test_truncated_manifest_raises_typed_error(self, tmp_path):
         s = series()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.autoscale.controller import HybridController
 from repro.baselines.base import Predictor
-from repro.obs.metrics import reset_metrics
+from repro.obs.metrics import get_registry, reset_metrics
 from repro.obs.monitor.drift import CusumDetector, PageHinkleyDetector
 from repro.obs.monitor.monitor import ForecastMonitor
 from repro.obs.monitor.quality import QualityTracker
@@ -824,6 +825,12 @@ class _RecordingGuard(GuardedPredictor):
         self.forecasts.append(value)
         return value
 
+    def serve_block(self, raws, target, first, history_window):
+        reason = super().serve_block(raws, target, first, history_window)
+        if reason is None:
+            self.forecasts.extend(raws.tolist())
+        return reason
+
 
 @pytest.fixture(scope="module")
 def lstm_primary():
@@ -875,7 +882,11 @@ def _model_run(
         controller=HybridController() if controller else None,
         refit_every=refit_every,
     )
-    with _faults.injected(faults or "") as inj:
+    if faults is None:
+        # No injector at all: an active one declines every block pass.
+        report = server.run(chunk_stream(trace[start:], config=cfg))
+        return report, np.array(guard.forecasts), []
+    with _faults.injected(faults) as inj:
         report = server.run(chunk_stream(trace[start:], config=cfg))
     return report, np.array(guard.forecasts), list(inj.fired_log)
 
@@ -1162,3 +1173,247 @@ class TestBatchCallers:
         )
         assert rep.stream["chunks"] == 2
         assert Counting.calls == 2
+
+
+# ----------------------------------------------------------------------
+# block serving: one guard pass per block == the per-interval path, bytes
+# ----------------------------------------------------------------------
+#: An injector whose site never fires.  Any active injector makes the
+#: guard decline every block pass, so this forces the per-interval path.
+_NEVER_FIRES = "boom@never.fires:1"
+#: Served values the scripted primary answers with a misbehaving raw.
+_NAN_MARK, _SPIKE_MARK, _NEG_MARK = 101.25, 102.25, 103.25
+
+
+class _Scripted(Predictor):
+    """Forecasts 0.9 x the newest target value, except after a marker:
+    NaN, a thousandfold spike (above the guard's bound) or -5.
+    ``predict_series`` applies the same rule per target, so both serving
+    paths get the same raws bit for bit."""
+
+    name = "scripted"
+    min_history = 1
+
+    def __init__(self, target_channel: int = 0):
+        self.target_channel = target_channel
+
+    def _raw(self, last: float) -> float:
+        if last == _NAN_MARK:
+            return math.nan
+        if last == _SPIKE_MARK:
+            return 1000.0 * last
+        if last == _NEG_MARK:
+            return -5.0
+        return 0.9 * last
+
+    def _target(self, values):
+        v = np.asarray(values, dtype=np.float64)
+        return v if v.ndim == 1 else v[:, self.target_channel]
+
+    def predict_next(self, history):
+        return self._raw(float(self._target(history)[-1]))
+
+    def predict_series(self, series, start, end=None):
+        t = self._target(series)
+        end = t.shape[0] if end is None else end
+        return np.array([self._raw(float(t[i - 1])) for i in range(start, end)])
+
+
+class _DeclineLog(GuardedPredictor):
+    """A guard that notes the breaker state at every declined block."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.declined: list[tuple[str, str]] = []
+
+    def serve_block(self, raws, target, first, history_window):
+        reason = super().serve_block(raws, target, first, history_window)
+        if reason is not None:
+            self.declined.append((reason, self.breaker.state))
+        return reason
+
+
+def _block_run(
+    trace: np.ndarray,
+    start: int,
+    ckpt,
+    *,
+    per_interval: bool,
+    controller: bool,
+    target_channel: int = 0,
+    breaker: dict | None = None,
+    inject: dict[int, str] | None = None,
+    kill_at: int | None = None,
+    resume: bool = False,
+    history_window: int = 4096,
+):
+    """Stream ``trace[start:]`` through a guarded :class:`_Scripted`.
+
+    ``breaker`` holds :class:`CircuitBreaker` arguments; ``inject``
+    installs a fault spec while one chunk (by index) is served;
+    ``kill_at`` crashes the feed before that chunk.  Returns the report
+    (``None`` after a kill), the guard and the block counters.
+    """
+    reset_metrics()
+    guard = _DeclineLog(
+        _Scripted(target_channel), fallbacks=default_fallbacks(48),
+        breaker=CircuitBreaker(**breaker) if breaker else None,
+    )
+    cfg = StreamConfig(
+        chunk_size=16, size_jitter=5, seed=3, checkpoint_every=3,
+        checkpoint_dir=str(ckpt), resume=resume,
+        history_window=history_window,
+    )
+    server = StreamingServer(
+        guard, trace[:start], config=cfg,
+        monitor=ForecastMonitor(slo=SLOTracker(accuracy_slo_mape=30.0)),
+        controller=HybridController() if controller else None,
+    )
+
+    def chunks():
+        for chunk in chunk_stream(trace[start:], config=cfg):
+            if chunk.index == kill_at:
+                raise _faults.SimulatedCrash("feed killed")
+            spec = (inject or {}).get(chunk.index)
+            if spec is None:
+                yield chunk
+            else:
+                with _faults.injected(spec):
+                    yield chunk
+
+    report = None
+    with _faults.injected(_NEVER_FIRES) if per_interval else nullcontext():
+        try:
+            report = server.run(chunks())
+        except _faults.SimulatedCrash:
+            if kill_at is None:
+                raise
+    counters = {
+        name: snap["value"]
+        for name, snap in get_registry().snapshot(prefix="stream.").items()
+    }
+    return report, guard, counters
+
+
+def _served_bytes(report, guard, ckpt) -> dict:
+    """Everything both paths must agree on, byte for byte."""
+    return {
+        "schedule": report.schedule.tobytes(),
+        **{name: (ckpt / name).read_bytes() for name in (
+            "schedule.f64", "actuals.f64", "checkpoint.json",
+        )},
+        "served_by": report.served_by,
+        "breaker": _canon(guard.breaker.state_dict()),
+        "serving_counters": report.serving_counters,
+    }
+
+
+def _assert_block_parity(tmp_path, trace, start, **kwargs):
+    """Serve ``trace`` by blocks and forced per interval; both must
+    write the same bytes.  Returns the block run's counters and guard."""
+    runs = {}
+    for per_interval in (False, True):
+        ckpt = tmp_path / ("per-interval" if per_interval else "block")
+        report, guard, counters = _block_run(
+            trace, start, ckpt, per_interval=per_interval, **kwargs
+        )
+        runs[per_interval] = (
+            _served_bytes(report, guard, ckpt), counters, guard
+        )
+    assert runs[False][0] == runs[True][0]
+    forced = runs[True][1]
+    assert forced.get("stream.block_intervals", 0) == 0
+    assert forced["stream.block_declined.faults"] > 0
+    _, block, guard = runs[False]
+    assert block["stream.block_intervals"] > 0
+    return block, guard
+
+
+class TestBlockServing:
+    @pytest.mark.parametrize("controller", [False, True])
+    @pytest.mark.parametrize("mark, reason", [
+        (_NAN_MARK, "nonfinite"),
+        (_SPIKE_MARK, "above_bound"),
+        (_NEG_MARK, "negative"),
+    ])
+    def test_declined_raw_serves_the_same_bytes(
+        self, tmp_path, controller, mark, reason
+    ):
+        trace = _diurnal(700, seed=12)
+        trace[[350, 420, 421, 600]] = mark
+        counters, _ = _assert_block_parity(
+            tmp_path, trace, 300, controller=controller,
+        )
+        assert counters[f"stream.block_declined.{reason}"] >= 3
+
+    @pytest.mark.parametrize("controller", [False, True])
+    def test_bound_window_follows_a_short_history(self, tmp_path, controller):
+        """With a history window shorter than the guard's rolling
+        window, a peak 29 intervals back no longer raises the bound, so
+        the spike is clamped on both paths.  The peak and the spike sit
+        in one block's series (chunk [386, 406), history from 362)."""
+        trace = _diurnal(700, seed=17)
+        trace[376] = 20000.0
+        trace[404] = _SPIKE_MARK
+        counters, _ = _assert_block_parity(
+            tmp_path, trace, 300, controller=controller, history_window=24,
+        )
+        assert counters["stream.block_declined.above_bound"] == 1
+
+    @pytest.mark.parametrize("controller", [False, True])
+    def test_open_and_half_open_breaker_serve_the_same_bytes(
+        self, tmp_path, controller
+    ):
+        trace = _diurnal(700, seed=13)
+        for at in (340, 420, 500):
+            trace[at : at + 3] = _NAN_MARK
+        counters, guard = _assert_block_parity(
+            tmp_path, trace, 300, controller=controller,
+            breaker=dict(window=4, min_calls=2, cooldown=6, probes=8),
+        )
+        states = {state for reason, state in guard.declined if reason == "breaker"}
+        assert states == {OPEN, HALF_OPEN}
+        assert counters["stream.block_declined.breaker"] >= 2
+
+    @pytest.mark.parametrize("controller", [False, True])
+    def test_latched_drift_serves_the_same_bytes(self, tmp_path, controller):
+        counters, guard = _assert_block_parity(
+            tmp_path, _diurnal(700, seed=14), 300, controller=controller,
+            inject={6: "drift@serve.predict:2=1.5"},
+        )
+        assert guard._drift_shift == 1.5
+        assert counters["stream.block_declined.drift"] > 0
+        assert counters["stream.block_declined.faults"] == 1
+
+    @pytest.mark.parametrize("controller", [False, True])
+    def test_multivariate_feed_serves_the_same_bytes(self, tmp_path, controller):
+        trace = _mv(700, seed=15)
+        trace[[400, 401, 550], 1] = _NAN_MARK
+        counters, _ = _assert_block_parity(
+            tmp_path, trace, 300, controller=controller, target_channel=1,
+        )
+        assert counters["stream.block_declined.nonfinite"] >= 2
+
+    @pytest.mark.parametrize("controller", [False, True])
+    def test_kill_and_resume_serve_the_same_bytes(self, tmp_path, controller):
+        trace = _diurnal(700, seed=16)
+        trace[[380, 520]] = _SPIKE_MARK
+        runs = {}
+        for per_interval in (False, True):
+            ckpt = tmp_path / ("per-interval" if per_interval else "block")
+            kwargs = dict(per_interval=per_interval, controller=controller)
+            crashed, _, _ = _block_run(trace, 300, ckpt, kill_at=11, **kwargs)
+            assert crashed is None
+            report, guard, counters = _block_run(
+                trace, 300, ckpt, resume=True, **kwargs
+            )
+            runs[per_interval] = _served_bytes(report, guard, ckpt)
+            if not per_interval:
+                assert counters["stream.block_intervals"] > 0
+                assert counters["stream.block_declined.above_bound"] >= 1
+        assert runs[False] == runs[True]
+        ref, guard, _ = _block_run(
+            trace, 300, tmp_path / "uninterrupted",
+            per_interval=False, controller=controller,
+        )
+        assert _served_bytes(ref, guard, tmp_path / "uninterrupted") == runs[False]
