@@ -57,6 +57,22 @@ python scripts/fault_smoke.py
 echo "== perf smoke (fast-path parity + quick benchmarks) =="
 python scripts/perf_smoke.py
 
+echo "== perfbench traced smoke (every entry point the ledger wraps must exist) =="
+# --trace 1 wraps named product methods (perfbench/ledger.py); a
+# refactor that drops one crashes the run or breaks its invariants.
+for workload in stream search; do
+    PB_OUT="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+        --seconds 1 --trace 1)"
+    python - "$workload" "$(tail -n 1 <<<"$PB_OUT")" <<'PYEOF'
+import json, sys
+workload, last = sys.argv[1], json.loads(sys.argv[2])
+assert last["correct"] is True and last["failed"] == 0, \
+    f"perfbench {workload} --trace 1 FAILED: {last}"
+print(f"perfbench {workload} --trace 1 OK: "
+      f"{last['attempted']} cycles, correct, 0 failed")
+PYEOF
+done
+
 echo "== model-family smoke (non-default family end to end) =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli fit gl-30m \
     --budget tiny --family gru --max-iters 2 --epochs 3

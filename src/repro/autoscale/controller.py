@@ -456,7 +456,9 @@ class HybridController(_state.Persistent):
         once per interval, walking forward.
         """
         cfg = self.config
-        h = np.asarray(history, dtype=np.float64).ravel()
+        # Only the newest value and the reactive window are read, so only
+        # that tail is copied: a strided column stays a view until here.
+        h = np.asarray(history, dtype=np.float64)[-cfg.reactive_window :].ravel()
         if h.size:
             self._score(float(h[-1]))
         self._update_burst()

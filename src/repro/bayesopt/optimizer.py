@@ -112,7 +112,7 @@ def batch_evaluator(objective: Callable[[dict], object], workers: int):
         def evaluate(configs: list[dict]) -> list:
             if len(configs) < 2:
                 return [objective(config) for config in configs]
-            return pool.map(objective, configs, chunks_per_worker=1)
+            return pool.map(objective, configs)
 
         yield evaluate
 

@@ -199,10 +199,6 @@ class LSTMLayer:
         """Parameter arrays in a stable order (W, U, b)."""
         return [self.W, self.U, self.b]
 
-    def zero_grads(self) -> list[np.ndarray]:
-        """Freshly-zeroed gradient buffers matching :attr:`params`."""
-        return [np.zeros_like(p) for p in self.params]
-
     def n_params(self) -> int:
         """Total scalar parameter count."""
         return sum(p.size for p in self.params)

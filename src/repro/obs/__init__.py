@@ -6,7 +6,7 @@ The telemetry substrate every subsystem reports through:
 ``repro.obs.events``   structured event records + JSONL/memory sinks
 ``repro.obs.metrics``  counters, gauges, timers, histograms (registry)
 ``repro.obs.tracing``  nested span context manager
-``repro.obs.callbacks``per-epoch / per-trial callback protocol
+``repro.obs.callbacks``per-epoch training callback protocol
 ``repro.obs.logging``  namespaced ``repro.*`` loggers
 =====================  ================================================
 
@@ -28,7 +28,6 @@ from repro.obs.callbacks import (
     CallbackList,
     TelemetryCallback,
     TrainingCallback,
-    TrialCallback,
 )
 from repro.obs.events import (
     Event,
@@ -88,7 +87,6 @@ __all__ = [
     "current_span",
     # callbacks
     "TrainingCallback",
-    "TrialCallback",
     "TelemetryCallback",
     "CallbackList",
     # logging

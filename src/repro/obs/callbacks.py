@@ -1,12 +1,9 @@
-"""Callback protocol for the training loop and the BO search.
+"""Callback protocol for the training loop.
 
-Two small protocols:
-
-* :class:`TrainingCallback` — per-epoch hooks fired by
-  :meth:`repro.nn.network.LSTMRegressor.fit` when a ``callbacks=`` list
-  is passed;
-* :class:`TrialCallback` — per-trial hook fired by the search
-  optimizers' ``run`` loops.
+:class:`TrainingCallback` holds the per-epoch hooks fired by
+:meth:`repro.nn.network.LSTMRegressor.fit` when a ``callbacks=`` list is
+passed.  The search reports per trial through the ``bo.trial`` event,
+not a callback.
 
 Plain callables are accepted wherever a callback object is: a function
 passed in a ``callbacks=`` list is treated as ``on_epoch_end``.
@@ -23,7 +20,6 @@ from repro.obs import metrics as _metrics
 
 __all__ = [
     "TrainingCallback",
-    "TrialCallback",
     "TelemetryCallback",
     "CallbackList",
 ]
@@ -39,13 +35,6 @@ class TrainingCallback:
         pass
 
     def on_train_end(self, history) -> None:
-        pass
-
-
-class TrialCallback:
-    """Base class / protocol for per-trial search hooks."""
-
-    def on_trial_end(self, record) -> None:
         pass
 
 

@@ -5,12 +5,13 @@ the 21-predictor CloudInsight council are embarrassingly parallel.  This
 module provides a tiny, dependency-free process-pool map with:
 
 * deterministic output ordering (results returned in input order),
-* chunking so tiny tasks don't drown in IPC overhead,
-* a serial fallback (``n_workers<=1`` or inside an active pool / pytest-
-  sensitive paths) so callers never need two code paths,
+* one contiguous chunk of items per worker, so tiny tasks don't drown
+  in IPC overhead,
+* a serial fallback (``n_workers<=1`` or fewer than two items) so
+  callers never need two code paths,
 * graceful degradation when the platform disallows forking,
-* :class:`WorkerPool`, which keeps one pool open across many maps (a
-  search's rounds of trials) and shuts it down on close.
+* one pool kept open across many maps (a search's rounds of trials) and
+  shut down on close.
 
 Everything submitted must be picklable (top-level functions + plain data),
 per the usual multiprocessing contract.
@@ -31,7 +32,7 @@ logger = get_logger("parallel")
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["parallel_map", "WorkerPool", "effective_workers", "chunk_indices"]
+__all__ = ["WorkerPool", "effective_workers", "chunk_indices"]
 
 #: Environment variable users can set to cap worker processes globally.
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
@@ -110,9 +111,9 @@ def _run_chunk(payload: tuple[Callable[..., Any], Sequence[Any]]) -> list[Any]:
 class WorkerPool:
     """A process pool opened on first use and kept for every later map.
 
-    :meth:`map` is :func:`parallel_map` on one pool, so a caller that
-    maps round after round (a search evaluating one batch of trials at
-    a time) starts its worker processes once, not once per round.
+    A caller that maps round after round (a search evaluating one batch
+    of trials at a time) starts its worker processes once, not once per
+    round.
     Close it, or use it as a context manager, to shut the workers down.
     If the pool cannot start or breaks, that map and every later one
     run serially.
@@ -138,21 +139,28 @@ class WorkerPool:
             self._pool.shutdown()
             self._pool = None
 
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        *,
-        chunks_per_worker: int = 4,
-    ) -> list[R]:
-        """Map ``fn`` over ``items`` in order; see :func:`parallel_map`."""
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+        """Map ``fn`` over ``items``, preserving order.
+
+        Each worker gets one contiguous chunk of the items.  A plain
+        serial loop runs instead when only one worker is available, when
+        there are fewer than two items, or when process creation fails
+        (e.g. sandboxed environments); for a deterministic ``fn`` both
+        give identical results.
+
+        Requested vs delivered parallelism is exposed as the gauges
+        ``parallel.workers_requested`` / ``parallel.workers_effective``,
+        so a run on a core-starved box (where the cpu clamp or a fork
+        failure silently serializes the map) is visible in telemetry
+        instead of masquerading as a slow parallel run.
+        """
         data = list(items)
         _metrics.gauge("parallel.workers_requested").set(self._requested)
         if self._serial or len(data) < 2:
             _metrics.gauge("parallel.workers_effective").set(1.0)
             return [fn(item) for item in data]
 
-        spans = chunk_indices(len(data), self._workers * max(1, chunks_per_worker))
+        spans = chunk_indices(len(data), self._workers)
         payloads = [(fn, data[a:b]) for a, b in spans]
         try:
             if self._pool is None:
@@ -170,27 +178,3 @@ class WorkerPool:
         for chunk in chunked:
             out.extend(chunk)
         return out
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    n_workers: int | None = None,
-    chunks_per_worker: int = 4,
-) -> list[R]:
-    """Map ``fn`` over ``items`` with a process pool, preserving order.
-
-    Falls back to a plain serial loop when only one worker is requested,
-    when there are fewer than two items, or when process creation fails
-    (e.g. sandboxed environments).  The serial and parallel paths produce
-    identical results for deterministic ``fn``.
-
-    Requested vs delivered parallelism is exposed as the gauges
-    ``parallel.workers_requested`` / ``parallel.workers_effective`` so a
-    run on a core-starved box (where the cpu clamp or a fork failure
-    silently serializes the map) is visible in telemetry instead of
-    masquerading as a slow parallel run.
-    """
-    with WorkerPool(n_workers) as pool:
-        return pool.map(fn, items, chunks_per_worker=chunks_per_worker)

@@ -199,11 +199,6 @@ class FaultInjector:
         specs = [FaultSpec.parse(part) for part in text.split(",") if part.strip()]
         return cls(specs)
 
-    @classmethod
-    def from_env(cls) -> "FaultInjector | None":
-        text = os.environ.get(FAULTS_ENV, "").strip()
-        return cls.parse(text) if text else None
-
     def reset(self) -> None:
         """Zero the per-site invocation counters (not the fired log)."""
         self._counts.clear()

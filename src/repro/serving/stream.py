@@ -13,6 +13,11 @@ controller) use: every interval as given (no sanitizing, so NaN outage
 windows stay), the whole prefix as history, and one ``predict_next``
 per interval, timed in wall-clock when a monitor is attached.
 
+Both entries share one walk: the incoming rows go into the bounded
+history first, each interval is then served from the view of the
+``history_window`` rows that end just before it, and the schedule takes
+the walk's decisions in one push.
+
 :meth:`~StreamingServer.run` ingests a real metrics feed, which arrives
 as *chunks* — late when the collector stalls, missing when a scraper
 restarts, and the process can be killed between any two of them:
@@ -29,15 +34,14 @@ restarts, and the process can be killed between any two of them:
   (``service_time_per_interval`` x backlog vs ``queue_capacity``) sheds
   whole chunks when the server falls behind;
 * **chunk-batched forecasting** — between refit boundaries a guarded
-  primary with ``predict_series`` forecasts a chunk in one pass; the
-  forecasts match per-interval ``predict_next`` to rtol 1e-12 (GEMM vs
-  GEMV rounding), not bit for bit;
-* **block serving** — the guard then checks such a block's forecasts in
-  one array pass and books it at once
-  (:meth:`~repro.serving.guard.GuardedPredictor.serve_block`), and the
-  history and schedule take the block in one append; a block the guard
-  declines (faults, breaker, drift, an out-of-range forecast) is served
-  per interval instead, to the same bytes;
+  primary with ``predict_series`` forecasts a chunk in one pass over a
+  history view; the forecasts match per-interval ``predict_next`` to
+  rtol 1e-12 (GEMM vs GEMV rounding), not bit for bit;
+* **block serving** — the guard then checks such a segment's forecasts
+  in one array pass and books it at once
+  (:meth:`~repro.serving.guard.GuardedPredictor.serve_block`); a segment
+  the guard declines (faults, breaker, drift, an out-of-range forecast)
+  goes through ``predict_next`` per interval instead, to the same bytes;
 * **crash-safe resume** — every ``checkpoint_every`` chunks the server
   appends the new intervals to fsynced ``.f64`` sidecars and atomically
   replaces ``checkpoint.json`` (:func:`repro.state.write_atomic`) holding
@@ -57,6 +61,7 @@ process.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -234,6 +239,10 @@ class StreamConfig:
             raise ValueError("history_window must be >= 1")
 
 
+#: :class:`StreamConfig` fields a resuming server may change: they say
+#: where and how often to checkpoint, not what is served.
+_NOT_IDENTITY = ("checkpoint_every", "checkpoint_dir", "resume")
+
 #: The ``cursor`` checkpoint section (:mod:`repro.state`): ingest
 #: position, backpressure clock and checkpoint count.
 _CURSOR = (
@@ -326,17 +335,21 @@ def chunk_stream(
         offset = end
 
 
-def _guarded_forecast(
-    predictor: Predictor, history: np.ndarray, raw: float | None
+def _forecast(
+    predictor: Predictor,
+    history: np.ndarray,
+    raw: float | None,
+    controlled: bool,
 ) -> float:
-    """One forecast that degrades instead of raising.
+    """One ``predict_next`` from ``history``.
 
-    A failing/non-finite predict returns NaN, which the controller
-    treats as "forecast unavailable" and routes to the reactive tier.
-    Simulated process crashes
-    (:class:`~repro.resilience.faults.SimulatedCrash`) still propagate.
     ``raw`` hands a :class:`~repro.serving.guard.GuardedPredictor` its
-    primary's precomputed forecast (see its ``predict_next``).
+    primary's precomputed forecast (see its ``predict_next``).  Under a
+    controller (``controlled``) a failing predict returns NaN, which the
+    controller treats as "forecast unavailable" and routes to the
+    reactive tier; without one the error is raised.  Simulated process
+    crashes (:class:`~repro.resilience.faults.SimulatedCrash`) always
+    propagate.
     """
     try:
         if raw is None:
@@ -345,42 +358,11 @@ def _guarded_forecast(
     except _faults.SimulatedCrash:
         raise
     except Exception as exc:
+        if not controlled:
+            raise
         _metrics.counter("autoscale.controller.forecast_error").inc()
         logger.warning("proactive forecast failed (reactive tier serves): %s", exc)
         return math.nan
-
-
-def _serve_step(
-    predictor: Predictor,
-    history: np.ndarray,
-    target_history: np.ndarray,
-    actual: float,
-    controller: HybridController | None,
-    monitor: ForecastMonitor | None,
-    raw: float | None,
-    timed: bool,
-) -> float:
-    """One interval of the Section IV-C loop: forecast, rescue or guard,
-    score, decide.  Returns the VM count provisioned ahead of it.
-
-    ``history`` is what the predictor sees (2-D when multivariate) and
-    ``target_history`` its target channel, whose last value is the
-    newest revealed actual; ``actual`` is the value this interval will
-    reveal, which ``monitor`` scores the forecast against.  ``raw`` is a
-    guarded primary's precomputed forecast; ``timed`` hands the monitor
-    the forecast's wall-clock latency (``latency_s=None`` otherwise).
-    With a controller the forecast is :func:`_guarded_forecast` — NaN
-    routes the decision to the reactive tier.
-    """
-    t0 = time.perf_counter() if timed else 0.0
-    if controller is not None:
-        p = _guarded_forecast(predictor, history, raw)
-    elif raw is None:
-        p = predictor.predict_next(history)
-    else:
-        p = predictor.predict_next(history, raw=raw)
-    latency = time.perf_counter() - t0 if timed else None
-    return _decide(p, target_history, actual, controller, monitor, latency)
 
 
 def _decide(
@@ -523,10 +505,13 @@ class StreamingServer:
     # ------------------------------------------------------------------
     # bounded history + interval buffers
     # ------------------------------------------------------------------
+    def _view(self, end: int) -> np.ndarray:
+        """The ``history_window`` buffer rows that end just before ``end``."""
+        lo = end - self.config.history_window
+        return self._hbuf[lo if lo > 0 else 0 : end]
+
     def _history_view(self) -> np.ndarray:
-        w = self.config.history_window
-        lo = self._hlen - w
-        return self._hbuf[lo if lo > 0 else 0 : self._hlen]
+        return self._view(self._hlen)
 
     def _target_of(self, rows: np.ndarray) -> np.ndarray:
         """The target channel of ``rows`` (the rows themselves on a 1-D feed)."""
@@ -542,26 +527,28 @@ class StreamingServer:
         row[self._target] = self._last_clean
         return np.tile(row, (n, 1))
 
-    def _append_history_row(self, row) -> None:
-        if self._hlen == self._hbuf.shape[0]:
-            w = self.config.history_window
-            self._hbuf[:w] = self._hbuf[self._hlen - w : self._hlen].copy()
-            self._hlen = w
-        self._hbuf[self._hlen] = row
-        self._hlen += 1
+    def _extend_history(self, rows: np.ndarray) -> int:
+        """Append ``rows`` to the history; returns the buffer index of the
+        first of them.
 
-    def _append_history_block(self, values: np.ndarray) -> None:
-        w = self.config.history_window
-        m = int(values.shape[0])
-        if m >= w:
-            self._hbuf[:w] = values[-w:]
-            self._hlen = w
-            return
-        if self._hlen + m > self._hbuf.shape[0]:
-            self._hbuf[:w] = self._hbuf[self._hlen - w : self._hlen].copy()
-            self._hlen = w
-        self._hbuf[self._hlen : self._hlen + m] = values
-        self._hlen += m
+        Up to ``history_window`` rows before them stay in the buffer, so
+        each new row's interval can be served from :meth:`_view`.  The
+        buffer grows when ``rows`` are longer than it leaves room for.
+        """
+        m = int(rows.shape[0])
+        hlen = self._hlen
+        if hlen + m > self._hbuf.shape[0]:
+            keep = min(hlen, self.config.history_window)
+            tail = self._hbuf[hlen - keep : hlen]
+            if keep + m > self._hbuf.shape[0]:
+                self._hbuf = np.empty(
+                    (keep + m,) + self._hbuf.shape[1:], dtype=np.float64
+                )
+            self._hbuf[:keep] = tail
+            hlen = keep
+        self._hbuf[hlen : hlen + m] = rows
+        self._hlen = hlen + m
+        return hlen
 
     def _reserve(self, extra: int) -> None:
         need = self._n + extra
@@ -575,13 +562,9 @@ class StreamingServer:
             grown[: self._n] = old[: self._n]
             setattr(self, name, grown)
 
-    def _push(self, decision: float, actual: float) -> None:
-        self._reserve(1)
-        self._sched_buf[self._n] = decision
-        self._act_buf[self._n] = actual
-        self._n += 1
-
-    def _push_block(self, decisions, actuals: np.ndarray) -> None:
+    def _push_block(self, decisions, actuals) -> None:
+        """Append ``decisions`` to the schedule, with their ``actuals``
+        (one per decision, or one for all of them)."""
         m = len(decisions)
         self._reserve(m)
         self._sched_buf[self._n : self._n + m] = decisions
@@ -591,17 +574,15 @@ class StreamingServer:
     # ------------------------------------------------------------------
     # serving modes
     # ------------------------------------------------------------------
-    def _primary_forecasts(
-        self, block: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """The bounded history followed by ``block``, and the guarded
-        primary's raw forecasts for every interval of ``block`` from one
-        batched ``predict_series`` pass over it.
+    def _segment_forecasts(self, begin: int, end: int) -> np.ndarray | None:
+        """The guarded primary's raw forecasts for the intervals of the
+        history rows ``[begin, end)``, from one batched ``predict_series``
+        pass over the view from ``history_window`` rows before ``begin``.
 
-        Forecasts do not depend on decisions, so the whole block can be
+        Forecasts do not depend on decisions, so the whole segment can be
         forecast before the first of its intervals is served.  ``None``
-        serves the block per interval: the predictor is not a guard over
-        a primary with ``predict_series`` (baselines, the adaptive
+        serves the segment per interval: the predictor is not a guard
+        over a primary with ``predict_series`` (baselines, the adaptive
         variant), the bounded history is shorter than the model's
         window, or the batched call failed — ``predict_next`` then
         raises per interval, with the guard's usual accounting.
@@ -610,17 +591,12 @@ class StreamingServer:
         if not isinstance(predictor, GuardedPredictor):
             return None
         primary = predictor.primary
-        if (
-            not hasattr(primary, "predict_series")
-            or primary.min_history > self.config.history_window
-        ):
+        w = self.config.history_window
+        if not hasattr(primary, "predict_series") or primary.min_history > w:
             return None
-        history = self._history_view()
-        series = np.concatenate((history, block))
+        lo = max(begin - w, 0)
         try:
-            raws = primary.predict_series(
-                series, history.shape[0], series.shape[0]
-            )
+            raws = primary.predict_series(self._hbuf[lo:end], begin - lo, end - lo)
         except _faults.SimulatedCrash:
             raise
         except Exception as exc:
@@ -629,14 +605,33 @@ class StreamingServer:
                 exc_info=True,
             )
             return None
-        return series, np.asarray(raws, dtype=np.float64)
+        return np.asarray(raws, dtype=np.float64)
 
-    def _refit(self) -> None:
-        """Refit on the history.  A failing fit raises without a
+    def _book_segment(self, raws: np.ndarray, begin: int, end: int) -> bool:
+        """Whether the guard serves the history rows ``[begin, end)`` from
+        their ``raws`` in one pass
+        (:meth:`~repro.serving.guard.GuardedPredictor.serve_block`, which
+        books them); a declined segment is counted per reason in
+        ``stream.block_declined.*``.  A 2-D feed's target column is
+        copied to contiguous memory for that pass."""
+        w = self.config.history_window
+        lo = max(begin - w, 0)
+        target = self._target_of(self._hbuf[lo:end])
+        if self._target is not None:
+            target = np.ascontiguousarray(target)
+        reason = self.predictor.serve_block(raws, target, begin - lo, w)
+        if reason is not None:
+            _metrics.counter(f"stream.block_declined.{reason}").inc()
+            return False
+        _metrics.counter("stream.block_intervals").inc(end - begin)
+        return True
+
+    def _refit(self, history: np.ndarray) -> None:
+        """Refit on ``history``.  A failing fit raises without a
         controller; with one the stale model keeps serving.  Simulated
         process crashes always propagate."""
         try:
-            self.predictor.fit(self._history_view())
+            self.predictor.fit(history)
         except _faults.SimulatedCrash:
             raise
         except Exception as exc:
@@ -646,98 +641,65 @@ class StreamingServer:
             logger.warning("proactive fit failed (stale model serves): %s", exc)
 
     def _serve_values(self, values: np.ndarray, direct: bool = False) -> None:
-        """The serve loop: refit cadence, then each block between refit
-        boundaries.  An ingested block the primary forecasts in one pass
-        (:meth:`_primary_forecasts`) is served by :meth:`_serve_block`
-        unless the guard declines it; every other block by
-        :meth:`_serve_intervals`, ``direct`` ones timed under a monitor.
-        """
-        refit_every = self.refit_every
-        timed = direct and self.monitor is not None
-        m = values.shape[0]
-        start = 0
-        while start < m:
-            stop = m
-            if refit_every is not None:
-                due = self._served_intervals % refit_every
-                stop = min(stop, start + refit_every - due)
-                if due == 0:
-                    self._refit()
-            block = values[start:stop]
-            batch = None if direct else self._primary_forecasts(block)
-            if batch is None:
-                self._serve_intervals(block, None, timed)
-            elif not self._serve_block(block, *batch):
-                self._serve_intervals(block, batch[1].tolist(), False)
-            start = stop
+        """The serve walk.  ``values`` go into the history first
+        (:meth:`_extend_history`); the interval of buffer row ``i`` is then
+        served from the view of the ``history_window`` rows that end just
+        before it, and the decisions are pushed once.
 
-    def _serve_intervals(
-        self, block: np.ndarray, raws: list[float] | None, timed: bool
-    ) -> None:
-        """:func:`_serve_step` per interval over the bounded history,
-        ``raws`` being the primary's forecasts for ``block`` if known."""
+        A refit due at a ``refit_every`` boundary fits on that
+        boundary's view.  Between refits an ingested segment the guarded
+        primary forecasts in one pass (:meth:`_segment_forecasts`) and
+        the guard accepts (:meth:`_book_segment`) is served from its
+        raws.  Every other interval — the direct entry (timed under a
+        monitor), a segment the guard declines, a predictor that is not
+        guarded — is forecast by ``predict_next`` on its own view.
+        """
+        m = values.shape[0]
+        if not m:
+            return
+        first = self._extend_history(values)
+        hbuf = self._hbuf
+        target = self._target_of(hbuf)
+        served = target[first : first + m]
+        actuals = served.tolist()
+        w = self.config.history_window
         predictor = self.predictor
         monitor = self.monitor
         controller = self.controller
-        tc = self._target
-        actuals = block.tolist() if tc is None else block[:, tc].tolist()
-        for j, v in enumerate(actuals):
-            history = self._history_view()
-            decision = _serve_step(
-                predictor, history,
-                history if tc is None else history[:, tc], v,
-                controller, monitor,
-                None if raws is None else raws[j], timed,
-            )
-            self._served_intervals += 1
-            self._last_decision = decision
-            self._push(decision, v)
-            self._append_history_row(v if tc is None else block[j])
-            self._last_clean = v
-
-    def _serve_block(
-        self, block: np.ndarray, series: np.ndarray, raws: np.ndarray
-    ) -> bool:
-        """Serve ``block`` from its raw forecasts in one guard pass, or
-        return ``False`` when the guard declines it (counted per reason
-        in ``stream.block_declined.*``) and nothing was served.
-
-        ``series`` is the bounded history followed by ``block``.  The
-        guard books the block at once
-        (:meth:`~repro.serving.guard.GuardedPredictor.serve_block`), its
-        raws stand as the served forecasts, and the monitor and the
-        controller then walk views of ``series``: interval ``j`` sees
-        the same bounded target history :meth:`_serve_intervals` would
-        show it, so the decisions are the same bit for bit.  History and
-        schedule are appended once for the whole block.
-        """
-        w = self.config.history_window
-        first = series.shape[0] - block.shape[0]
-        target = self._target_of(series)
-        if self._target is not None:
-            target = np.ascontiguousarray(target)
-        reason = self.predictor.serve_block(raws, target, first, w)
-        if reason is not None:
-            _metrics.counter(f"stream.block_declined.{reason}").inc()
-            return False
-        controller = self.controller
-        monitor = self.monitor
-        served = target[first:]
-        actuals = served.tolist()
+        controlled = controller is not None
+        timed = direct and monitor is not None
+        refit_every = self.refit_every
         decisions = []
-        for j, p in enumerate(raws.tolist()):
-            end = first + j
-            decisions.append(_decide(
-                p, target[end - w if end > w else 0 : end], actuals[j],
-                controller, monitor, None,
-            ))
+        latency = None
+        begin, last = first, first + m
+        while begin < last:
+            end = last
+            if refit_every is not None:
+                due = self._served_intervals % refit_every
+                end = min(end, begin + refit_every - due)
+                if due == 0:
+                    self._refit(self._view(begin))
+            raws = None if direct else self._segment_forecasts(begin, end)
+            booked = raws is not None and self._book_segment(raws, begin, end)
+            raws = [None] * (end - begin) if raws is None else raws.tolist()
+            for i, raw in enumerate(raws, begin):
+                lo = i - w if i > w else 0
+                if booked:
+                    p = raw
+                else:
+                    t0 = time.perf_counter() if timed else 0.0
+                    p = _forecast(predictor, hbuf[lo:i], raw, controlled)
+                    if timed:
+                        latency = time.perf_counter() - t0
+                decisions.append(_decide(
+                    p, target[lo:i], actuals[i - first], controller, monitor,
+                    latency,
+                ))
+            self._served_intervals += end - begin
+            begin = end
         self._push_block(decisions, served)
-        self._append_history_block(block)
-        self._served_intervals += len(decisions)
         self._last_decision = decisions[-1]
         self._last_clean = actuals[-1]
-        _metrics.counter("stream.block_intervals").inc(len(decisions))
-        return True
 
     def serve(self, values: np.ndarray) -> np.ndarray:
         """Direct entry: serve ``values`` (rows of the feed's shape) as
@@ -789,22 +751,25 @@ class StreamingServer:
         monitor is not scored — unobserved actuals are not evidence.
         """
         held = self._last_clean
-        rows = self._held_rows(n)
-        for k in range(n):
-            p = self._fallback_forecast(self._target_of(self._history_view()))
-            decision = float(np.ceil(p))
-            self._last_decision = decision
-            self._push(decision, held)
-            self._append_history_row(rows[k])
+        first = self._extend_history(self._held_rows(n))
+        decisions = [
+            float(np.ceil(self._fallback_forecast(
+                self._target_of(self._view(end))
+            )))
+            for end in range(first, first + n)
+        ]
+        self._push_block(decisions, held)
+        self._last_decision = decisions[-1]
         self._quarantined_intervals += n
         self._counters()["quarantined_intervals"].inc(n)
 
     def _degrade_block(self, n: int) -> None:
-        """Hold-last provisioning for ``n`` intervals with no data at all."""
-        self._push_block(
-            np.full(n, self._last_decision), np.full(n, self._last_clean)
-        )
-        self._append_history_block(self._held_rows(n))
+        """Hold-last provisioning for ``n`` intervals with no data at all.
+
+        No interval here reads a history view, and the held rows are all
+        alike, so a window of them stands for a gap of any length."""
+        self._extend_history(self._held_rows(min(n, self.config.history_window)))
+        self._push_block(np.full(n, self._last_decision), self._last_clean)
         self._held_intervals += n
         self._counters()["held_intervals"].inc(n)
 
@@ -813,8 +778,8 @@ class StreamingServer:
         real — they enter the history so the model recovers immediately."""
         m = int(values.shape[0])
         actuals = self._target_of(values)
+        self._extend_history(values)
         self._push_block(np.full(m, self._last_decision), actuals)
-        self._append_history_block(values)
         self._last_clean = float(actuals[-1])
         self._held_intervals += m
         self._counters()["held_intervals"].inc(m)
@@ -953,21 +918,18 @@ class StreamingServer:
     # checkpointing
     # ------------------------------------------------------------------
     def _identity(self) -> dict:
-        """Config echo a checkpoint must match before it may restore."""
-        cfg = self.config
+        """Config echo a checkpoint must match before it may restore:
+        every :class:`StreamConfig` field but where and how often to
+        checkpoint (:data:`_NOT_IDENTITY`), and the server's wiring."""
         ident = {
             "predictor": getattr(
                 self.predictor, "name", type(self.predictor).__name__
             ),
-            "chunk_size": cfg.chunk_size,
-            "size_jitter": cfg.size_jitter,
-            "interval_s": cfg.interval_s,
-            "arrival_jitter_s": cfg.arrival_jitter_s,
-            "seed": cfg.seed,
-            "deadline_s": cfg.deadline_s,
-            "queue_capacity": cfg.queue_capacity,
-            "service_time_per_interval": cfg.service_time_per_interval,
-            "history_window": cfg.history_window,
+            **{
+                f.name: getattr(self.config, f.name)
+                for f in dataclasses.fields(self.config)
+                if f.name not in _NOT_IDENTITY
+            },
             "sanitizer_policy": self.sanitizer.policy,
             "refit_every": self.refit_every,
             "initial_len": self._initial_len,

@@ -186,6 +186,30 @@ class TestExtremeInputs:
             assert d.vms >= min_vms
             assert max_vms is None or d.vms <= max_vms
 
+    @pytest.mark.parametrize("window", [1, 3, 8])
+    def test_strided_column_decides_as_its_contiguous_copy(self, window):
+        """A 2-D feed's target column is a strided view; ``step`` reads
+        only its tail, and decides exactly as on a contiguous copy."""
+        rng = np.random.default_rng(window)
+        mv = rng.uniform(0.0, 200.0, size=(300, 3))
+        mv[::17, 1] = np.nan
+        mv[150:160, 1] = 5000.0
+        forecasts = rng.uniform(0.0, 200.0, size=300)
+        forecasts[::11] = np.nan
+        column = mv[:, 1]
+        assert not column.flags.c_contiguous
+        runs = []
+        for history in (column, np.ascontiguousarray(column)):
+            controller = HybridController(
+                ControllerConfig(reactive_window=window),
+                drift_detector=PageHinkleyDetector(),
+            )
+            runs.append([
+                repr(controller.step(f, history[: i + 1]))
+                for i, f in enumerate(forecasts)
+            ])
+        assert runs[0] == runs[1]
+
 
 # Values whose differences repeat (duplicate errors), change sign, sit
 # on a signed zero, or overflow to +inf (1e308 - -1e308).

@@ -21,7 +21,6 @@ from repro.parallel import (
     WorkerPool,
     chunk_indices,
     effective_workers,
-    parallel_map,
 )
 
 
@@ -113,32 +112,38 @@ class TestEffectiveWorkers:
         assert any("non-integer" in r.message for r in caplog.records)
 
 
+def _pool_map(items, n_workers):
+    """``_square`` over ``items`` on a fresh ``WorkerPool(n_workers)``."""
+    with WorkerPool(n_workers) as pool:
+        return pool.map(_square, items)
+
+
 class TestParallelMap:
     def test_serial_matches_map(self):
         items = list(range(20))
-        assert parallel_map(_square, items, n_workers=1) == [x * x for x in items]
+        assert _pool_map(items, 1) == [x * x for x in items]
 
     def test_parallel_matches_serial(self):
         items = list(range(50))
-        serial = parallel_map(_square, items, n_workers=1)
-        parallel = parallel_map(_square, items, n_workers=2)
+        serial = _pool_map(items, 1)
+        parallel = _pool_map(items, 2)
         assert serial == parallel
 
     def test_empty(self):
-        assert parallel_map(_square, [], n_workers=2) == []
+        assert _pool_map([], 2) == []
 
     def test_single_item_stays_serial(self):
-        assert parallel_map(_square, [3], n_workers=4) == [9]
+        assert _pool_map([3], 4) == [9]
 
     def test_order_preserved(self):
         items = list(range(100, 0, -1))
-        assert parallel_map(_square, items, n_workers=2) == [x * x for x in items]
+        assert _pool_map(items, 2) == [x * x for x in items]
 
     def test_gauges_record_requested_vs_effective(self):
-        parallel_map(_square, [1, 2, 3], n_workers=1)
+        _pool_map([1, 2, 3], 1)
         assert _metrics.gauge("parallel.workers_requested").value == 1.0
         assert _metrics.gauge("parallel.workers_effective").value == 1.0
-        parallel_map(_square, list(range(8)), n_workers=4)
+        _pool_map(list(range(8)), 4)
         assert _metrics.gauge("parallel.workers_requested").value == 4.0
         # The cpu clamp / fork availability decide what was delivered;
         # the point is that the two gauges make the gap observable.

@@ -1417,3 +1417,132 @@ class TestBlockServing:
             per_interval=False, controller=controller,
         )
         assert _served_bytes(ref, guard, tmp_path / "uninterrupted") == runs[False]
+
+
+# ----------------------------------------------------------------------
+# a history window shorter than a block
+# ----------------------------------------------------------------------
+class _WindowLog(Predictor):
+    """Logs every history it is handed and forecasts its mean, so each
+    answer depends on the whole window it sees."""
+
+    name = "window-log"
+    min_history = 1
+
+    def __init__(self, served: list, fitted: list, window: int):
+        self.served = served
+        self.fitted = fitted
+        self.window = window
+
+    def fit(self, history):
+        self.fitted.append(np.array(history))
+        return self
+
+    def predict_next(self, history):
+        h = np.array(history)
+        self.served.append(h)
+        return float(h.mean())
+
+
+class _SeriesWindowLog(_WindowLog):
+    """A :class:`_WindowLog` model with ``predict_series``, reading the
+    last ``window`` rows before each target."""
+
+    def predict_series(self, series, start, end=None):
+        end = len(series) if end is None else end
+        out = []
+        for i in range(start, end):
+            h = np.array(series[max(i - self.window, 0) : i])
+            self.served.append(h)
+            out.append(h.mean())
+        return np.array(out)
+
+
+def _window_logged(primary_cls, window: int):
+    """A guard over a logging primary and one logging fallback; returns
+    it with the served and fitted logs (primary and fallback share them,
+    in call order)."""
+    served, fitted = [], []
+    guard = GuardedPredictor(
+        primary_cls(served, fitted, window),
+        fallbacks=[_WindowLog(served, fitted, window)],
+    )
+    return guard, served, fitted
+
+
+def _expected_windows(initial, server, window: int, ks) -> list:
+    """Interval ``k``'s history: the last ``window`` rows of the initial
+    history followed by the served actuals before ``k``."""
+    full = np.concatenate((initial, server._act_buf[: server._n]))
+    n0 = len(initial)
+    return [full[max(n0 + k - window, 0) : n0 + k] for k in ks]
+
+
+def _assert_windows(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g.tobytes() == w.tobytes(), f"history #{k}"
+
+
+class TestShortHistoryWindow:
+    """``history_window`` (8) below the block length: every history that
+    reaches the predictor, its fits and the fallback chain is the window
+    of rows before its interval, whatever path served it."""
+
+    WINDOW = 8
+
+    @pytest.mark.parametrize("start", [5, 40])
+    @pytest.mark.parametrize("primary_cls", [_WindowLog, _SeriesWindowLog])
+    def test_ingest_serves_each_interval_its_window(self, primary_cls, start):
+        reset_metrics()
+        trace = _diurnal(240, seed=21)
+        trace[start + 100 : start + 103] = np.nan  # a rejected chunk
+        guard, served, fitted = _window_logged(primary_cls, self.WINDOW)
+        cfg = StreamConfig(
+            chunk_size=16, size_jitter=5, seed=4, deadline_s=120.0,
+            history_window=self.WINDOW,
+        )
+        server = StreamingServer(
+            guard, trace[:start], config=cfg,
+            sanitizer=TraceSanitizer(policy="reject"),
+        )
+        with _faults.injected("drop@stream.chunk:3,stall@stream.chunk:7=600"):
+            chunks = list(chunk_stream(trace[start:], config=cfg))
+        rep = server.run(chunks)
+        st_ = rep.stream
+        assert st_["quarantined_chunks"] == 1
+        assert st_["gap_intervals"] > 0 and len(st_["stalls"]) == 1
+        if primary_cls is _SeriesWindowLog:
+            blocks = get_registry().snapshot(prefix="stream.block_intervals")
+            assert blocks["stream.block_intervals"]["value"] > 0
+        # The intervals served through the predictor or its fallbacks:
+        # all but the dropped chunk's gap and the stalled chunk's hold.
+        stall = st_["stalls"][0]
+        blind = set(range(stall["offset"], stall["offset"] + stall["intervals_held"]))
+        arrived = {k for c in chunks for k in range(c.offset, c.offset + len(c.values))}
+        gap = set(range(rep.schedule.size)) - arrived
+        assert len(gap) == st_["gap_intervals"]
+        blind |= gap
+        ks = [k for k in range(rep.schedule.size) if k not in blind]
+        _assert_windows(
+            served, _expected_windows(trace[:start], server, self.WINDOW, ks)
+        )
+        assert fitted == []
+
+    @pytest.mark.parametrize("start", [5, 40])
+    def test_direct_entry_serves_each_interval_its_window(self, start):
+        trace = _diurnal(120, seed=22)
+        guard, served, fitted = _window_logged(_SeriesWindowLog, self.WINDOW)
+        server = StreamingServer(
+            guard, trace[:start],
+            config=StreamConfig(history_window=self.WINDOW), refit_every=3,
+        )
+        server.serve(trace[start:40])
+        server.serve(trace[40:])
+        n = trace.size - start
+        want = _expected_windows(trace[:start], server, self.WINDOW, range(n))
+        _assert_windows(served, want)
+        # Each refit fits the primary, then the fallback, on one window.
+        _assert_windows(
+            fitted, [w for w in want[::3] for _ in range(2)]
+        )
