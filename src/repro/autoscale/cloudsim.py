@@ -75,6 +75,11 @@ _BLOCK_JOBS = 1 << 18
 # than the overlap saves.
 _SPAN_MIN_JOBS = 1 << 20
 
+# The loops ``ndarray.sum`` and ``ndarray.max`` dispatch to, bound once:
+# the same reductions, without the ``_methods`` wrappers per interval.
+_sum = np.add.reduce
+_max = np.maximum.reduce
+
 
 def _pairwise_reduce(lo: int, hi: int, leaf_jobs: int, leaf) -> tuple:
     """Sum and max of elements ``[lo, hi)`` as ``ndarray.sum`` adds them.
@@ -131,7 +136,7 @@ def _replay_span(lo, hi, *, seed, spec, starts, warm_at, delays, block_jobs,
         if end > warm:
             cut = max(first, warm)
             view[cut - first :] += delays[cut - warm : end - warm]
-        return view.sum(), view.max()
+        return _sum(view), _max(view)
 
     while lo < hi:
         # The block is intervals [lo, stop): as many whole intervals as

@@ -316,6 +316,19 @@ class HybridController(_state.Persistent):
         self._c_burst_in = _metrics.counter("autoscale.controller.burst.entered")
         self._c_burst_out = _metrics.counter("autoscale.controller.burst.exited")
 
+        # Read once from the frozen config, not per decision: whether no
+        # rail can clip (so :meth:`step` skips :meth:`_apply_rails`), and
+        # whether each quantile is integral (numpy then indexes without
+        # interpolating).
+        cfg = self.config
+        self._rails_off = (
+            cfg.min_vms == 0 and cfg.max_vms is None
+            and cfg.max_step_up is None and cfg.max_step_down is None
+            and cfg.scale_down_cooldown == 0
+        )
+        self._headroom_integral = isinstance(cfg.headroom_quantile, Integral)
+        self._burst_integral = isinstance(cfg.burst_quantile, Integral)
+
         self.reset()
 
     def reset(self) -> None:
@@ -402,15 +415,16 @@ class HybridController(_state.Persistent):
             self.burst_reason = None
 
     # ------------------------------------------------------------------
-    def _positive_error_quantile(self, q: float) -> float:
+    def _positive_error_quantile(self, q: float, integral: bool) -> float:
         """``np.quantile(positive errors, q)`` (method ``linear``), bit
         for bit, over the sorted window: the same virtual index, the
-        same above-bound neighbours and the same two-sided lerp."""
+        same above-bound neighbours and the same two-sided lerp.
+        ``integral`` says whether ``q`` is an integral number."""
         pos = self._pos
         n = len(pos)
         if not n:
             return 0.0
-        if isinstance(q, Integral):
+        if integral:
             # numpy takes an integral q's element without interpolating.
             return pos[(n - 1) * q]
         vi = (n - 1) * q
@@ -426,9 +440,10 @@ class HybridController(_state.Persistent):
             return b - diff * (1 - gamma)
         return a + diff * gamma
 
-    def _reactive_target(self, history: np.ndarray) -> float | None:
-        """Generalized reactive rule, or ``None`` when the signal is dead
-        or its headroom overflows.
+    def _reactive_target(self, tail: list[float]) -> float | None:
+        """Generalized reactive rule over ``tail``, the last
+        ``reactive_window`` observed arrivals, or ``None`` when the signal
+        is dead or its headroom overflows.
 
         Ties keep the later value, as numpy's scalar ``max`` loop does
         (the two differ only in the sign of a ``±0.0`` peak, which
@@ -436,7 +451,7 @@ class HybridController(_state.Persistent):
         """
         cfg = self.config
         peak = None
-        for v in history[-cfg.reactive_window :].tolist():
+        for v in tail:
             if math.isfinite(v) and (peak is None or v >= peak):
                 peak = v
         if peak is not None and cfg.reactive_headroom != 1.0:
@@ -457,10 +472,11 @@ class HybridController(_state.Persistent):
         """
         cfg = self.config
         # Only the newest value and the reactive window are read, so only
-        # that tail is copied: a strided column stays a view until here.
-        h = np.asarray(history, dtype=np.float64)[-cfg.reactive_window :].ravel()
-        if h.size:
-            self._score(float(h[-1]))
+        # that tail is copied, once, to floats both the scoring and the
+        # reactive rule read.
+        tail = np.asarray(history, dtype=np.float64)[-cfg.reactive_window :].tolist()
+        if tail:
+            self._score(tail[-1])
         self._update_burst()
 
         forecast = float(forecast)
@@ -468,7 +484,7 @@ class HybridController(_state.Persistent):
             self.breaker is not None
             and getattr(self.breaker, "state", None) == self.BREAKER_OPEN
         )
-        reactive = self._reactive_target(h)
+        reactive = self._reactive_target(tail)
 
         correction = 0.0
         target = math.nan
@@ -480,7 +496,9 @@ class HybridController(_state.Persistent):
                     + cfg.kd * self._derivative
                 )
                 if cfg.headroom_quantile is not None:
-                    correction += self._positive_error_quantile(cfg.headroom_quantile)
+                    correction += self._positive_error_quantile(
+                        cfg.headroom_quantile, self._headroom_integral
+                    )
             if correction != 0.0:
                 target = forecast + correction
                 decided_by = "hybrid"
@@ -504,15 +522,21 @@ class HybridController(_state.Persistent):
                 else reactive if reactive is not None
                 else target
             )
-            burst_target = reference + self._positive_error_quantile(cfg.burst_quantile)
+            burst_target = reference + self._positive_error_quantile(
+                cfg.burst_quantile, self._burst_integral
+            )
             if target < burst_target < math.inf:
                 target = burst_target
                 decided_by = "burst"
 
-        vms, rails = self._apply_rails(target)
+        if self._rails_off and not self._cooldown:
+            # No rail can clip: only the rails' rounding applies.
+            vms = math.ceil(max(target, 0.0))
+            rails = ()
+        else:
+            vms, rails = self._apply_rails(target)
         decision = Decision(
-            vms=vms, decided_by=decided_by, target=target, rails=rails,
-            burst=self.burst, forecast=forecast, correction=correction,
+            vms, decided_by, target, rails, self.burst, forecast, correction
         )
         self._record(decision)
         self._last_forecast = forecast if proactive_ok else None

@@ -17,6 +17,8 @@ import threading
 import time
 from typing import Iterable
 
+import numpy as np
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -115,8 +117,42 @@ class Histogram:
                 self._samples[self.count % self.max_samples] = v
 
     def observe_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.observe(v)
+        """:meth:`observe` each of ``values`` in order, in one locked pass.
+
+        The total is a sequential ``np.add.accumulate``, so it rounds as
+        the ``+=`` loop does, and the reservoir ends as that loop leaves
+        it: appended until full, then overwritten round-robin.
+        """
+        vals = np.fromiter(values, dtype=np.float64)
+        n = vals.size
+        if not n:
+            return
+        with self._lock:
+            count = self.count
+            self.count = count + n
+            with np.errstate(over="ignore", invalid="ignore"):  # as float +=
+                self.total = float(np.add.accumulate(
+                    np.concatenate(((self.total,), vals))
+                )[-1])
+            vals = vals.tolist()
+            # Strict comparisons from the running bounds, as the loop's:
+            # ties keep the earlier value, and NaN never replaces one.
+            self.min = min(self.min, *vals)
+            self.max = max(self.max, *vals)
+            samples, cap = self._samples, self.max_samples
+            k = min(cap - len(samples), n)
+            if k > 0:
+                samples.extend(vals[:k])
+            rest = vals[k:]
+            if rest:
+                # Value j of ``rest`` lands in slot (count + k + 1 + j) % cap;
+                # only the last ``cap`` of them survive their overwrites.
+                skip = max(len(rest) - cap, 0)
+                rest = rest[skip:]
+                at = (count + k + 1 + skip) % cap
+                head = min(len(rest), cap - at)
+                samples[at : at + head] = rest[:head]
+                samples[: len(rest) - head] = rest[head:]
 
     @property
     def mean(self) -> float:

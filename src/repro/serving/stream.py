@@ -365,32 +365,6 @@ def _forecast(
         return math.nan
 
 
-def _decide(
-    p: float,
-    target_history: np.ndarray,
-    actual: float,
-    controller: HybridController | None,
-    monitor: ForecastMonitor | None,
-    latency: float | None,
-) -> float:
-    """Score the served forecast ``p`` of one interval and decide it.
-
-    Without a controller a non-finite forecast gets the
-    :func:`~repro.baselines.base.persistence_rescue`, is clipped at 0,
-    and ``ceil`` of it is provisioned.  With one the monitor scores only
-    finite forecasts (decisions are not forecasts), and the controller
-    decides.
-    """
-    if controller is None:
-        p = max(0.0, persistence_rescue(p, target_history))
-        if monitor is not None:
-            monitor.observe(p, actual, latency_s=latency)
-        return float(np.ceil(p))
-    if monitor is not None and math.isfinite(p):
-        monitor.observe(max(p, 0.0), actual, latency_s=latency)
-    return float(controller.step(p, target_history).vms)
-
-
 class StreamingServer:
     """Serve a chunked feed with quarantine, degradation, and checkpoints.
 
@@ -664,10 +638,12 @@ class StreamingServer:
         actuals = served.tolist()
         w = self.config.history_window
         predictor = self.predictor
-        monitor = self.monitor
         controller = self.controller
         controlled = controller is not None
-        timed = direct and monitor is not None
+        # The two public per-interval entries, bound once per block.
+        step = controller.step if controlled else None
+        observe = self.monitor.observe if self.monitor is not None else None
+        timed = direct and observe is not None
         refit_every = self.refit_every
         decisions = []
         latency = None
@@ -682,19 +658,27 @@ class StreamingServer:
             raws = None if direct else self._segment_forecasts(begin, end)
             booked = raws is not None and self._book_segment(raws, begin, end)
             raws = [None] * (end - begin) if raws is None else raws.tolist()
-            for i, raw in enumerate(raws, begin):
+            for i, p in enumerate(raws, begin):
                 lo = i - w if i > w else 0
-                if booked:
-                    p = raw
-                else:
+                if not booked:
                     t0 = time.perf_counter() if timed else 0.0
-                    p = _forecast(predictor, hbuf[lo:i], raw, controlled)
+                    p = _forecast(predictor, hbuf[lo:i], p, controlled)
                     if timed:
                         latency = time.perf_counter() - t0
-                decisions.append(_decide(
-                    p, target[lo:i], actuals[i - first], controller, monitor,
-                    latency,
-                ))
+                actual = actuals[i - first]
+                if controlled:
+                    # The monitor scores only finite forecasts: decisions
+                    # are not forecasts.
+                    if observe is not None and math.isfinite(p):
+                        observe(max(p, 0.0), actual, latency)
+                    decisions.append(float(step(p, target[lo:i]).vms))
+                else:
+                    # Uncontrolled: a non-finite forecast is rescued,
+                    # clipped at 0 and rounded up.
+                    p = max(0.0, persistence_rescue(p, target[lo:i]))
+                    if observe is not None:
+                        observe(p, actual, latency)
+                    decisions.append(float(np.ceil(p)))
             self._served_intervals += end - begin
             begin = end
         self._push_block(decisions, served)

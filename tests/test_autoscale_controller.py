@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 
 import numpy as np
@@ -153,6 +154,86 @@ class TestRails:
         assert controller.rail_hits == {"max_vms": 1, "rate_up": 1}
 
 
+class TestRailsOffFastPath:
+    """Only a config with every rail off skips ``_apply_rails``; each rail
+    enabled alone still clips a walk that triggers it, as before."""
+
+    PASSTHROUGH = dict(kp=0.0, ki=0.0, kd=0.0, headroom_quantile=None,
+                       burst_streak=None)
+    FORECASTS = [2.0, 10.0, 3.0, 12.0, 1.0, 1.0, 20.0, 0.5, 6.0]
+    # Decisions, the steps the rail clipped, and the rail hits the walk
+    # gave before the fast path existed.
+    CLIPPED = {
+        "min_vms": (
+            dict(min_vms=4),
+            [4, 10, 4, 12, 4, 4, 20, 4, 6],
+            {0, 2, 4, 5, 7},
+            {"min_vms": 5},
+        ),
+        "max_vms": (
+            dict(max_vms=8),
+            [2, 8, 3, 8, 1, 1, 8, 1, 6],
+            {1, 3, 6},
+            {"max_vms": 3},
+        ),
+        "rate_up": (
+            dict(max_step_up=3),
+            [2, 5, 3, 6, 1, 1, 4, 1, 4],
+            {1, 3, 6, 8},
+            {"rate_up": 4},
+        ),
+        "rate_down": (
+            dict(max_step_down=2),
+            [2, 10, 8, 12, 10, 8, 20, 18, 16],
+            {2, 4, 5, 7, 8},
+            {"rate_down": 5},
+        ),
+        "cooldown": (
+            dict(scale_down_cooldown=2),
+            [2, 10, 10, 12, 12, 12, 20, 20, 20],
+            {2, 4, 5, 7, 8},
+            {"cooldown": 5},
+        ),
+    }
+
+    def _walk(self, monkeypatch, **rail):
+        """The scripted walk, counting the calls to ``_apply_rails``."""
+        calls = []
+        apply_rails = HybridController._apply_rails
+
+        def counted(self, target):
+            calls.append(target)
+            return apply_rails(self, target)
+
+        monkeypatch.setattr(HybridController, "_apply_rails", counted)
+        controller = HybridController(ControllerConfig(**self.PASSTHROUGH, **rail))
+        decisions = [
+            controller.step(f, np.full(i + 1, 5.0))
+            for i, f in enumerate(self.FORECASTS)
+        ]
+        return controller, decisions, len(calls)
+
+    @pytest.mark.parametrize("rail", sorted(CLIPPED))
+    def test_single_rail_still_clips(self, monkeypatch, rail):
+        kwargs, vms, clipped, hits = self.CLIPPED[rail]
+        controller, decisions, calls = self._walk(monkeypatch, **kwargs)
+        assert not controller._rails_off
+        assert calls == len(self.FORECASTS)
+        assert [d.vms for d in decisions] == vms
+        assert [d.rails for d in decisions] == [
+            (rail,) if i in clipped else () for i in range(len(vms))
+        ]
+        assert controller.rail_hits == hits
+
+    def test_all_rails_off_takes_the_fast_path(self, monkeypatch):
+        controller, decisions, calls = self._walk(monkeypatch)
+        assert controller._rails_off
+        assert calls == 0
+        assert [d.vms for d in decisions] == [2, 10, 3, 12, 1, 1, 20, 1, 6]
+        assert all(d.rails == () for d in decisions)
+        assert controller.rail_hits == {}
+
+
 class TestExtremeInputs:
     def test_overflowing_error_falls_to_reactive(self):
         c = HybridController()
@@ -244,7 +325,9 @@ class TestOracle:
                 controller.load_state_dict(state)
             controller.step(f, np.asarray(actuals[: i + 1]))
             for q in qs:
-                got = controller._positive_error_quantile(q)
+                got = controller._positive_error_quantile(
+                    q, isinstance(q, numbers.Integral)
+                )
                 with np.errstate(invalid="ignore"):  # inf - inf is NaN
                     want = _reference_positive_error_quantile(controller, q)
                 assert _bits(got) == _bits(want), (q, list(controller._errors))
@@ -262,7 +345,7 @@ class TestOracle:
         controller = HybridController(ControllerConfig(
             reactive_window=window, reactive_headroom=headroom,
         ))
-        got = controller._reactive_target(history)
+        got = controller._reactive_target(history[-window:].tolist())
         want = _reference_reactive_target(controller, history)
         if want is not None and not math.isfinite(want):
             want = None  # an overflowing headroom is a dead signal now

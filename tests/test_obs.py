@@ -106,6 +106,31 @@ class TestMetrics:
         assert h.max == 999.0
         assert len(h._samples) == 8       # reservoir stays bounded
 
+    @pytest.mark.parametrize("case", ["generator", "empty", "wraps"])
+    def test_observe_many_equals_observe_loop(self, case):
+        """One locked pass ends exactly where a loop of ``observe`` does:
+        the same count, total bits, bounds and reservoir, in order."""
+        values = [0.1, 3.0, -0.0, 0.0, 1e-300, 2.5, 0.7, 1e16, 1.0, -4.25,
+                  0.1, 0.30000000000000004]
+        batches = {
+            "generator": [values],
+            "empty": [[], values[:3], []],
+            # 7 slots: the second batch fills the last 3, then overwrites
+            # every slot three times over.
+            "wraps": [values[:4], values + values[::-1], values[5:]],
+        }[case]
+
+        def state(h):
+            return (h.count, h.total.hex(), repr(h.min), repr(h.max),
+                    [x.hex() for x in h._samples])
+
+        looped, batched = obs.Histogram(max_samples=7), obs.Histogram(max_samples=7)
+        for batch in batches:
+            for v in batch:
+                looped.observe(v)
+            batched.observe_many(v for v in batch)
+            assert state(batched) == state(looped)
+
     def test_timer_context_manager(self):
         t = obs.timer("t.timer")
         with t.time() as timing:
