@@ -59,9 +59,11 @@ python scripts/perf_smoke.py
 
 echo "== perfbench traced smoke (every entry point the ledger wraps must exist) =="
 # --trace 1 wraps named product methods (perfbench/ledger.py); a
-# refactor that drops one crashes the run or breaks its invariants.  On
-# `stream` the serve walk must also still call the wrapped entries, so
-# each of their layers must read above 0.  serve.guard and
+# refactor that drops one crashes the run or breaks its invariants.  The
+# fit and serve paths must also still call the wrapped entries, so each
+# of their layers must read above 0: training, validation, the model
+# with each recurrent layer's forward_inference and the head on both
+# workloads, and the serve walk's stages on `stream`.  serve.guard and
 # serve.predictor are not asserted: the batched forecast path bypasses
 # the methods they wrap (ROADMAP item 1).
 for workload in stream search; do
@@ -72,13 +74,16 @@ import json, sys
 workload, last = sys.argv[1], json.loads(sys.argv[2])
 assert last["correct"] is True and last["failed"] == 0, \
     f"perfbench {workload} --trace 1 FAILED: {last}"
+layers = ["fit.train_ms", "fit.validate_ms", "serve.model_ms",
+          "serve.lstm_l0_ms", "serve.lstm_l1_ms", "serve.head_ms"]
 if workload == "stream":
-    for layer in ("serve.controller_ms", "serve.monitor_ms",
-                  "serve.sanitize_ms", "serve.checkpoint_ms",
-                  "serve.simulate_ms"):
-        value = last["metrics"][layer]["value"]
-        assert value > 0, \
-            f"perfbench stream --trace 1 FAILED: {layer} reads {value}"
+    layers += ["serve.controller_ms", "serve.monitor_ms",
+               "serve.sanitize_ms", "serve.checkpoint_ms",
+               "serve.simulate_ms"]
+for layer in layers:
+    value = last["metrics"][layer]["value"]
+    assert value > 0, \
+        f"perfbench {workload} --trace 1 FAILED: {layer} reads {value}"
 print(f"perfbench {workload} --trace 1 OK: "
       f"{last['attempted']} cycles, correct, 0 failed")
 PYEOF

@@ -119,9 +119,6 @@ class MinMaxScaler:
         out += self.data_min_
         return out
 
-    def fit_transform(self, values: np.ndarray) -> np.ndarray:
-        return self.fit(values).transform(values)
-
     def state(self) -> dict:
         """Serializable state (used by predictor save/load).
 

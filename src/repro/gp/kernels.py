@@ -70,12 +70,6 @@ class Kernel:
         """Stack (n_theta, n, n) of dK(X,X)/dtheta_j."""
         raise NotImplementedError
 
-    def clone(self) -> "Kernel":
-        """Deep copy (used by multi-restart optimization)."""
-        import copy
-
-        return copy.deepcopy(self)
-
     # composition sugar ------------------------------------------------
     def __add__(self, other: "Kernel") -> "Sum":
         return Sum(self, other)

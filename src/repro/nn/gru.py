@@ -11,51 +11,52 @@ the canonical variant with one fewer gate and no separate cell memory:
 
 Same vectorization strategy as :class:`repro.nn.lstm.LSTMLayer`: gates
 packed ``[z, r, g]`` into single kernels (two GEMMs per step), batch
-dimension fully vectorized, full backpropagation through time.  Swapping
+dimension fully vectorized, full backpropagation through time, and one
+step loop (:meth:`GRULayer._recur`) that both ``forward`` (over the BPTT
+stacks) and ``forward_inference`` (over reusable scratch) run.  Swapping
 this cell into :class:`~repro.nn.network.LSTMRegressor` (``cell="gru"``)
 gives the architecture ablation bench its comparison point.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
-from repro.nn.activations import dsigmoid_from_y, dtanh_from_y, sigmoid
+from repro.nn.activations import dsigmoid_from_y, dtanh_from_y
 from repro.nn.initializers import glorot_uniform, orthogonal
-from repro.nn.lstm import _check_state, _project_inputs, _sigmoid_inplace
+from repro.nn.lstm import (
+    _check_input,
+    _check_state,
+    _project_inputs,
+    _sigmoid_inplace,
+)
 
 __all__ = ["GRULayer", "GRUCache"]
 
 
 class _GRUScratch:
-    """Preallocated buffers for :meth:`GRULayer.forward_inference`.
+    """Reusable buffers for :meth:`GRULayer.forward_inference` (see
+    ``repro.nn.lstm._LSTMScratch``).  ``step`` repeats the one set of
+    step buffers the step loop reuses at every step."""
 
-    Mirrors ``repro.nn.lstm._LSTMScratch``: sized per (B, T) batch
-    shape, reused across batches, gate activations in place on slices of
-    the (B, 2H) update/reset pre-activation block.  ``Uzr``/``Ug`` hold
-    contiguous copies of the packed recurrent-kernel slices, refreshed
-    every call so in-place weight updates can never go stale.
-    """
+    __slots__ = ("B", "T", "xw", "staging", "tmp", "h", "step", "hs", "out")
 
-    __slots__ = ("B", "T", "xw", "xw_tm", "hu", "z", "r", "rh", "g", "tmp",
-                 "h_prev", "out", "Uzr", "Ug")
-
-    def __init__(self, B: int, T: int, H: int):
+    def __init__(self, B: int, T: int, D: int, H: int):
         self.B, self.T = B, T
-        self.xw = np.empty((B * T, 3 * H))
-        # Time-major staging slab for the multichannel projection;
-        # allocated on first D > 1 call only (see the LSTM twin).
-        self.xw_tm: np.ndarray | None = None
-        self.hu = np.empty((B, 2 * H))
-        self.z = self.hu[:, :H]
-        self.r = self.hu[:, H:]
-        self.rh = np.empty((B, H))
-        self.g = np.empty((B, H))
+        self.xw = np.empty((T, B, 3 * H))
+        # GEMM staging of the multichannel projection (D > 1 only).
+        self.staging = np.empty((B * T, 3 * H)) if D > 1 else None
         self.tmp = np.empty((B, H))
-        self.h_prev = np.empty((B, H))
+        self.h = np.empty((B, H))
+        zr = np.empty((B, 2 * H))
+        # h_t overwrites h_{t-1} in place, after the step's last read.
+        self.step = tuple(map(repeat, (zr, zr[:, :H], zr[:, H:],
+                                       np.empty((B, H)), np.empty((B, H)),
+                                       self.h)))
+        self.hs = np.empty((T, B, H))  # h_t stack for ``return_sequences``
         self.out = np.empty((B, T, H))
-        self.Uzr = np.empty((H, 2 * H))
-        self.Ug = np.empty((H, H))
 
 
 class GRUCache:
@@ -108,118 +109,85 @@ class GRULayer:
     def forward(
         self, x: np.ndarray, h0: np.ndarray | None = None
     ) -> tuple[np.ndarray, GRUCache]:
-        if x.ndim != 3:
-            raise ValueError(f"expected (batch, time, features) input, got {x.shape}")
-        B, T, D = x.shape
-        if D != self.input_size:
-            raise ValueError(f"input feature dim {D} != layer input_size {self.input_size}")
-        if T == 0:
-            raise ValueError("sequence length must be positive")
+        """Run the recurrence over a (B, T, D) batch; returns the hidden
+        sequence (B, T, H) and the BPTT cache, whose (T, B, ·) stacks
+        are the step loop's per-step buffers (:meth:`_recur`)."""
+        B, T, _ = _check_input(x, self.input_size)
         H = self.hidden_size
         _check_state("h0", h0, B, H)
-        h_prev = np.zeros((B, H)) if h0 is None else np.array(h0, dtype=np.float64)
+        h0 = np.zeros((B, H)) if h0 is None else np.array(h0, dtype=np.float64)
 
-        xw = x.reshape(B * T, D) @ self.W
-        xw = xw.reshape(B, T, 3 * H) + self.b
-
-        Uz = self.U[:, :H]
-        Ur = self.U[:, H : 2 * H]
-        Ug = self.U[:, 2 * H :]
-
-        zs = np.empty((T, B, H))
-        rs = np.empty((T, B, H))
-        gs = np.empty((T, B, H))
-        hs = np.empty((T, B, H))
-        rhs = np.empty((T, B, H))
-        h0_saved = h_prev.copy()
-
-        for t in range(T):
-            hu = h_prev @ self.U[:, : 2 * H]  # z and r recurrent parts together
-            z = sigmoid(xw[:, t, :H] + hu[:, :H])
-            r = sigmoid(xw[:, t, H : 2 * H] + hu[:, H:])
-            rh = r * h_prev
-            g = np.tanh(xw[:, t, 2 * H :] + rh @ Ug)
-            h = (1.0 - z) * h_prev + z * g
-            zs[t], rs[t], gs[t], hs[t], rhs[t] = z, r, g, h, rh
-            h_prev = h
-
-        cache = GRUCache(x, zs, rs, gs, hs, h0_saved, rhs)
+        xw = np.empty((T, B, 3 * H))
+        _project_inputs(x, self.W, self.b, xw)
+        # z and r share one (B, 2H) block per step, as the sigmoid runs
+        # over both at once; the cache keeps their (T, B, H) views.
+        zr = np.empty((T, B, 2 * H))
+        gs, hs, rhs = (np.empty((T, B, H)) for _ in range(3))
+        bufs = (zr, zr[:, :, :H], zr[:, :, H:], rhs, gs, hs)
+        self._recur(xw, h0, np.empty((B, H)), bufs)
+        cache = GRUCache(x, zr[:, :, :H], zr[:, :, H:], gs, hs, h0, rhs)
         return np.ascontiguousarray(hs.transpose(1, 0, 2)), cache
 
-    # ------------------------------------------------------------------
-    # inference fast path
-    # ------------------------------------------------------------------
     def forward_inference(
         self,
         x: np.ndarray,
         h0: np.ndarray | None = None,
         return_sequences: bool = True,
     ) -> np.ndarray:
-        """Forward pass without the BPTT cache (see the LSTM twin).
+        """Forward pass without the BPTT cache (see the LSTM's).
 
-        Bitwise-identical hidden sequence to :meth:`forward`, computed
-        with reusable scratch buffers, in-place gate activations, and
-        hidden states written directly in (B, T, H) layout.  With
+        Bitwise-identical hidden sequence to :meth:`forward`: the same
+        step loop runs over reusable per-layer scratch.  With
         ``return_sequences=False`` only the final (B, H) hidden state is
-        returned and the per-step output writes are skipped.  The return
+        kept and returned.  The return
         value is a view of layer scratch, valid until the next call;
         not thread-safe.
         """
-        if x.ndim != 3:
-            raise ValueError(f"expected (batch, time, features) input, got {x.shape}")
-        B, T, D = x.shape
-        if D != self.input_size:
-            raise ValueError(f"input feature dim {D} != layer input_size {self.input_size}")
-        if T == 0:
-            raise ValueError("sequence length must be positive")
+        B, T, D = _check_input(x, self.input_size)
         H = self.hidden_size
         _check_state("h0", h0, B, H)
-
         s = self._scratch
         if s is None or s.B != B or s.T != T:
-            s = self._scratch = _GRUScratch(B, T, H)
-        # Refresh the contiguous recurrent-kernel copies (step GEMMs on a
-        # contiguous operand; values match the strided views exactly).
-        s.Uzr[...] = self.U[:, : 2 * H]
-        s.Ug[...] = self.U[:, 2 * H :]
+            s = self._scratch = _GRUScratch(B, T, D, H)
+        _project_inputs(x, self.W, self.b, s.xw, s.staging)
+        s.h[...] = 0.0 if h0 is None else h0
+        if not return_sequences:
+            self._recur(s.xw, s.h, s.tmp, s.step)
+            return s.h
+        self._recur(s.xw, s.h, s.tmp, (*s.step[:-1], s.hs))
+        s.out[...] = s.hs.transpose(1, 0, 2)
+        return s.out
 
-        # Time-major (T, B, 3H) projection, staged as in the LSTM twin.
-        if D == 1:
-            xw = s.xw.reshape(T, B, 3 * H)
-        else:
-            if s.xw_tm is None:
-                s.xw_tm = np.empty((T, B, 3 * H))
-            xw = s.xw_tm
-        _project_inputs(x, self.W, self.b, xw, s.xw)
+    def _recur(self, xw, h, tmp, bufs) -> None:
+        """The one step loop both forward entries run (see the LSTM's).
 
-        if h0 is None:
-            s.h_prev.fill(0.0)
-        else:
-            s.h_prev[...] = h0
-
-        out = s.out
-        H2 = 2 * H
-        # Hoist per-step slice construction out of the loop (see LSTM);
-        # both projection branches land in time-major layout.
-        xts = list(xw)
-        for t in range(T):
-            xwt = xts[t]
-            np.matmul(s.h_prev, s.Uzr, out=s.hu)  # z and r recurrent parts
-            s.hu += xwt[:, :H2]
-            _sigmoid_inplace(s.hu)  # z and r fused in one (B, 2H) block
-            np.multiply(s.r, s.h_prev, out=s.rh)
-            np.matmul(s.rh, s.Ug, out=s.g)
-            s.g += xwt[:, H2:]
-            np.tanh(s.g, out=s.g)
-            # h_t = (1 - z) ⊙ h_{t-1} + z ⊙ g, computed in the contiguous
-            # h_prev buffer then copied into the (B, T, H) output slab.
-            np.subtract(1.0, s.z, out=s.tmp)
-            np.multiply(s.tmp, s.h_prev, out=s.tmp)
-            np.multiply(s.z, s.g, out=s.h_prev)
-            s.h_prev += s.tmp
-            if return_sequences:
-                out[:, t, :] = s.h_prev
-        return out if return_sequences else s.h_prev
+        ``xw`` is the time-major (T, B, 3H) input projection, ``h`` the
+        initial state and ``tmp`` a (B, H) temporary.  ``bufs`` holds
+        six iterables that yield each step's ``zr, z, r, rh, g, h``
+        output buffers.
+        """
+        mul, mm, add, sub = np.multiply, np.matmul, np.add, np.subtract
+        tanh = np.tanh
+        H2 = 2 * self.hidden_size
+        Uzr, Ug = self.U[:, :H2], self.U[:, H2:]
+        for xzr, xg, zr, z, r, rh, g, h_t in zip(
+            xw[:, :, :H2], xw[:, :, H2:], *bufs
+        ):
+            # [z, r] = sigmoid(h_{t-1} U_zr + x_t W_zr + b_zr), one block.
+            mm(h, Uzr, zr)
+            add(zr, xzr, zr)
+            _sigmoid_inplace(zr)
+            # g = tanh((r ⊙ h_{t-1}) U_g + x_t W_g + b_g)
+            mul(r, h, rh)
+            mm(rh, Ug, g)
+            add(g, xg, g)
+            tanh(g, g)
+            # h_t = (1 - z) ⊙ h_{t-1} + z ⊙ g
+            sub(1.0, z, tmp)
+            mul(tmp, h, tmp)
+            mul(z, g, h_t)
+            add(h_t, tmp, h_t)
+            h = h_t
 
     # ------------------------------------------------------------------
     def backward(

@@ -22,9 +22,17 @@ in the step loops runs over one contiguous (B, H) block instead of a
 strided column block.  The GEMM operands (``z``, ``dz_all``) keep their
 row-major (B, 4H) layout: BLAS results depend on operand layout, and
 every output stays bit-identical (DESIGN.md §8).
+
+One step loop, :meth:`LSTMLayer._recur`, runs the recurrence for both
+forward entries.  ``forward`` hands it the (T, B, ·) BPTT stacks as its
+per-step buffers; ``forward_inference`` hands it one set of per-layer
+scratch buffers, reused at every step and across calls.  So the two
+entries compute the same bits by construction.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -41,42 +49,47 @@ _DU_BLOCK_ELEMS = 1 << 20
 
 
 class _LSTMScratch:
-    """Preallocated buffers for :meth:`LSTMLayer.forward_inference`.
+    """Reusable buffers for :meth:`LSTMLayer.forward_inference`.
 
     One instance per layer, sized for a (B, T) batch shape and reused
-    across batches — inference allocates nothing per call once warm.
-    ``zsig``/``zg`` alias the (B, 4H) pre-activation block ``z``;
-    the activated sigmoid gates live gate-major in the contiguous
-    (3, B, H) buffer ``a`` (contiguous (B, H) views ``ai/af/ao``) and
-    the candidate in ``g``.
+    across batches, so inference allocates nothing per call once warm.
+    ``step`` repeats one set of per-step buffers, so the step loop
+    reuses them at every step where :meth:`LSTMLayer.forward` hands it
+    the BPTT stacks.
     """
 
-    __slots__ = ("B", "T", "xw", "xw_tm", "z", "zsig", "zg", "a", "ai", "af",
-                 "ao", "g", "h_prev", "c_prev", "c", "tmp", "out")
+    __slots__ = ("B", "T", "xw", "staging", "work", "h", "c", "step", "hs",
+                 "out")
 
-    def __init__(self, B: int, T: int, H: int):
+    def __init__(self, B: int, T: int, D: int, H: int):
         self.B, self.T = B, T
-        self.xw = np.empty((B * T, 4 * H))
-        # Time-major staging slab for the multichannel projection;
-        # allocated on first D > 1 call only (the univariate path
-        # computes straight into ``xw`` in time-major order).
-        self.xw_tm: np.ndarray | None = None
-        self.z = np.empty((B, 4 * H))
-        # Gate layout is [i, f, o, g].  ``zsig`` views the three
-        # sigmoid gates of ``z`` gate-major, as (3, B, H); ``a`` is a
-        # dense copy of it, so the four activation passes and every
-        # per-gate op run over contiguous memory (2-3x faster than over
-        # strided column blocks of ``z``).
-        self.zsig = self.z.reshape(B, 4, H)[:, :3].transpose(1, 0, 2)
-        self.zg = self.z[:, 3 * H :]
-        self.a = np.empty((3, B, H))
-        self.ai, self.af, self.ao = self.a
-        self.g = np.empty((B, H))
-        self.h_prev = np.empty((B, H))
-        self.c_prev = np.empty((B, H))
+        self.xw = np.empty((T, B, 4 * H))
+        # GEMM staging of the multichannel projection (D > 1 only).
+        self.staging = np.empty((B * T, 4 * H)) if D > 1 else None
+        self.work = _work_buffers(B, H)
+        self.h = np.empty((B, H))
         self.c = np.empty((B, H))
-        self.tmp = np.empty((B, H))
+        sig = np.empty((3, B, H))
+        # tanh(C_t) goes to the work buffer ``tmp``: the step has
+        # consumed i ⊙ g from it by then.  C_t and h_t overwrite
+        # C_{t-1} and h_{t-1} in place, which no later op of the step
+        # reads.
+        self.step = tuple(map(repeat, (sig, *sig, np.empty((B, H)), self.c,
+                                       self.work[3], self.h)))
+        # h_t stack for ``return_sequences``: the step GEMM reads a
+        # contiguous h_{t-1}, and one transpose-copy into ``out`` after
+        # the loop is cheaper than a strided copy per step.
+        self.hs = np.empty((T, B, H))
         self.out = np.empty((B, T, H))
+
+
+def _work_buffers(B: int, H: int) -> tuple[np.ndarray, ...]:
+    """The step loop's (B, 4H) pre-activation block ``z``, its gate-major
+    (3, B, H) view of the sigmoid gates [i, f, o], its strided candidate
+    slice, and one (B, H) temporary."""
+    z = np.empty((B, 4 * H))
+    zsig = z.reshape(B, 4, H)[:, :3].transpose(1, 0, 2)
+    return z, zsig, z[:, 3 * H :], np.empty((B, H))
 
 
 def _sigmoid_inplace(z: np.ndarray) -> None:
@@ -103,6 +116,18 @@ def _check_state(name: str, state, B: int, H: int) -> None:
         )
 
 
+def _check_input(x: np.ndarray, input_size: int) -> tuple[int, int, int]:
+    """Validate a (B, T, D) recurrent-layer input and return its shape."""
+    if x.ndim != 3:
+        raise ValueError(f"expected (batch, time, features) input, got {x.shape}")
+    B, T, D = x.shape
+    if D != input_size:
+        raise ValueError(f"input feature dim {D} != layer input_size {input_size}")
+    if T == 0:
+        raise ValueError("sequence length must be positive")
+    return B, T, D
+
+
 def _project_inputs(
     x: np.ndarray, W: np.ndarray, b: np.ndarray, xw: np.ndarray,
     staging: np.ndarray | None = None,
@@ -117,7 +142,7 @@ def _project_inputs(
     handles poorly at K=1).  D > 1: one (B*T, D) @ (D, G) GEMM into
     ``staging`` (allocated when None), so every element is the same
     dot-product reduction, then a transpose-copy, which never changes
-    bits.  Shared by both LSTM forwards and the GRU inference path.
+    bits.  Shared by both forward entries of both cells.
     """
     B, T, D = x.shape
     if D == 1:
@@ -216,23 +241,11 @@ class LSTMLayer:
 
         Returns the full hidden-state sequence (B, T, H) plus the cache
         for BPTT.  Initial states default to zeros (the stateless mode
-        used for windowed JAR prediction).
-
-        The step kernel is :meth:`forward_inference`'s, writing into
-        the cache stacks instead of reusable scratch: the stacks and two
-        (B, ·) step buffers are allocated once per call, and each step
-        runs one sigmoid over the contiguous gate-major (3, B, H)
-        [i, f, o] block ``sig[t]``.  Every element sees the same IEEE
-        operations on the same operands as the per-gate formulation
-        (DESIGN.md §8).
+        used for windowed JAR prediction).  The (T, B, ·) cache stacks
+        are allocated once per call and are the step loop's per-step
+        buffers (:meth:`_recur`).
         """
-        if x.ndim != 3:
-            raise ValueError(f"expected (batch, time, features) input, got {x.shape}")
-        B, T, D = x.shape
-        if D != self.input_size:
-            raise ValueError(f"input feature dim {D} != layer input_size {self.input_size}")
-        if T == 0:
-            raise ValueError("sequence length must be positive")
+        B, T, _ = _check_input(x, self.input_size)
         H = self.hidden_size
         _check_state("h0", h0, B, H)
         _check_state("c0", c0, B, H)
@@ -242,54 +255,14 @@ class LSTMLayer:
         xw = np.empty((T, B, 4 * H))
         _project_inputs(x, self.W, self.b, xw)
         sig = np.empty((T, 3, B, H))
-        gs = np.empty((T, B, H))
-        cs = np.empty((T, B, H))
-        tanh_cs = np.empty((T, B, H))
-        hs = np.empty((T, B, H))
-        z = np.empty((B, 4 * H))
-        zsig = z.reshape(B, 4, H)[:, :3].transpose(1, 0, 2)
-        zg = z[:, 3 * H :]
-        tmp = np.empty((B, H))
-
-        mul, mm, add, clip = np.multiply, np.matmul, np.add, clip_ufunc
-        neg, exp, div, tanh = np.negative, np.exp, np.divide, np.tanh
-        U = self.U
-        h_prev, c_prev = h0, c0
+        gs, cs, tanh_cs, hs = (np.empty((T, B, H)) for _ in range(4))
         # Iterating the (T, ·) stacks yields each step's views with no
         # per-step slicing; i/f/o are contiguous (B, H) blocks of sig[t].
-        steps = zip(xw, sig, sig[:, 0], sig[:, 1], sig[:, 2],
-                    gs, cs, tanh_cs, hs)
-        for xwt, st, i, f, o, g, c, tc, h in steps:
-            # z_t = h_{t-1} U + (x_t W + b): IEEE addition commutes.
-            mm(h_prev, U, z)
-            add(z, xwt, z)
-            # sigmoid(v) = 1 / (1 + exp(-clip(v))) on [i, f, o] at once:
-            # the clip gathers the three strided gate blocks of z into
-            # the contiguous (3, B, H) sig[t].  A transcendental's
-            # operand keeps its contiguity (numpy's SIMD loops need unit
-            # stride and need not round like the scalar loop): exp runs
-            # contiguous and tanh of the candidate reads the strided
-            # slice of z.
-            clip(zsig, -60.0, 60.0, st)
-            neg(st, st)
-            exp(st, st)
-            add(st, 1.0, st)
-            div(1.0, st, st)
-            tanh(zg, g)
-            # C_t = f ⊙ C_{t-1} + i ⊙ g;  h_t = o ⊙ tanh(C_t)
-            mul(f, c_prev, c)
-            mul(i, g, tmp)
-            add(c, tmp, c)
-            tanh(c, tc)
-            mul(o, tc, h)
-            h_prev, c_prev = h, c
-
+        bufs = (sig, sig[:, 0], sig[:, 1], sig[:, 2], gs, cs, tanh_cs, hs)
+        self._recur(xw, h0, c0, _work_buffers(B, H), bufs)
         cache = LSTMCache(x, sig, gs, cs, tanh_cs, hs, h0, c0)
         return np.ascontiguousarray(hs.transpose(1, 0, 2)), cache
 
-    # ------------------------------------------------------------------
-    # inference fast path
-    # ------------------------------------------------------------------
     def forward_inference(
         self,
         x: np.ndarray,
@@ -299,102 +272,85 @@ class LSTMLayer:
     ) -> np.ndarray:
         """Forward pass without the BPTT cache — the deployed hot path.
 
-        Bitwise-identical to :meth:`forward`'s hidden sequence, but:
-
-        * no ``sig/g/c/tanh_c/h`` (T, B, ·) stacks are allocated;
-        * per-layer scratch buffers are reused across batches of the
-          same (B, T) shape, so a warm predictor allocates nothing;
-        * the four gate activations run in place on slices of one
-          (B, 4H) pre-activation block;
-        * hidden states are written directly in (B, T, H) layout, so
-          there is no final ``transpose`` + ``ascontiguousarray`` copy.
+        Bitwise-identical to :meth:`forward`'s hidden sequence: the same
+        step loop runs, over one set of step buffers reused at every
+        step instead of the (T, B, ·) stacks; only h_t goes to a
+        (T, B, H) stack, transpose-copied into the (B, T, H) output.
+        The buffers are per-layer scratch reused across batches of the
+        same (B, T) shape, so a warm predictor allocates nothing.
 
         With ``return_sequences=False`` only the final hidden state
-        ``h_T`` of shape (B, H) is returned and the per-step output
-        writes are skipped entirely — the right mode for the last layer
-        of a stack, whose head reads ``h_T`` alone.
+        ``h_T`` of shape (B, H) is returned and h_t overwrites h_{t-1}
+        in place — the right mode for the last layer of a stack, whose
+        head reads ``h_T`` alone.
 
         The returned array is a view of the layer's scratch: valid until
         the next ``forward_inference`` call on this layer.  Not
         thread-safe — callers that share a model across threads must
         hold their own lock (the training path is unaffected).
         """
-        if x.ndim != 3:
-            raise ValueError(f"expected (batch, time, features) input, got {x.shape}")
-        B, T, D = x.shape
-        if D != self.input_size:
-            raise ValueError(f"input feature dim {D} != layer input_size {self.input_size}")
-        if T == 0:
-            raise ValueError("sequence length must be positive")
+        B, T, D = _check_input(x, self.input_size)
         H = self.hidden_size
         _check_state("h0", h0, B, H)
         _check_state("c0", c0, B, H)
-
         s = self._scratch
         if s is None or s.B != B or s.T != T:
-            s = self._scratch = _LSTMScratch(B, T, H)
+            s = self._scratch = _LSTMScratch(B, T, D, H)
+        _project_inputs(x, self.W, self.b, s.xw, s.staging)
+        s.h[...] = 0.0 if h0 is None else h0
+        s.c[...] = 0.0 if c0 is None else c0
+        if not return_sequences:
+            self._recur(s.xw, s.h, s.c, s.work, s.step)
+            return s.h
+        self._recur(s.xw, s.h, s.c, s.work, (*s.step[:-1], s.hs))
+        s.out[...] = s.hs.transpose(1, 0, 2)
+        return s.out
 
-        # Both projection branches land in (T, B, 4H) time-major layout:
-        # the univariate one straight in ``xw``, the multichannel one
-        # through ``xw`` as GEMM staging into the ``xw_tm`` slab.
-        if D == 1:
-            xw = s.xw.reshape(T, B, 4 * H)
-        else:
-            if s.xw_tm is None:
-                s.xw_tm = np.empty((T, B, 4 * H))
-            xw = s.xw_tm
-        _project_inputs(x, self.W, self.b, xw, s.xw)
+    def _recur(self, xw, h, c, work, bufs) -> None:
+        """The one step loop both forward entries run.
 
-        if h0 is None:
-            s.h_prev.fill(0.0)
-        else:
-            s.h_prev[...] = h0
-        if c0 is None:
-            s.c_prev.fill(0.0)
-        else:
-            s.c_prev[...] = c0
+        ``xw`` is the time-major (T, B, 4H) input projection, ``h`` and
+        ``c`` the initial states, ``work`` the :func:`_work_buffers`.
+        ``bufs`` holds eight iterables that yield each step's ``sig, i,
+        f, o, g, c, tanh_c, h`` output buffers: the stacks' step views,
+        or one set repeated at every step.
 
+        Two layout rules hold every output bit (DESIGN.md §8): each GEMM
+        reads the same operand layout in both entries (``h`` is always a
+        contiguous (B, H) block), and each transcendental keeps its
+        operand's contiguity.
+        """
         # Hot loop: ufuncs hoisted to locals and ``out`` passed
         # positionally — at these array sizes (a few KB per step) the
         # numpy dispatch overhead is a measurable share of each step.
         mul, mm, add, clip = np.multiply, np.matmul, np.add, clip_ufunc
         neg, exp, div, tanh = np.negative, np.exp, np.divide, np.tanh
-        z, a, g, tmp = s.z, s.a, s.g, s.tmp
-        zsig, zg, ai, af, ao = s.zsig, s.zg, s.ai, s.af, s.ao
-        h_prev, out = s.h_prev, s.out
-        c, c_prev = s.c, s.c_prev
+        z, zsig, zg, tmp = work
         U = self.U
-        # Hoist per-step slice construction out of the loop: iterating a
-        # (T, B, 4H) array yields the contiguous step views directly
-        # (both projection branches land in time-major layout).
-        xts = list(xw)
-        for t in range(T):
-            # z_t = (x_t W + b) + h_{t-1} U; IEEE addition commutes
-            # bitwise, so either accumulation direction matches the
-            # cached path exactly.
-            mm(h_prev, U, z)
-            add(z, xts[t], z)
-            # Fused sigmoid over [i, f, o]: the clip pass gathers the
-            # strided gate blocks of z into the contiguous (3, B, H)
-            # buffer ``a``; the remaining four passes and the per-gate
-            # products run contiguous (same values either way).
-            clip(zsig, -60.0, 60.0, a)
-            neg(a, a)
-            exp(a, a)
-            add(a, 1.0, a)
-            div(1.0, a, a)
+        for xwt, st, i, f, o, g, c_t, tc, h_t in zip(xw, *bufs):
+            # z_t = h_{t-1} U + (x_t W + b): IEEE addition commutes.
+            mm(h, U, z)
+            add(z, xwt, z)
+            # sigmoid(v) = 1 / (1 + exp(-clip(v))) on [i, f, o] at once:
+            # the clip gathers the three strided gate blocks of z into
+            # the contiguous (3, B, H) ``st``.  A transcendental's operand
+            # keeps its contiguity (numpy's SIMD loops need unit stride
+            # and need not round like the scalar loop): exp runs
+            # contiguous and tanh of the candidate reads the strided
+            # slice of z.
+            clip(zsig, -60.0, 60.0, st)
+            neg(st, st)
+            exp(st, st)
+            add(st, 1.0, st)
+            div(1.0, st, st)
             tanh(zg, g)
-            # C_t = f ⊙ C_{t-1} + i ⊙ g, then h_t = o ⊙ tanh(C_t),
-            # written straight into the (B, T, H) output slab.
-            mul(af, c_prev, c)
-            mul(ai, g, tmp)
-            add(c, tmp, c)
-            tanh(c, tmp)
-            mul(ao, tmp, h_prev)
-            if return_sequences:
-                out[:, t] = h_prev
-            c, c_prev = c_prev, c  # swap roles instead of copying C_t
-        return out if return_sequences else h_prev
+            # C_t = f ⊙ C_{t-1} + i ⊙ g;  h_t = o ⊙ tanh(C_t)
+            mul(f, c, c_t)
+            mul(i, g, tmp)
+            add(c_t, tmp, c_t)
+            tanh(c_t, tc)
+            mul(o, tc, h_t)
+            h, c = h_t, c_t
 
     # ------------------------------------------------------------------
     # backward

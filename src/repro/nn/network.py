@@ -134,14 +134,15 @@ class LSTMRegressor:
     def _forward_inference(self, x: np.ndarray) -> np.ndarray:
         """Cache-free forward: the deployed inference hot path.
 
-        Each layer's ``forward_inference`` skips the BPTT stacks and
-        reuses per-layer scratch buffers across batches; outputs are
-        bitwise-identical to :meth:`_forward` (enforced by the fast-path
-        parity tests).  The last layer runs with
-        ``return_sequences=False`` — the head only reads the final
-        hidden state, so its (B, T, H) output slab is never written.
-        Not thread-safe — concurrent prediction on a shared model must
-        use :meth:`_forward` or external locking.
+        Each layer's ``forward_inference`` runs the same step loop as
+        its ``forward`` over per-layer scratch buffers reused across
+        batches instead of the BPTT stacks; outputs are bitwise-identical
+        to :meth:`_forward` (enforced by the fast-path parity tests).
+        The last layer runs with ``return_sequences=False`` — the head
+        only reads the final hidden state, so its (B, T, H) output slab
+        is never written.  Not thread-safe: every call writes the same
+        layer scratch, so threads that share a model must serialize
+        their ``predict`` calls with their own lock.
         """
         h = x
         for layer in self.lstm_layers[:-1]:

@@ -1,4 +1,9 @@
-"""Tests for the GRU layer and the cell-type option of LSTMRegressor."""
+"""Tests for the GRU layer and the cell-type option of LSTMRegressor.
+
+The oracle tests pin both forward entries to the out-of-place training
+forward they replaced, kept below verbatim as ``reference_forward``, on
+raw bytes.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +11,49 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.nn import LSTMRegressor, load_regressor, save_regressor
-from repro.nn.gru import GRULayer
+from repro.nn.activations import sigmoid
+from repro.nn.gru import GRUCache, GRULayer
 from repro.nn.losses import mse_loss
+
+
+def reference_forward(self, x, h0=None):
+    """The out-of-place training forward the shared step loop replaced."""
+    B, T, D = x.shape
+    H = self.hidden_size
+    h_prev = np.zeros((B, H)) if h0 is None else np.array(h0, dtype=np.float64)
+
+    xw = x.reshape(B * T, D) @ self.W
+    xw = xw.reshape(B, T, 3 * H) + self.b
+
+    Ug = self.U[:, 2 * H :]
+
+    zs = np.empty((T, B, H))
+    rs = np.empty((T, B, H))
+    gs = np.empty((T, B, H))
+    hs = np.empty((T, B, H))
+    rhs = np.empty((T, B, H))
+    h0_saved = h_prev.copy()
+
+    for t in range(T):
+        hu = h_prev @ self.U[:, : 2 * H]  # z and r recurrent parts together
+        z = sigmoid(xw[:, t, :H] + hu[:, :H])
+        r = sigmoid(xw[:, t, H : 2 * H] + hu[:, H:])
+        rh = r * h_prev
+        g = np.tanh(xw[:, t, 2 * H :] + rh @ Ug)
+        h = (1.0 - z) * h_prev + z * g
+        zs[t], rs[t], gs[t], hs[t], rhs[t] = z, r, g, h, rh
+        h_prev = h
+
+    cache = GRUCache(x, zs, rs, gs, hs, h0_saved, rhs)
+    return np.ascontiguousarray(hs.transpose(1, 0, 2)), cache
+
+
+def hex64(a: np.ndarray) -> str:
+    return np.ascontiguousarray(np.asarray(a, dtype="<f8")).tobytes().hex()
 
 
 @pytest.fixture
@@ -62,6 +106,72 @@ class TestGRUForward:
         gru = GRULayer(1, 8, np.random.default_rng(0))
         lstm = LSTMLayer(1, 8, np.random.default_rng(0))
         assert gru.n_params() == lstm.n_params() * 3 // 4  # 3 gates vs 4
+
+
+class TestReferenceOracle:
+    """Both forward entries, every cache stack and the gradients are
+    byte-equal to the out-of-place formulation, over random shapes and
+    initial states."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        B=st.integers(1, 5), T=st.integers(1, 6), D=st.integers(1, 4),
+        H=st.integers(1, 6), with_state=st.booleans(),
+        scale=st.sampled_from([0.5, 3.0, 40.0]), seed=st.integers(0, 2**16),
+    )
+    # The shapes perfbench's LSTM trains and serves (history 24, 8 cells,
+    # batch 32; layer 2 reads D=8), a ragged last batch, B = H = 1, and
+    # one row of a multichannel input with a given state.
+    @example(B=32, T=24, D=1, H=8, with_state=False, scale=3.0, seed=3)
+    @example(B=32, T=24, D=8, H=8, with_state=False, scale=0.5, seed=4)
+    @example(B=17, T=24, D=1, H=8, with_state=True, scale=3.0, seed=5)
+    @example(B=1, T=3, D=1, H=1, with_state=True, scale=40.0, seed=6)
+    @example(B=1, T=7, D=3, H=5, with_state=True, scale=3.0, seed=7)
+    def test_forward_backward_bytes(self, B, T, D, H, with_state, scale, seed):
+        rng = np.random.default_rng(seed)
+        layer = GRULayer(D, H, rng)
+        layer.b += rng.standard_normal(layer.b.shape)
+        x = scale * rng.standard_normal((B, T, D))
+        state = {"h0": rng.uniform(-1, 1, (B, H))} if with_state else {}
+        d_h_seq = rng.standard_normal((B, T, H))
+
+        h, cache = layer.forward(x, **state)
+        h_ref, cache_ref = reference_forward(layer, x, **state)
+        assert hex64(h) == hex64(h_ref)
+        for name in ("z", "r", "g", "h", "rh", "h0"):
+            got, want = getattr(cache, name), getattr(cache_ref, name)
+            assert got.shape == want.shape, name
+            assert hex64(got) == hex64(want), name
+        assert hex64(layer.forward_inference(x, **state)) == hex64(h_ref)
+        last = layer.forward_inference(x, return_sequences=False, **state)
+        assert hex64(last) == hex64(h_ref[:, -1])
+
+        dx, grads = layer.backward(d_h_seq, cache)
+        dx_ref, grads_ref = layer.backward(d_h_seq, cache_ref)
+        assert hex64(dx) == hex64(dx_ref)
+        for name, got, want in zip("W U b".split(), grads, grads_ref, strict=True):
+            assert hex64(got) == hex64(want), name
+
+
+class TestCacheIndependence:
+    def test_inference_call_leaves_cache_intact(self, rng):
+        """``forward_inference`` between ``forward`` and ``backward`` must
+        not touch the returned hidden sequence or cache: neither may
+        alias the layer's inference scratch."""
+        layer = GRULayer(3, 5, rng)
+        x1, x2 = rng.standard_normal((2, 4, 6, 3))
+        d_h_seq = rng.standard_normal((4, 6, 5))
+        h_alone, cache_alone = layer.forward(x1)
+        want = layer.backward(d_h_seq, cache_alone)
+
+        h1, cache1 = layer.forward(x1)
+        for return_sequences in (True, False):
+            layer.forward_inference(x2, return_sequences=return_sequences)
+        assert hex64(h1) == hex64(h_alone)
+        dx, grads = layer.backward(d_h_seq, cache1)
+        assert hex64(dx) == hex64(want[0])
+        for got, ref in zip(grads, want[1], strict=True):
+            assert hex64(got) == hex64(ref)
 
 
 class TestGRUBackward:

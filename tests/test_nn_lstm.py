@@ -269,6 +269,27 @@ class TestReferenceOracle:
         _assert_inference_bytes(layer, x, state, h_ref)
 
 
+class TestCacheIndependence:
+    def test_inference_call_leaves_cache_intact(self, rng):
+        """``forward_inference`` between ``forward`` and ``backward`` must
+        not touch the returned hidden sequence or cache: neither may
+        alias the layer's inference scratch."""
+        layer = LSTMLayer(3, 5, rng)
+        x1, x2 = rng.standard_normal((2, 4, 6, 3))
+        d_h_seq = rng.standard_normal((4, 6, 5))
+        h_alone, cache_alone = layer.forward(x1)
+        want = layer.backward(d_h_seq, cache_alone)
+
+        h1, cache1 = layer.forward(x1)
+        for return_sequences in (True, False):
+            layer.forward_inference(x2, return_sequences=return_sequences)
+        assert hex64(h1) == hex64(h_alone)
+        dx, grads = layer.backward(d_h_seq, cache1)
+        assert hex64(dx) == hex64(want[0])
+        for got, ref in zip(grads, want[1], strict=True):
+            assert hex64(got) == hex64(ref)
+
+
 class TestBackward:
     def test_gradient_check_single_layer(self, rng):
         layer = LSTMLayer(1, 3, rng)
